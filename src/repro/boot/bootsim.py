@@ -111,6 +111,13 @@ class BootSimulator:
 
     @staticmethod
     def _initcalls_ms(image: KernelImage) -> float:
+        # A pure function of the image, so the sorted fold below runs on
+        # a kernel's first boot only; later boots read it off the image.
+        return image.derived("boot.initcalls_ms",
+                             BootSimulator._fold_initcalls_ms)
+
+    @staticmethod
+    def _fold_initcalls_ms(image: KernelImage) -> float:
         config = image.config
         # Sorted fold: ``config.enabled`` is a frozenset, so iteration
         # order -- and therefore the float sum -- would otherwise vary

@@ -10,9 +10,9 @@ code declares its natural failure points once::
     with fault_site("kbuild.build"):
         image = self._build(config, ...)
 
-and pays nothing when no plane is installed: the context manager is a
-no-op (no spans, no metrics, no RNG draws), so fault-free runs are
-byte-identical to a build of the tree without this module.
+and pays next to nothing when no plane is installed: the site is a
+shared no-op object (no spans, no metrics, no RNG draws), so fault-free
+runs are byte-identical to a build of the tree without this module.
 
 Determinism is the whole point -- a chaos run must be replayable:
 
@@ -42,7 +42,15 @@ import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 
 class FaultInjected(RuntimeError):
@@ -271,16 +279,52 @@ def experiment_scope(name: str) -> Iterator[None]:
         _scopes.value = previous
 
 
-@contextmanager
-def fault_site(site: str) -> Iterator[None]:
+class _Site:
+    """An armed injection site: decides at ``__enter__``, like any
+    ``with`` statement would, so the schedule sees one decision per
+    entry."""
+
+    __slots__ = ("site",)
+
+    def __init__(self, site: str) -> None:
+        self.site = site
+
+    def __enter__(self) -> None:
+        plane = active_plane()
+        if plane is not None:
+            plane.maybe_raise(self.site)
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+class _UnarmedSite:
+    """The site every ``fault_site`` call returns while no plane is
+    installed: entering and leaving it does nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_UNARMED = _UnarmedSite()
+
+
+def fault_site(site: str) -> ContextManager[None]:
     """Declare a named injection site around the ``with`` body.
 
     A no-op (no RNG, no metrics, no spans) unless a plane is installed.
+    Sites sit on per-request paths, so the context manager is a plain
+    object, and the unarmed one is shared.  Reading the installed plane
+    without the lock is safe: it is a single reference.
     """
-    plane = active_plane()
-    if plane is not None:
-        plane.maybe_raise(site)
-    yield
+    if _active is None:
+        return _UNARMED
+    return _Site(site)
 
 
 def corrupt_text(site: str, text: str) -> str:

@@ -10,7 +10,7 @@ configuration itself for boot/runtime behaviour).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import Callable, FrozenSet, Tuple, TypeVar
 
 from repro.kbuild.optimizer import Toolchain
 from repro.kconfig.resolver import ResolvedConfig
@@ -33,6 +33,8 @@ COMPRESSION_RATIOS = {
 }
 
 DEFAULT_COMPRESSION = 0.37
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,21 @@ class KernelImage:
 
     def has_option(self, name: str) -> bool:
         return name in self.config
+
+    def derived(self, key: str, compute: Callable[["KernelImage"], _T]) -> _T:
+        """``compute(self)``, evaluated on first use and kept on the image.
+
+        For values downstream simulators derive from the image alone (the
+        boot simulator's initcall phase, say): config and toolchain never
+        change after the build, so the value holds for every later boot of
+        this kernel.  *key* names the value; the memos live outside the
+        dataclass fields, so equality, ``repr`` and the harness codec see
+        only the fields.
+        """
+        memo = self.__dict__.setdefault("_derived", {})
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
     def __str__(self) -> str:
         kml = "+kml" if self.kml_enabled else ""

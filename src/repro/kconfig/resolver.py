@@ -62,6 +62,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -103,6 +104,16 @@ class ResolvedConfig:
     ``values`` holds every symbolic option's tristate; ``enabled`` is the
     frozen set of option names with value > ``n`` (the paper's "selected
     options" unit of account).
+
+    ``enabled``, ``builtin`` and ``modules`` are computed on first read
+    and kept on the instance.  That is sound because ``values`` is never
+    mutated: :meth:`Resolver._finish` builds a fresh dict, and
+    :meth:`with_name` / :meth:`Resolver._rebind` share it read-only.  The
+    memos live outside the dataclass fields, so equality, ``repr`` and
+    the harness codec see only the fields.  They stay plain properties
+    (not ``functools.cached_property``): the benchmark's traced run
+    (``perfbench/layers.py``) times ``enabled`` by swapping the
+    property's getter.
     """
 
     tree: KconfigTree
@@ -117,23 +128,31 @@ class ResolvedConfig:
     #: replay would otherwise miss; empty on hand-built configs.
     churned: FrozenSet[str] = frozenset()
 
+    def _names_where(self, key: str,
+                     keep: Callable[[Tristate], bool]) -> FrozenSet[str]:
+        """The option names whose value passes *keep*, memoized as *key*."""
+        names = self.__dict__.get(key)
+        if names is None:
+            names = frozenset(
+                name for name, value in self.values.items() if keep(value)
+            )
+            object.__setattr__(self, key, names)
+        return names
+
     @property
     def enabled(self) -> FrozenSet[str]:
-        return frozenset(
-            name for name, value in self.values.items() if value is not Tristate.NO
-        )
+        return self._names_where("_enabled",
+                                 lambda value: value is not Tristate.NO)
 
     @property
     def builtin(self) -> FrozenSet[str]:
-        return frozenset(
-            name for name, value in self.values.items() if value is Tristate.YES
-        )
+        return self._names_where("_builtin",
+                                 lambda value: value is Tristate.YES)
 
     @property
     def modules(self) -> FrozenSet[str]:
-        return frozenset(
-            name for name, value in self.values.items() if value is Tristate.MODULE
-        )
+        return self._names_where("_modules",
+                                 lambda value: value is Tristate.MODULE)
 
     def __contains__(self, name: str) -> bool:
         return self.values.get(name, Tristate.NO) is not Tristate.NO

@@ -10,11 +10,15 @@ What gates (threshold ``t``, default 0.10; all comparisons are strict
 ``>``, so a run **exactly at** the threshold passes):
 
 - **cost counters** (``*.misses``, ``*.performed``,
-  ``kconfig.resolutions``, and the resolver work counters
-  ``kconfig.resolve.visited_options*`` / ``kconfig.expr.evals*``): fail
-  when current > baseline * (1 + t).
+  ``kconfig.resolutions``, the resolver work counters
+  ``kconfig.resolve.visited_options*`` / ``kconfig.expr.evals*``, and
+  the simulator's hot-loop counters ``eventcore.events_dispatched*`` /
+  ``eventcore.kicks*`` / ``boot.boots*``, bare or per benchmark
+  section, except ``boot.boots.fleet_general_sharded``, which scales
+  with the shard count): fail when current > baseline * (1 + t).
   These are deterministic, so they gate across machines -- a jump means
-  a cache stopped hitting or a hot path started re-doing work.
+  a cache stopped hitting or a hot path started re-doing work (a 2x
+  growth in dispatched events, say).
 - **digests** (the metrics document's ``digests`` section: manifest
   digest identities published by the benchmarks): fail on **any**
   inequality.  A digest is not a quantity -- a one-bit drift means the
@@ -49,14 +53,28 @@ MANIFEST_NAME = "run_manifest.json"
 #: Counter name patterns whose *growth* is a cost regression.
 COST_COUNTER_SUFFIXES: Tuple[str, ...] = (".misses", ".performed")
 COST_COUNTER_NAMES: Tuple[str, ...] = ()
-#: Prefix-matched cost counters: the resolver work counters, both the
-#: bare process-wide names and the per-scenario variants bench-resolve
-#: emits (e.g. ``kconfig.resolve.visited_options.warm_delta``).
+#: Prefix-matched cost counters, both the bare process-wide names and
+#: the per-section variants the benchmarks emit (e.g.
+#: ``kconfig.resolve.visited_options.warm_delta``,
+#: ``eventcore.events_dispatched.serve_fixed_pool``): the resolver work
+#: counters, and the hot-loop counters of the event core and the boot
+#: simulator.
 COST_COUNTER_PREFIXES: Tuple[str, ...] = (
     "kconfig.resolutions",
     "kconfig.resolve.visited_options",
     "kconfig.resolve.cache_misses",
     "kconfig.expr.evals",
+    "eventcore.events_dispatched",
+    "eventcore.kicks",
+    "boot.boots",
+)
+#: Names the prefixes match that count how a run was executed, not the
+#: work it simulated.  The sharded fleet boots one cohort representative per
+#: app in every worker, so its boot count is 20 per ``--jobs``; the
+#: same baseline gates both job counts ``tools/check.sh`` runs (2 and
+#: 7), and the shard-determinism digest pins the fleet itself.
+EXECUTION_COUNTER_NAMES: Tuple[str, ...] = (
+    "boot.boots.fleet_general_sharded",
 )
 
 
@@ -65,7 +83,7 @@ def is_cost_counter(name: str) -> bool:
         name.endswith(COST_COUNTER_SUFFIXES)
         or name in COST_COUNTER_NAMES
         or name.startswith(COST_COUNTER_PREFIXES)
-    )
+    ) and name not in EXECUTION_COUNTER_NAMES
 
 
 @dataclass

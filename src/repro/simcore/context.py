@@ -21,8 +21,7 @@ neighbours.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator, List
+from typing import List
 
 from repro.simcore.clock import VirtualClock
 
@@ -51,12 +50,30 @@ def current_clock() -> VirtualClock:
     return stack[-1] if stack else _DEFAULT_CLOCK
 
 
-@contextmanager
-def use_clock(clock: VirtualClock) -> Iterator[VirtualClock]:
+class _ClockScope:
+    """The context manager :func:`use_clock` returns.
+
+    A plain object rather than a ``@contextmanager`` generator: a
+    serving run enters several of these per request (each event-core
+    dispatch and each guest serve), so entry should cost a push and a
+    pop, not a generator frame.
+    """
+
+    __slots__ = ("_clock", "_stack")
+
+    def __init__(self, clock: VirtualClock) -> None:
+        self._clock = clock
+
+    def __enter__(self) -> VirtualClock:
+        stack = _stack()
+        stack.append(self._clock)
+        self._stack = stack
+        return self._clock
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stack.pop()
+
+
+def use_clock(clock: VirtualClock) -> _ClockScope:
     """Make *clock* the active clock for the dynamic extent of the body."""
-    stack = _stack()
-    stack.append(clock)
-    try:
-        yield clock
-    finally:
-        stack.pop()
+    return _ClockScope(clock)

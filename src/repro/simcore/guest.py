@@ -231,9 +231,9 @@ class Guest:
     @property
     def server_stack(self):
         """The guest's server workload stack (engine + network path)."""
-        from repro.workloads.server import LinuxServerStack
-
         if self._stack is None:
+            from repro.workloads.server import LinuxServerStack
+
             self._require_built("server_stack")
             if self.netpath is None:
                 raise GuestLifecycleError(

@@ -82,15 +82,19 @@ class EntryMechanism(enum.Enum):
 
     @property
     def entry_ns(self) -> float:
-        return {
-            EntryMechanism.SYSCALL: SYSCALL_ENTRY_NS,
-            EntryMechanism.INT80: INT80_ENTRY_NS,
-            EntryMechanism.KML_CALL: KML_CALL_NS,
-        }[self]
+        return _ENTRY_NS[self]
 
     @property
     def crosses_privilege(self) -> bool:
         return self is not EntryMechanism.KML_CALL
+
+
+#: Round-trip cost of each entry mechanism (``EntryMechanism.entry_ns``).
+_ENTRY_NS: Mapping[EntryMechanism, float] = {
+    EntryMechanism.SYSCALL: SYSCALL_ENTRY_NS,
+    EntryMechanism.INT80: INT80_ENTRY_NS,
+    EntryMechanism.KML_CALL: KML_CALL_NS,
+}
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,8 @@ class CpuCostModel:
     """Aggregated per-configuration CPU costs.
 
     Built once from a set of enabled options; the dispatch engine then only
-    does additions per simulated syscall.
+    does additions per simulated syscall.  The entry/exit cost and the
+    kernel work factor are computed once, at construction.
     """
 
     entry: EntryMechanism
@@ -106,6 +111,17 @@ class CpuCostModel:
     size_optimized: bool
     syscall_hook_ns: float
     data_path_hook_ns: float
+
+    def __post_init__(self) -> None:
+        entry_exit = self.entry.entry_ns
+        if self.kpti and self.entry.crosses_privilege:
+            entry_exit += 2.0 * KPTI_SWITCH_NS
+        # Frozen: the derived values are set past the dataclass guard.
+        object.__setattr__(self, "_entry_exit_ns", entry_exit)
+        object.__setattr__(
+            self, "_work_factor",
+            OS_SIZE_OPT_SLOWDOWN if self.size_optimized else 1.0,
+        )
 
     @classmethod
     def for_options(
@@ -135,21 +151,18 @@ class CpuCostModel:
     @property
     def kernel_work_factor(self) -> float:
         """Multiplier on in-kernel work (``-Os`` slows kernel paths)."""
-        return OS_SIZE_OPT_SLOWDOWN if self.size_optimized else 1.0
+        return self._work_factor
 
     def entry_exit_ns(self) -> float:
         """Cost to get into and out of the kernel for one syscall."""
-        cost = self.entry.entry_ns
-        if self.kpti and self.entry.crosses_privilege:
-            cost += 2.0 * KPTI_SWITCH_NS
-        return cost
+        return self._entry_exit_ns
 
     def syscall_ns(self, handler_ns: float, data_path: bool) -> float:
         """Total simulated latency of one syscall."""
         work = handler_ns + self.syscall_hook_ns
         if data_path:
             work += self.data_path_hook_ns
-        return self.entry_exit_ns() + work * self.kernel_work_factor
+        return self._entry_exit_ns + work * self._work_factor
 
     def context_switch_ns(self, same_address_space: bool) -> float:
         """Cost of one scheduler context switch."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.simcore.clock import VirtualClock
 from repro.syscall.cpu import CpuCostModel, EntryMechanism
@@ -67,6 +67,13 @@ class SyscallEngine:
     ``enabled_options`` comes from a resolved config; ``cost_model`` from
     :class:`~repro.syscall.cpu.CpuCostModel`.  The engine counts calls and
     accumulates simulated time, which the lmbench and workload layers read.
+
+    Both are fixed for the engine's life, so every cost that depends
+    only on them is computed once per engine: the entry mechanism's
+    round-trip cost at construction, and each syscall's resolution and
+    base latency on the first call of that name (the *cost vector*, see
+    :meth:`_costed`).  ``invoke``, ``invoke_batch`` and ``latency_ns``
+    all read it.
     """
 
     enabled_options: FrozenSet[str]
@@ -77,6 +84,16 @@ class SyscallEngine:
     #: Optional usage recorder (see :mod:`repro.syscall.usage`).  Pure
     #: bookkeeping: attaching one never changes timing or counters.
     usage: Optional[UsageTrace] = None
+    #: The cost vector: ``name -> (syscall, base latency)`` for every
+    #: supported name called so far.
+    _costs: Dict[str, Tuple[Syscall, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: ``cost_model.entry.entry_ns``: the scale of the call jitter.
+    _entry_ns: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._entry_ns = self.cost_model.entry.entry_ns
 
     @property
     def clock_ns(self) -> float:
@@ -126,18 +143,48 @@ class SyscallEngine:
             return False
         return True
 
-    def _lookup_recorded(self, name: str) -> Syscall:
-        """``lookup`` that reports ENOSYS misses to the usage recorder.
+    def _costed(self, name: str) -> Tuple[Syscall, float]:
+        """``(syscall, base latency)`` of *name*: the engine's cost vector.
+
+        The base latency is ``cost_model.syscall_ns`` with no extra
+        work, a pure function of the syscall and this engine's cost
+        model, so each name is looked up and priced on its first call
+        only.  A gated name is never stored: each call raises ENOSYS.
+        """
+        costed = self._costs.get(name)
+        if costed is None:
+            syscall = self.lookup(name)
+            costed = (syscall, self.cost_model.syscall_ns(
+                syscall.handler_ns, syscall.data_path
+            ))
+            self._costs[name] = costed
+        return costed
+
+    def _costed_recorded(self, name: str) -> Tuple[Syscall, float]:
+        """``_costed`` that reports ENOSYS misses to the usage recorder.
 
         Only invocation paths use this; ``supports`` probes stay
         unrecorded (a capability check is not an exercised syscall).
         """
         try:
-            return self.lookup(name)
+            return self._costed(name)
         except SyscallNotImplemented as exc:
             if self.usage is not None:
                 self.usage.record_miss(exc.syscall_name, exc.missing_option)
             raise
+
+    def _latency(self, syscall: Syscall, base: float,
+                 work_ns: float) -> float:
+        """``cost_model.syscall_ns(handler + work_ns)``, to the bit.
+
+        Without extra work the handler sum is exact (``h + 0.0 == h``),
+        so the vector's base latency is the answer.
+        """
+        if not work_ns:
+            return base
+        return self.cost_model.syscall_ns(
+            syscall.handler_ns + work_ns, syscall.data_path
+        )
 
     # -- invocation --------------------------------------------------------
 
@@ -146,10 +193,8 @@ class SyscallEngine:
 
         *work_ns* models data-dependent handler work (e.g. copied bytes).
         """
-        syscall = self._lookup_recorded(name)
-        latency = self.cost_model.syscall_ns(
-            syscall.handler_ns + work_ns, syscall.data_path
-        )
+        syscall, base = self._costed_recorded(name)
+        latency = self._latency(syscall, base, work_ns)
         latency += self._jitter()
         self.clock.advance(latency)
         self.call_count += 1
@@ -160,10 +205,8 @@ class SyscallEngine:
 
     def latency_ns(self, name: str, work_ns: float = 0.0) -> float:
         """Latency of *name* without mutating engine state (no jitter)."""
-        syscall = self.lookup(name)
-        return self.cost_model.syscall_ns(
-            syscall.handler_ns + work_ns, syscall.data_path
-        )
+        syscall, base = self._costed(name)
+        return self._latency(syscall, base, work_ns)
 
     def cpu_work(self, duration_ns: float) -> None:
         """Charge userspace CPU time (busy-wait loops in Figure 10)."""
@@ -198,14 +241,15 @@ class SyscallEngine:
             raise ValueError("cannot run a negative number of rounds")
         if work_ns < 0:
             raise ValueError("cannot perform negative work")
-        syscalls = [self._lookup_recorded(name) for name in names]
+        # Vector hits inline; a first call or a gated name goes the
+        # long way (pricing it, or recording the miss and raising).
+        costs = self._costs
+        costed = [costs.get(name) or self._costed_recorded(name)
+                  for name in names]
         if repeats == 0:
             return self.clock_ns
-        bases = [
-            self.cost_model.syscall_ns(s.handler_ns, s.data_path)
-            for s in syscalls
-        ]
-        entry_ns = self.cost_model.entry.entry_ns
+        bases = [base for _, base in costed]
+        entry_ns = self._entry_ns
         stride = len(names)
         # Distinct jitter phases recur after period(stride) rounds.
         period = 1000 // math.gcd(stride, 1000) if stride else 1
@@ -240,14 +284,14 @@ class SyscallEngine:
         if self.usage is not None:
             # Closed-form attribution: one record per position with the
             # full repeat count -- no stepping, same totals as the loop.
-            for name, syscall in zip(names, syscalls):
+            for name, (syscall, _) in zip(names, costed):
                 self.usage.record(name, syscall.option, repeats)
         return clock
 
     def _jitter(self) -> float:
         # +/-1.5% deterministic jitter keyed on the call sequence number.
         phase = (self.call_count * 2654435761) % 1000
-        return ((phase / 1000.0) - 0.5) * 0.03 * self.cost_model.entry.entry_ns
+        return ((phase / 1000.0) - 0.5) * 0.03 * self._entry_ns
 
     # -- reporting ---------------------------------------------------------
 

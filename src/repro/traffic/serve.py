@@ -62,6 +62,12 @@ SERVE_SCHEMA_VERSION = 2
 #: File ``fleet-serve`` writes the report manifest to.
 SERVE_REPORT_NAME = "serve_report.json"
 
+#: Buckets (ms) of the ``traffic.request_latency_ms`` histogram: warm
+#: requests take microseconds, cold starts carry a ~70 ms boot.
+REQUEST_LATENCY_MS_BUCKETS = (
+    0.01, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0,
+)
+
 
 @dataclass(frozen=True)
 class ServeSpec:
@@ -382,11 +388,18 @@ def _report(spec: ServeSpec, source: ArrivalSource, router: Router,
         ),
         eventcore_stats=stats,
     )
-    _publish_metrics(report)
+    _publish_metrics(report, samples)
     return report
 
 
-def _publish_metrics(report: ServingReport) -> None:
+def _publish_metrics(report: ServingReport,
+                     latencies_ns: List[float]) -> None:
+    """Publish the run's ``traffic.*`` metrics.
+
+    *latencies_ns* holds every completed request's latency; each becomes
+    one ``traffic.request_latency_ms`` observation, folded in here at
+    the end of the run rather than on the per-request path.
+    """
     from repro.observe import METRICS
 
     METRICS.counter("traffic.requests_served").inc(report.served)
@@ -410,6 +423,6 @@ def _publish_metrics(report: ServingReport) -> None:
         float(report.queue_high_water)
     )
     METRICS.gauge("traffic.guest_seconds").set(report.guest_seconds)
-    histogram = METRICS.histogram("traffic.request_latency_ms")
-    for key in ("p50", "p99", "p999"):
-        histogram.observe(report.latency_ms.get(key, 0.0))
+    METRICS.histogram(
+        "traffic.request_latency_ms", REQUEST_LATENCY_MS_BUCKETS
+    ).observe_many(latency / 1e6 for latency in latencies_ns)

@@ -9,8 +9,8 @@ keeps the application binary unmodified).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from repro.netstack.path import NetworkPath
 from repro.syscall.dispatch import SyscallEngine
@@ -35,10 +35,19 @@ class RequestProfile:
 
 @dataclass
 class LinuxServerStack:
-    """A server application running on one simulated Linux kernel."""
+    """A server application running on one simulated Linux kernel.
+
+    ``engine`` and ``netpath`` are fixed for the stack's life, so what a
+    request of a given profile costs apart from the jitter is planned
+    once per profile (see :meth:`_plan`).
+    """
 
     engine: SyscallEngine
     netpath: NetworkPath
+    #: ``profile -> (batchable, work_ns)``, filled on first serve.
+    _plans: Dict[RequestProfile, Tuple[bool, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _work_ns(self, profile: RequestProfile, base_ns: float = 0.0) -> float:
         """Network + *base_ns* cost of one request, shared by every path.
@@ -56,6 +65,24 @@ class LinuxServerStack:
             * self.netpath.packet_ns(profile.payload_bytes)
             + profile.handshake_packets * self.netpath.connection_packet_ns()
         )
+
+    def _plan(self, profile: RequestProfile) -> Tuple[bool, float]:
+        """``(batchable, work_ns)`` of *profile* on this stack.
+
+        *batchable*: every syscall the profile issues is compiled in, so
+        requests may take the batched fold.  *work_ns*: the network and
+        app work charged after each request's syscalls.  Both are pure
+        functions of the profile, the engine's config and the network
+        path, so they are computed on the profile's first serve only.
+        """
+        plan = self._plans.get(profile)
+        if plan is None:
+            plan = (
+                all(self.engine.supports(name) for name in profile.syscalls),
+                self._work_ns(profile, profile.app_ns),
+            )
+            self._plans[profile] = plan
+        return plan
 
     def request_ns(self, profile: RequestProfile) -> float:
         """Simulated time to serve one request."""
@@ -100,17 +127,14 @@ class LinuxServerStack:
         manifest exactly.  Profiles naming a config-gated syscall take
         the stepped loop, preserving its charge-then-raise semantics.
         """
-        if all(self.engine.supports(name) for name in profile.syscalls):
-            self.engine.invoke_batch(
-                profile.syscalls,
-                self._work_ns(profile, profile.app_ns),
-                requests,
-            )
+        batchable, work_ns = self._plan(profile)
+        if batchable:
+            self.engine.invoke_batch(profile.syscalls, work_ns, requests)
             return
         for _ in range(requests):
             for name in profile.syscalls:
                 self.engine.invoke(name)
-            self.engine.cpu_work(self._work_ns(profile, profile.app_ns))
+            self.engine.cpu_work(work_ns)
 
     def run_stepped(self, profile: RequestProfile, requests: int) -> float:
         """The reference per-request loop (the oracle :meth:`run` must

@@ -207,6 +207,23 @@ class TestResolvedConfig:
         assert config.modules == {"B"}
         assert config.enabled == {"A", "B"}
 
+    @pytest.mark.parametrize("order", [
+        ("builtin", "modules", "enabled"),
+        ("enabled", "modules", "builtin"),
+        ("modules", "enabled", "builtin"),
+    ])
+    def test_set_memos_are_independent_of_read_order(self, order):
+        tree = _tree(_opt("A"), _opt("B", option_type=OptionType.TRISTATE))
+        config = Resolver(tree).resolve({"A": Y, "B": M})
+        expected = {"builtin": {"A"}, "modules": {"B"},
+                    "enabled": {"A", "B"}}
+        # The sets are kept on the config after the first read, each
+        # under its own memo, whichever is read first.
+        first = {attr: getattr(config, attr) for attr in order}
+        for attr in order:
+            assert first[attr] == expected[attr]
+            assert getattr(config, attr) is first[attr]
+
     def test_bool_request_module_clamps_to_yes(self):
         tree = _tree(_opt("A"))
         config = Resolver(tree).resolve({"A": M})

@@ -76,6 +76,20 @@ class TestHistogramBuckets:
         assert snapshot["sum"] == pytest.approx(24.0)
         assert (snapshot["min"], snapshot["max"]) == (2.0, 14.0)
 
+    def test_nan_overflows(self):
+        histogram = Histogram("h", (1.0, 5.0))
+        histogram.observe(float("nan"))
+        assert histogram.bucket_counts()[-1] == (None, 1)
+
+    def test_observe_many_equals_one_observe_per_value(self):
+        values = [0.0, 1.0, 0.3, 5.0, 7.5, 11.0, 0.1 + 0.2, float("inf")]
+        one_by_one = Histogram("h", (1.0, 5.0, 10.0))
+        for value in values:
+            one_by_one.observe(value)
+        bulk = Histogram("h", (1.0, 5.0, 10.0))
+        bulk.observe_many(values)
+        assert bulk.to_dict() == one_by_one.to_dict()
+
     def test_unsorted_or_empty_buckets_rejected(self):
         with pytest.raises(ValueError):
             Histogram("h", ())

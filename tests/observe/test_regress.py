@@ -92,8 +92,9 @@ class TestGateSemantics:
         assert is_cost_counter("harness.result_cache.misses")
         assert is_cost_counter("kernel_builds.performed")
         assert is_cost_counter("kconfig.resolutions")
+        assert is_cost_counter("boot.boots")
         assert not is_cost_counter("buildcache.hits")
-        assert not is_cost_counter("boot.boots")
+        assert not is_cost_counter("eventcore.parks")
 
     def test_counters_missing_from_current_are_skipped(self):
         report = compare_runs(
@@ -110,6 +111,39 @@ class TestGateSemantics:
             timings=False,
         )
         assert report.passed and report.deltas == []
+
+    def test_hot_loop_counters_are_costs(self):
+        # Bare names and the per-section variants the benchmark
+        # documents carry (BENCH_serve.json, BENCH_guests.json).
+        for name in ("eventcore.events_dispatched",
+                     "eventcore.events_dispatched.serve_fixed_pool",
+                     "eventcore.kicks.serve_scale_to_zero",
+                     "boot.boots.fleet_general_global"):
+            assert is_cost_counter(name), name
+
+    def test_sharded_boot_count_is_execution_not_cost(self):
+        # One cohort representative per app per worker: 20 boots per
+        # --jobs, gated at two job counts against one baseline.
+        name = "boot.boots.fleet_general_sharded"
+        assert not is_cost_counter(name)
+        report = compare_runs(_metrics(**{name: 40}),
+                              _metrics(**{name: 140}))
+        assert report.passed
+
+    def test_doubled_dispatched_events_fail_the_gate(self):
+        name = "eventcore.events_dispatched.serve_fixed_pool"
+        report = compare_runs(_metrics(**{name: 300083}),
+                              _metrics(**{name: 2 * 300083}))
+        assert [d.name for d in report.regressions] == [name]
+
+    def test_shrinking_hot_loop_counters_pass(self):
+        names = ("eventcore.events_dispatched.serve_scale_to_zero",
+                 "eventcore.kicks.serve_scale_to_zero",
+                 "boot.boots.serve_scale_to_zero")
+        report = compare_runs(_metrics(**{n: 1000 for n in names}),
+                              _metrics(**{n: 500 for n in names}))
+        assert report.passed
+        assert len(report.deltas) == len(names)
 
     def test_zero_baseline_growth_is_regression(self):
         report = compare_runs(

@@ -13,6 +13,9 @@ import pytest
 
 from repro.core.variants import Variant, build_microvm, build_variant
 from repro.apps.registry import get_app
+from repro.syscall.cpu import CpuCostModel, EntryMechanism
+from repro.syscall.dispatch import SyscallEngine
+from repro.syscall.table import SYSCALLS
 from repro.workloads.memcached import MEMCACHED_GET, MEMCACHED_SET
 from repro.workloads.nginx import NGINX_CONN, NGINX_SESS
 from repro.workloads.redis import REDIS_GET, REDIS_SET
@@ -124,3 +127,105 @@ class TestBatchedEqualsStepped:
         # Charge-then-raise: the supported syscall before the missing
         # one was still billed before ENOSYS surfaced.
         assert stack.engine.clock_ns > 0
+
+
+def _engine_settings():
+    """Engines that differ in config, entry mechanism, KPTI and -Os."""
+    microvm = build_microvm().config.enabled
+    lupine = build_variant(Variant.LUPINE, get_app("redis")).config.enabled
+    tiny = build_variant(Variant.LUPINE_TINY, get_app("redis")).config.enabled
+    pti = microvm | {"PAGE_TABLE_ISOLATION"}
+    return {
+        "microvm-syscall": (microvm, EntryMechanism.SYSCALL, False, False),
+        "lupine-kml": (lupine, EntryMechanism.KML_CALL, False, False),
+        "microvm-int80": (microvm, EntryMechanism.INT80, False, False),
+        "microvm-kpti": (pti, EntryMechanism.SYSCALL, True, False),
+        "kml-kpti": (pti, EntryMechanism.KML_CALL, True, False),
+        "tiny-os": (tiny, EntryMechanism.SYSCALL, False, True),
+        "int80-kpti-os": (pti, EntryMechanism.INT80, True, True),
+    }
+
+
+SETTINGS = _engine_settings()
+
+#: Pairs of engines run side by side, interleaved.
+ENGINE_PAIRS = [
+    ("microvm-syscall", "lupine-kml"),
+    ("microvm-syscall", "microvm-int80"),
+    ("microvm-syscall", "microvm-kpti"),
+    ("microvm-kpti", "kml-kpti"),
+    ("lupine-kml", "tiny-os"),
+    ("tiny-os", "int80-kpti-os"),
+]
+
+
+def _engine(label):
+    options, entry, kpti, size_optimized = SETTINGS[label]
+    return SyscallEngine.for_config(options, entry=entry, kpti=kpti,
+                                    size_optimized=size_optimized)
+
+
+def _fresh_model(label):
+    options, entry, kpti, size_optimized = SETTINGS[label]
+    return CpuCostModel.for_options(options, entry=entry, kpti=kpti,
+                                    size_optimized=size_optimized)
+
+
+def _fresh_latency(label, name, work_ns, call_count=None):
+    """One call's latency from a cost model built just now: the stepped
+    ``invoke`` latency at *call_count*, or ``latency_ns`` without one."""
+    syscall = SYSCALLS[name]
+    latency = _fresh_model(label).syscall_ns(syscall.handler_ns + work_ns,
+                                             syscall.data_path)
+    if call_count is None:
+        return latency
+    phase = (call_count * 2654435761) % 1000
+    entry_ns = SETTINGS[label][1].entry_ns
+    return latency + ((phase / 1000.0) - 0.5) * 0.03 * entry_ns
+
+
+class TestPerEngineCostVectors:
+    """Each engine prices a syscall once and keeps it; engines that
+    differ in any cost input must never see each other's prices."""
+
+    @pytest.mark.parametrize("first,second", ENGINE_PAIRS)
+    def test_interleaved_engines_keep_batched_stepped_parity(self, first,
+                                                             second):
+        netpath = build_microvm().network_path()
+        stacks = {
+            label: tuple(LinuxServerStack(engine=_engine(label),
+                                          netpath=netpath)
+                         for _ in range(2))
+            for label in (first, second)
+        }
+        # Redis profiles: every kernel here, the redis-specialized ones
+        # included, compiles their syscalls in.
+        for profile, requests in ((REDIS_GET, 7), (REDIS_SET, 31),
+                                  (REDIS_GET, 1), (REDIS_SET, 250)):
+            for label in (first, second):
+                batched, stepped = stacks[label]
+                assert (batched.run(profile, requests)
+                        == stepped.run_stepped(profile, requests))
+                assert batched.engine.clock_ns == stepped.engine.clock_ns
+        one, two = (stacks[label][0].engine for label in (first, second))
+        assert one._costs is not two._costs
+        assert one.clock_ns != two.clock_ns
+
+    @pytest.mark.parametrize("label", sorted(SETTINGS))
+    def test_vector_equals_the_unmemoized_cost_model(self, label):
+        other_label = ("int80-kpti-os" if label == "lupine-kml"
+                       else "lupine-kml")
+        engines = {label: _engine(label), other_label: _engine(other_label)}
+        for name in ("read", "write", "epoll_wait", "sendto", "read"):
+            for work_ns in (0.0, 40.0, 0.0):
+                for engine_label, engine in engines.items():
+                    count = engine.call_count
+                    assert engine.invoke(name, work_ns).latency_ns == (
+                        _fresh_latency(engine_label, name, work_ns, count)
+                    )
+                    assert engine.latency_ns(name, work_ns) == (
+                        _fresh_latency(engine_label, name, work_ns)
+                    )
+        for engine_label, engine in engines.items():
+            for name, (syscall, base) in engine._costs.items():
+                assert base == _fresh_latency(engine_label, name, 0.0)

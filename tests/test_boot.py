@@ -1,9 +1,23 @@
 """Tests for the boot simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.boot.bootsim import BootSimulator
-from repro.boot.phases import BootPhase, RootfsKind
+from repro.boot.phases import (
+    DECOMPRESS_KB_PER_MS,
+    EARLY_SETUP_MS,
+    INIT_EXEC_MS,
+    INITCALL_ASYNC_FACTOR,
+    INITCALL_DISPATCH_US,
+    LOAD_KB_PER_MS,
+    PARAVIRT_CLOCK_CALIBRATION_MS,
+    TSC_CALIBRATION_MS,
+    BootPhase,
+    RootfsKind,
+)
+from repro.kconfig.model import KconfigTree
 
 
 @pytest.fixture
@@ -93,3 +107,77 @@ class TestRootfsKinds:
     def test_system_label(self, simulator, nokml_build):
         report = simulator.boot(nokml_build.image, system="mylabel")
         assert report.system == "mylabel"
+
+
+def _expected_phases(image, rootfs=RootfsKind.EXT2, monitor_setup_ms=8.0):
+    """Every phase of one boot, recomputed from scratch (no memo)."""
+    config = image.config
+    initcalls_us = sum(
+        config.tree[name].boot_cost_us for name in sorted(config.enabled)
+    )
+    initcalls_us *= INITCALL_ASYNC_FACTOR
+    initcalls_us += INITCALL_DISPATCH_US * len(config.enabled)
+    initcalls_us *= image.toolchain.speed_factor
+    return {
+        BootPhase.MONITOR_SETUP: monitor_setup_ms,
+        BootPhase.KERNEL_LOAD: image.compressed_kb / LOAD_KB_PER_MS,
+        BootPhase.DECOMPRESS: image.uncompressed_kb / DECOMPRESS_KB_PER_MS,
+        BootPhase.EARLY_SETUP: EARLY_SETUP_MS,
+        BootPhase.CLOCK_CALIBRATION: (
+            PARAVIRT_CLOCK_CALIBRATION_MS if "PARAVIRT" in config
+            else TSC_CALIBRATION_MS
+        ),
+        BootPhase.INITCALLS: initcalls_us / 1000.0,
+        BootPhase.ROOTFS_MOUNT: rootfs.mount_ms,
+        BootPhase.INIT_EXEC: INIT_EXEC_MS,
+    }
+
+
+class TestPerImageBootCosts:
+    """The initcall phase is computed once per image and kept on it; every
+    boot must still produce exactly the unmemoized floats."""
+
+    @pytest.mark.parametrize("build", ["microvm_build", "nokml_build",
+                                       "lupine_build", "general_build"])
+    def test_repeated_boots_equal_the_formula(self, request, simulator,
+                                              monkeypatch, build):
+        # A fresh image object: no memo from earlier tests.
+        image = dataclasses.replace(request.getfixturevalue(build).image)
+        folds = []
+        fold = BootSimulator._fold_initcalls_ms
+        monkeypatch.setattr(BootSimulator, "_fold_initcalls_ms",
+                            staticmethod(lambda i: folds.append(i) or fold(i)))
+        for rootfs in (RootfsKind.EXT2, RootfsKind.ZFS, RootfsKind.EXT2):
+            report = simulator.boot(image, rootfs=rootfs)
+            assert report.phases_ms == _expected_phases(image, rootfs)
+        assert folds == [image]
+
+    def test_images_differing_in_one_option_cost(self, simulator,
+                                                 nokml_build):
+        image = nokml_build.image
+        config = image.config
+        name = next(n for n in sorted(config.enabled)
+                    if config.tree[n].boot_cost_us > 0.0)
+        tree = KconfigTree(kernel_version=config.tree.kernel_version)
+        tree.add_all(
+            dataclasses.replace(option,
+                                boot_cost_us=option.boot_cost_us + 250.0)
+            if option.name == name else option
+            for option in config.tree
+        )
+        cheap = dataclasses.replace(image)
+        dear = dataclasses.replace(
+            image, config=dataclasses.replace(config, tree=tree)
+        )
+        # Interleaved: neither image may see the other's memo.
+        for target in (cheap, dear, cheap, dear):
+            report = simulator.boot(target)
+            assert report.phases_ms == _expected_phases(target)
+        assert (simulator.boot(dear).phase_ms(BootPhase.INITCALLS)
+                > simulator.boot(cheap).phase_ms(BootPhase.INITCALLS))
+
+    def test_memo_leaves_image_equality_alone(self, simulator,
+                                                nokml_build):
+        image = dataclasses.replace(nokml_build.image)
+        simulator.boot(image)
+        assert image == nokml_build.image

@@ -121,6 +121,33 @@ class TestInjection:
         with fault_site("anything"):
             pass  # must not raise, draw RNG, or touch metrics
 
+    def test_unarmed_site_is_shared_and_never_swallows(self):
+        assert fault_site("a") is fault_site("b")
+        with pytest.raises(KeyError):
+            with fault_site("a"):
+                raise KeyError("body errors propagate")
+
+    def test_armed_site_decides_at_enter(self):
+        plane = FaultPlane(seed=0)
+        plane.configure("site", nth_calls=(1, 3))
+        body_ran = []
+        with faults.activated(plane):
+            site = fault_site("site")
+            assert plane.injected == 0  # creating a site decides nothing
+            with pytest.raises(FaultInjected):
+                with site:
+                    body_ran.append(1)  # call 1 injects before the body
+            with fault_site("site"):
+                body_ran.append(2)  # call 2 passes
+            with pytest.raises(FaultInjected):
+                with fault_site("site"):
+                    body_ran.append(3)  # call 3 injects
+            with pytest.raises(KeyError):
+                with fault_site("site"):
+                    raise KeyError("call 4 passes; body errors propagate")
+        assert body_ran == [2]
+        assert plane.injected == 2
+
     def test_corrupt_text_passthrough_without_plane(self):
         assert corrupt_text("site", "payload") == "payload"
 

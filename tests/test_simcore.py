@@ -257,6 +257,14 @@ class TestClockContext:
             assert current_clock() is mine
         assert current_clock() is not mine
 
+    def test_use_clock_pops_on_error_and_yields_the_clock(self):
+        mine = VirtualClock()
+        with pytest.raises(KeyError):
+            with use_clock(mine) as entered:
+                assert entered is mine
+                raise KeyError("body errors propagate")
+        assert current_clock() is default_clock()
+
     def test_use_clock_is_thread_local(self):
         mine = VirtualClock()
         observed = []

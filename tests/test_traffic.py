@@ -251,6 +251,25 @@ class TestServingDeterminism:
         assert "eventcore" not in json.dumps(manifest)
         assert report.eventcore_stats is not None
 
+    def test_latency_histogram_observes_every_served_request(self):
+        from repro.observe import METRICS
+        from repro.traffic.serve import REQUEST_LATENCY_MS_BUCKETS
+
+        histogram = METRICS.histogram("traffic.request_latency_ms",
+                                      REQUEST_LATENCY_MS_BUCKETS)
+        before = histogram.to_dict()
+        report = run_serving(
+            ServeSpec(trace=SMALL_TRACE, policy=SCALE_TO_ZERO, seed=42)
+        )
+        after = histogram.to_dict()
+        assert after["count"] - before["count"] == report.served
+        # Cold starts carry a ~70 ms boot: the tail buckets hold them.
+        cold = sum(after_count - before_count for (bound, after_count),
+                   (_, before_count) in zip(after["buckets"],
+                                            before["buckets"])
+                   if bound is None or bound > 50.0)
+        assert cold >= report.cold_starts > 0
+
 
 class TestRouterQueueing:
     def test_capacity_queueing_drains_in_order(self):

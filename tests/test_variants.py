@@ -11,7 +11,17 @@ from repro.core.variants import (
     build_variant,
 )
 from repro.kbuild.builder import BuildError, KernelBuilder
+from repro.kconfig.expr import Tristate
+from repro.kconfig.resolver import Resolver
 from repro.syscall.cpu import EntryMechanism
+
+#: Every variant, bare and specialized (derived variants need an app).
+VARIANT_TARGETS = [
+    (variant, app)
+    for variant in Variant
+    for app in (None, "redis")
+    if app is not None or not variant.derived
+]
 
 
 class TestVariantFlags:
@@ -116,3 +126,36 @@ class TestBuilderValidation:
         config = Resolver(tree).resolve_names(["X86_64", "MMU"])
         with pytest.raises(BuildError, match="unbootable"):
             KernelBuilder().build(config)
+
+
+def _assert_sets_memoized(config):
+    """``enabled``/``builtin``/``modules`` equal a fresh walk of
+    ``values`` (iteration order included) and are kept on the config."""
+    for attr, keep in (("enabled", lambda v: v is not Tristate.NO),
+                       ("builtin", lambda v: v is Tristate.YES),
+                       ("modules", lambda v: v is Tristate.MODULE)):
+        fresh = frozenset(
+            name for name, value in config.values.items() if keep(value)
+        )
+        first = getattr(config, attr)
+        assert first == fresh
+        assert list(first) == list(fresh)
+        assert getattr(config, attr) is first
+
+
+class TestConfigSetMemos:
+    @pytest.mark.parametrize(
+        "variant,app", VARIANT_TARGETS,
+        ids=lambda v: v.value if isinstance(v, Variant) else str(v),
+    )
+    def test_sets_equal_a_fresh_recomputation(self, variant, app):
+        config = build_variant(variant, get_app(app) if app else None).config
+        _assert_sets_memoized(config)
+        renamed = config.with_name("renamed")
+        _assert_sets_memoized(renamed)
+        rebound = Resolver(config.tree)._rebind(config, "rebound")
+        _assert_sets_memoized(rebound)
+        # The memos live outside the fields: equality still compares
+        # the configuration alone.
+        assert renamed == config.with_name("renamed")
+        assert len(config) == len(config.enabled)

@@ -65,6 +65,13 @@
 # iterates its frozenset sorted, so all manifest digests are hash-seed
 # independent (tests/test_golden_parity.py and the shard tests pin this).
 #
+# The host-time benchmark's own tests (perfbench/tests) run tiny timed
+# runs of every workload and tiny traced runs of serve_cold: they catch
+# a change that breaks the benchmark's output checks or its outside-in
+# per-layer wrappers (e.g. a wrapped boundary turned into something
+# other than a plain property, method or function), which tier-1
+# cannot see.
+#
 # The docs-link check (tools/check_docs_links.py) fails on any relative
 # markdown link in README.md/DESIGN.md/EXPERIMENTS.md/ROADMAP.md/docs/
 # that no longer resolves to a file in the repository.
@@ -92,6 +99,9 @@ python "$REPO_ROOT/tools/check_fault_sites.py"
 
 echo "==> tier-1 test suite"
 (cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q)
+
+echo "==> host-time benchmark self-tests (perfbench/tests)"
+(cd "$REPO_ROOT" && python3 -m pytest -q perfbench/tests)
 
 echo "==> EXPERIMENTS.md generator (from a temp cwd, no PYTHONPATH)"
 TMP_DIR=$(mktemp -d)
