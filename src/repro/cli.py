@@ -25,8 +25,8 @@ Subcommands:
   deltas written to ``BENCH_resolve.json`` next to the run manifest.
 - ``bench-guests``     -- the fleet-simulation microbenchmark: boot and
   serve whole guest fleets per kernel policy through the unified guest
-  runtime, as deterministic work-counter deltas (plus TickClock
-  throughput) written to ``BENCH_guests.json``.
+  runtime, as deterministic work-counter deltas written to
+  ``BENCH_guests.json``.
 - ``fleet-serve``      -- one traffic-driven serving run: a seeded
   open-loop trace (diurnal/poisson/bursty) routed across warm pools with
   cold boots and capacity queueing, printing the latency/cold-start
@@ -226,15 +226,13 @@ def _cmd_bench_guests(args: argparse.Namespace) -> int:
     from repro.harness.runner import default_output_dir
     from repro.simcore.bench import (
         BENCH_GUESTS_NAME,
-        DEFAULT_SHARD_JOBS,
         check_result,
         render_summary,
         run_bench,
         write_result,
     )
 
-    jobs = DEFAULT_SHARD_JOBS if args.jobs is None else args.jobs
-    result = run_bench(global_loop=args.global_loop, jobs=jobs)
+    result = run_bench()
     output_dir = (
         pathlib.Path(args.output_dir)
         if args.output_dir is not None else default_output_dir()
@@ -757,22 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check", action="store_true",
                      help="exit 1 unless the general fleet boots >= 1000 "
                           "monitor-checked guests on exactly one shared "
-                          "kernel, the per-app fleet diversifies, the "
-                          "cohort and sharded 10k-guest fleets reproduce "
-                          "their single-process oracles' manifest digests "
-                          "at the throughput floor, and (with "
-                          "--global-loop) the global event loop "
-                          "reproduces the sequential oracle's manifest "
-                          "digest")
-    sub.add_argument("--global-loop", action="store_true",
-                     help="also run the general fleet as one EventCore "
-                          "event loop (guests interleaved in virtual-time "
-                          "order) and record its guests/sec + manifest "
-                          "digest")
-    sub.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="worker processes for the sharded 10k-guest "
-                          "fleet scenario (default 2; the merged manifest "
-                          "digest is identical for any N)")
+                          "kernel, the per-app fleet diversifies, every "
+                          "fleet builds through the kernel memo, and the "
+                          "cohort fold reproduces the sequential oracle's "
+                          "manifest digest")
     sub.add_argument("--snapshot", default=None, metavar="PATH",
                      help="also write the result JSON to PATH (e.g. "
                           "benchmarks/baseline/BENCH_guests.json)")

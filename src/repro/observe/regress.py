@@ -14,15 +14,17 @@ What gates (threshold ``t``, default 0.10; all comparisons are strict
   ``kconfig.resolve.visited_options*`` / ``kconfig.expr.evals*``, and
   the simulator's hot-loop counters ``eventcore.events_dispatched*`` /
   ``eventcore.kicks*`` / ``boot.boots*``, bare or per benchmark
-  section, except ``boot.boots.fleet_general_sharded``, which scales
-  with the shard count): fail when current > baseline * (1 + t).
+  section): fail when current > baseline * (1 + t).
   These are deterministic, so they gate across machines -- a jump means
   a cache stopped hitting or a hot path started re-doing work (a 2x
   growth in dispatched events, say).
 - **digests** (the metrics document's ``digests`` section: manifest
   digest identities published by the benchmarks): fail on **any**
-  inequality.  A digest is not a quantity -- a one-bit drift means the
-  simulated behaviour changed, so the threshold never applies.
+  inequality, and when a baseline digest is missing from the current
+  run.  A digest is not a quantity -- a one-bit drift means the
+  simulated behaviour changed, so the threshold never applies -- and a
+  benchmark that stops emitting a pinned scenario must be re-pinned on
+  purpose, not pass silently.
 - **timings** (manifest ``total_wall_ms`` and per-experiment
   ``wall_ms``): fail when current > baseline * (1 + t) *and* the
   absolute slowdown exceeds ``--min-ms`` (default 5 ms, absorbing
@@ -32,9 +34,10 @@ What gates (threshold ``t``, default 0.10; all comparisons are strict
   baseline).
 
 Counters that *shrink* and non-cost counters are reported informationally
-but never fail the gate.  Metrics present on only one side are skipped:
-the baseline defines the contract, so adding instrumentation never breaks
-an old baseline.
+but never fail the gate.  Counters and timings present on only one side
+are skipped, as are digests present only in the current run: the
+baseline defines the contract, so adding instrumentation never breaks an
+old baseline.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.observe.export import METRICS_NAME
 
 MANIFEST_NAME = "run_manifest.json"
+
+#: What a digest delta reports for a pinned digest the current run lacks.
+MISSING = "<missing>"
 
 #: Counter name patterns whose *growth* is a cost regression.
 COST_COUNTER_SUFFIXES: Tuple[str, ...] = (".misses", ".performed")
@@ -68,14 +74,6 @@ COST_COUNTER_PREFIXES: Tuple[str, ...] = (
     "eventcore.kicks",
     "boot.boots",
 )
-#: Names the prefixes match that count how a run was executed, not the
-#: work it simulated.  The sharded fleet boots one cohort representative per
-#: app in every worker, so its boot count is 20 per ``--jobs``; the
-#: same baseline gates both job counts ``tools/check.sh`` runs (2 and
-#: 7), and the shard-determinism digest pins the fleet itself.
-EXECUTION_COUNTER_NAMES: Tuple[str, ...] = (
-    "boot.boots.fleet_general_sharded",
-)
 
 
 def is_cost_counter(name: str) -> bool:
@@ -83,7 +81,7 @@ def is_cost_counter(name: str) -> bool:
         name.endswith(COST_COUNTER_SUFFIXES)
         or name in COST_COUNTER_NAMES
         or name.startswith(COST_COUNTER_PREFIXES)
-    ) and name not in EXECUTION_COUNTER_NAMES
+    )
 
 
 @dataclass
@@ -171,15 +169,14 @@ def compare_runs(
             Delta("counter", name, float(base), float(cur), regressed)
         )
 
-    # Digest identities: exact equality, no threshold.  Skipped when only
-    # one side has them, like counters (the baseline is the contract).
+    # Digest identities: exact equality, no threshold.  The baseline is
+    # the contract, so a pinned digest the current run no longer emits
+    # regresses; one only the current run has is not compared.
     baseline_digests = baseline_metrics.get("digests", {})
     current_digests = current_metrics.get("digests", {})
     for name in sorted(baseline_digests):
-        if name not in current_digests:
-            continue
         base_digest = str(baseline_digests[name])
-        cur_digest = str(current_digests[name])
+        cur_digest = str(current_digests.get(name, MISSING))
         report.deltas.append(
             Delta("digest", name, base_digest, cur_digest,
                   base_digest != cur_digest)

@@ -12,8 +12,8 @@ Three pieces:
   workload around one clock;
 - :mod:`repro.simcore.eventcore` -- the fleet-wide :class:`EventCore`
   merging every guest's deadline queue into one global heap and
-  interleaving guests in virtual-time order (``Fleet.simulate``'s
-  global loop), with idle guests fast-forwarded in closed form.
+  interleaving guests in virtual-time order (the core traffic serving
+  runs on), with idle guests fast-forwarded in closed form.
 
 ``guest`` is exported lazily (PEP 562): it imports the build pipeline
 and observability layers, which themselves import ``simcore.clock``, so

@@ -14,34 +14,17 @@ strategy:
   cohort-vectorized fold (one simulated representative per app cohort,
   entries replayed per guest).  Its manifest digest must equal
   ``fleet_general``'s;
-- ``fleet_general_tenk`` -- :data:`SHARDED_GUESTS` guests through the
-  cohort fold in one process: the single-process oracle for the
-  sharded run;
-- ``fleet_general_sharded`` -- the same :data:`SHARDED_GUESTS`-guest
-  fleet partitioned across ``jobs`` worker processes
-  (:mod:`repro.harness.shardpool`).  Its digest must equal
-  ``fleet_general_tenk``'s at **any** job count -- the shard
-  determinism contract -- and its throughput gauge must clear
-  :data:`SHARDED_MIN_GUESTS_PER_TICK_SEC` (>= 100x the historical
-  ~50/tick-sec sequential figure);
-- ``fleet_general_global`` (``--global-loop``) -- the general fleet as
-  **one event loop** on the fleet-wide
-  :class:`~repro.simcore.eventcore.EventCore`; digest must equal
-  ``fleet_general``'s.
+- ``fleet_general_tenk`` -- :data:`TENK_GUESTS` guests through the
+  cohort fold, an order of magnitude past the sequential oracle.
 
-Nothing reported is wall-clock.  Boot and resolver work are counter
-deltas (``boot.boots``, ``kconfig.resolve.*``, ``vmm.guest_checks``);
-throughput is guests per second *on the TickClock* -- the tracer's host
-clock is swapped for a :class:`~repro.observe.tracer.TickClock`, which
-advances a fixed step per reading, so "elapsed time" counts clock
-readings (one per span edge), a machine-independent proxy for work.
-For the sharded scenario the model is parallel: the parent's own tick
-elapsed plus the *slowest* shard's (shards run concurrently).
+Nothing reported is wall-clock: boot and resolver work are counter
+deltas (``boot.boots``, ``kconfig.resolve.*``, ``vmm.guest_checks``).
+Host time is what ``perfbench/`` measures.
 
 Manifest digests land in the result's dedicated ``digests`` section
 (they are identities, not monotonic counts -- the regress gate compares
 them for exact equality), so the gate pins bit-identical fleet
-behaviour under every execution strategy.  Digests are hash-seed
+behaviour under both execution strategies.  Digests are hash-seed
 independent: every float fold over set-ordered config options iterates
 in sorted order, so no ``PYTHONHASHSEED`` pin is needed.  The
 checked-in snapshot lives at ``benchmarks/baseline/BENCH_guests.json``.
@@ -53,26 +36,18 @@ import json
 import pathlib
 from typing import Any, Callable, Dict, List
 
-from repro.observe import METRICS, TRACER
+from repro.observe import METRICS
 
 #: File the benchmark JSON is written to, next to the run manifest.
 BENCH_GUESTS_NAME = "BENCH_guests.json"
 
 #: Fleet sizes per scenario.  The general fleet is the acceptance-scale
 #: run (>= 1000 guests on one shared kernel); the per-app fleet is
-#: smaller -- its point is kernel diversity, not scale.  The sharded
-#: scenarios run an order of magnitude past the sequential oracle.
+#: smaller -- its point is kernel diversity, not scale.  The ten-thousand
+#: guest scenario runs an order of magnitude past the sequential oracle.
 GENERAL_GUESTS = 1000
 PER_APP_GUESTS = 200
-SHARDED_GUESTS = 10_000
-
-#: Worker processes for the sharded scenario when the CLI does not
-#: override it; the digest must not depend on this.
-DEFAULT_SHARD_JOBS = 2
-
-#: Acceptance floor for the sharded scenario's throughput gauge:
-#: >= 100x the historical ~50 guests/tick-sec sequential figure.
-SHARDED_MIN_GUESTS_PER_TICK_SEC = 5000.0
+TENK_GUESTS = 10_000
 
 #: The PRNG seed every scenario draws its application mix from.
 FLEET_SEED = 2020  # EuroSys '20
@@ -84,8 +59,6 @@ _WORK_COUNTERS = (
     "kconfig.resolve.visited_options",
     "kconfig.resolve.cache_hits",
     "kconfig.resolve.cache_misses",
-    "eventcore.events_dispatched",
-    "eventcore.guests_fast_forwarded",
 )
 
 
@@ -99,104 +72,56 @@ def _measure(fn: Callable[[], None]) -> Dict[str, int]:
     }
 
 
-def run_bench(global_loop: bool = False,
-              jobs: int = DEFAULT_SHARD_JOBS) -> Dict[str, Any]:
-    """Run every scenario and return the metrics-shaped result document.
-
-    ``global_loop=True`` adds the ``fleet_general_global`` scenario (the
-    general fleet as one EventCore loop).  ``jobs`` sets the worker
-    count of the ``fleet_general_sharded`` scenario; its digest must be
-    identical for any value -- the property the shard-determinism gate
-    runs this benchmark at two job counts to pin.
-    """
+def run_bench() -> Dict[str, Any]:
+    """Run every scenario and return the metrics-shaped result document."""
     from repro.core.buildcache import BUILD_CACHE
     from repro.core.orchestrator import Fleet, KernelPolicy
     from repro.kconfig.rescache import RESOLUTION_CACHE
-    from repro.observe.tracer import TickClock
 
-    jobs = max(1, int(jobs))
     # Start cold so the counters are history-independent: the same bench
     # numbers whether run standalone or after a full experiment sweep.
     BUILD_CACHE.reset()
     RESOLUTION_CACHE.reset()
 
-    # (section, policy, count, global_loop, cohort, jobs)
+    # (section, policy, count, cohort)
     scenarios = [
-        ("fleet_general", KernelPolicy.GENERAL, GENERAL_GUESTS,
-         False, False, 1),
-        ("fleet_per_app", KernelPolicy.PER_APP, PER_APP_GUESTS,
-         False, False, 1),
-        ("fleet_general_cohort", KernelPolicy.GENERAL, GENERAL_GUESTS,
-         False, True, 1),
-        ("fleet_general_tenk", KernelPolicy.GENERAL, SHARDED_GUESTS,
-         False, True, 1),
-        ("fleet_general_sharded", KernelPolicy.GENERAL, SHARDED_GUESTS,
-         False, True, jobs),
+        ("fleet_general", KernelPolicy.GENERAL, GENERAL_GUESTS, False),
+        ("fleet_per_app", KernelPolicy.PER_APP, PER_APP_GUESTS, False),
+        ("fleet_general_cohort", KernelPolicy.GENERAL, GENERAL_GUESTS, True),
+        ("fleet_general_tenk", KernelPolicy.GENERAL, TENK_GUESTS, True),
     ]
-    if global_loop:
-        scenarios.append(
-            ("fleet_general_global", KernelPolicy.GENERAL, GENERAL_GUESTS,
-             True, False, 1),
-        )
     sections: Dict[str, Dict[str, int]] = {}
     gauges: Dict[str, float] = {}
-    counters: Dict[str, int] = {}
     digests: Dict[str, str] = {}
-    host_clock = TRACER.clock
-    tick = TickClock(step_us=1000.0)
-    TRACER.clock = tick
-    try:
-        for (section, policy, count, use_global,
-             use_cohort, use_jobs) in scenarios:
-            box: List[Any] = []
-            tick_before = tick._now
-            sections[section] = _measure(lambda: box.append(
-                Fleet.simulate(count, policy=policy, seed=FLEET_SEED,
-                               global_loop=use_global, cohort=use_cohort,
-                               jobs=use_jobs)
-            ))
-            tick_elapsed_us = tick._now - tick_before
-            simulation = box[0]
-            if simulation.shard_stats is not None:
-                # Parallel model: shards ran concurrently, so the run
-                # costs the parent's own elapsed plus the slowest shard.
-                tick_elapsed_us += simulation.shard_stats.max_elapsed_us
-                gauges[f"fleet.shard_jobs.{section}"] = float(
-                    simulation.shard_stats.jobs
-                )
-            tick_elapsed_s = tick_elapsed_us / 1e6
-            # Digest as an identity in the dedicated digests section: the
-            # regress gate then pins bit-identical manifests, not just
-            # equal work totals.
-            digests[f"fleet.manifest_digest48.{section}"] = (
-                simulation.manifest_digest[:12]
-            )
-            gauges[f"fleet.guests.{section}"] = float(simulation.count)
-            gauges[f"fleet.distinct_kernels.{section}"] = float(
-                simulation.distinct_kernels
-            )
-            gauges[f"fleet.build_count.{section}"] = float(
-                simulation.build_count
-            )
-            gauges[f"fleet.requests.{section}"] = float(
-                simulation.total_requests
-            )
-            gauges[f"fleet.guests_per_tick_sec.{section}"] = round(
-                count / tick_elapsed_s, 2
-            )
-            if simulation.eventcore_stats is not None:
-                stats = simulation.eventcore_stats
-                gauges[f"eventcore.heap_high_water.{section}"] = float(
-                    stats.heap_high_water
-                )
-    finally:
-        TRACER.clock = host_clock
+    for section, policy, count, cohort in scenarios:
+        box: List[Any] = []
+        sections[section] = _measure(lambda: box.append(
+            Fleet.simulate(count, policy=policy, seed=FLEET_SEED,
+                           cohort=cohort)
+        ))
+        simulation = box[0]
+        # Digest as an identity in the dedicated digests section: the
+        # regress gate then pins bit-identical manifests, not just equal
+        # work totals.
+        digests[f"fleet.manifest_digest48.{section}"] = (
+            simulation.manifest_digest[:12]
+        )
+        gauges[f"fleet.guests.{section}"] = float(simulation.count)
+        gauges[f"fleet.distinct_kernels.{section}"] = float(
+            simulation.distinct_kernels
+        )
+        gauges[f"fleet.build_count.{section}"] = float(
+            simulation.build_count
+        )
+        gauges[f"fleet.requests.{section}"] = float(
+            simulation.total_requests
+        )
 
-    counters.update({
+    counters = {
         f"{metric}.{section}": value
         for section, deltas in sections.items()
         for metric, value in deltas.items()
-    })
+    }
     return {"counters": counters, "gauges": gauges, "digests": digests,
             "histograms": {}}
 
@@ -233,8 +158,7 @@ def check_result(result: Dict[str, Any]) -> List[str]:
     oracle = digests.get("fleet.manifest_digest48.fleet_general", "")
     if not oracle:
         failures.append("general fleet manifest digest missing")
-    for section in ("fleet_general", "fleet_per_app",
-                    "fleet_general_sharded"):
+    for section in ("fleet_general", "fleet_per_app", "fleet_general_tenk"):
         builds = gauges.get(f"fleet.build_count.{section}")
         kernels = gauges.get(f"fleet.distinct_kernels.{section}")
         if builds != kernels:
@@ -249,44 +173,6 @@ def check_result(result: Dict[str, Any]) -> List[str]:
             "cohort-vectorized fold diverged from the sequential oracle: "
             f"manifest digest48 {cohort or '?'} != {oracle or '?'}"
         )
-    tenk = digests.get("fleet.manifest_digest48.fleet_general_tenk", "")
-    sharded = digests.get("fleet.manifest_digest48.fleet_general_sharded", "")
-    if not tenk or sharded != tenk:
-        failures.append(
-            "sharded fleet diverged from the single-process oracle: "
-            f"manifest digest48 {sharded or '?'} != {tenk or '?'}"
-        )
-    if gauges.get("fleet.shard_jobs.fleet_general_sharded", 0.0) < 1.0:
-        failures.append("sharded scenario reported no worker processes")
-    throughput = gauges.get(
-        "fleet.guests_per_tick_sec.fleet_general_sharded", 0.0
-    )
-    if throughput < SHARDED_MIN_GUESTS_PER_TICK_SEC:
-        failures.append(
-            f"sharded fleet ran at {throughput:g} guests/tick-sec; need "
-            f">= {SHARDED_MIN_GUESTS_PER_TICK_SEC:g} (100x the sequential "
-            "baseline)"
-        )
-    if "fleet.guests.fleet_general_global" in gauges:
-        interleaved = digests.get(
-            "fleet.manifest_digest48.fleet_general_global", ""
-        )
-        if interleaved != oracle:
-            failures.append(
-                "global event loop diverged from the sequential oracle: "
-                f"manifest digest48 {interleaved or '?'} != {oracle or '?'}"
-            )
-        if gauges.get(
-            "fleet.guests_per_tick_sec.fleet_general_global", 0.0
-        ) <= 0.0:
-            failures.append("global-loop guests/sec gauge missing or zero")
-        if counters.get(
-            "eventcore.events_dispatched.fleet_general_global", 0
-        ) < GENERAL_GUESTS:
-            failures.append(
-                "global loop dispatched fewer events than guests; the "
-                "fleet cannot have run through the EventCore"
-            )
     return failures
 
 
@@ -306,38 +192,21 @@ def render_summary(result: Dict[str, Any]) -> str:
         for key in gauges if key.startswith("fleet.guests.")
     )
     lines = [
-        f"{'scenario':<21} {'guests':>7} {'kernels':>8} "
-        f"{'resolutions':>11} {'guests/tick-s':>13}"
+        f"{'scenario':<21} {'guests':>7} {'kernels':>8} {'resolutions':>11}"
     ]
     for section in sections:
         lines.append(
             f"{section:<21} "
             f"{int(gauges[f'fleet.guests.{section}']):>7} "
             f"{int(gauges[f'fleet.distinct_kernels.{section}']):>8} "
-            f"{counters[f'kconfig.resolutions.{section}']:>11} "
-            f"{gauges[f'fleet.guests_per_tick_sec.{section}']:>13g}"
+            f"{counters[f'kconfig.resolutions.{section}']:>11}"
         )
     oracle = digests.get("fleet.manifest_digest48.fleet_general", "?")
     lines.append(f"general-fleet manifest digest48: {oracle}")
-    for section, oracle_section in (
-        ("fleet_general_cohort", "fleet_general"),
-        ("fleet_general_sharded", "fleet_general_tenk"),
-        ("fleet_general_global", "fleet_general"),
-    ):
-        digest = digests.get(f"fleet.manifest_digest48.{section}")
-        if digest is None:
-            continue
-        reference = digests.get(
-            f"fleet.manifest_digest48.{oracle_section}", "?"
-        )
+    cohort = digests.get("fleet.manifest_digest48.fleet_general_cohort")
+    if cohort is not None:
         lines.append(
-            f"{section}: digest matches {oracle_section}: "
-            f"{digest == reference}"
-        )
-    if "fleet.shard_jobs.fleet_general_sharded" in gauges:
-        lines.append(
-            "sharded run: "
-            f"{int(gauges['fleet.shard_jobs.fleet_general_sharded'])} "
-            "worker process(es)"
+            "fleet_general_cohort: digest matches fleet_general: "
+            f"{cohort == oracle}"
         )
     return "\n".join(lines)

@@ -1,26 +1,26 @@
-"""The fleet-wide event core: one global heap over every guest timeline.
+"""The event core: one global heap over every guest timeline.
 
-``Fleet.simulate`` used to drive guests strictly one at a time, each on
-its own :class:`~repro.simcore.clock.VirtualClock` -- cross-guest
-causality (shared-host contention, staggered boots, correlated fault
-schedules) was unrepresentable because there was no global order between
-two guests' events.  :class:`EventCore` merges every registered guest's
-deadline queue into one heap and dispatches guests in **virtual-time
-order**: at every step the runnable guest with the smallest virtual
-instant runs its next lifecycle stage.  Events across the whole fleet
-now have a single well-defined global order (ties broken by dispatch
-sequence number, so runs are deterministic).
+A serving run (:mod:`repro.traffic`) drives many guests at once, each on
+its own :class:`~repro.simcore.clock.VirtualClock`, next to an arrivals
+timeline and the supervisor.  Cross-guest causality (warm-pool routing,
+staggered cold boots, correlated fault schedules) needs a global order
+between two guests' events.  :class:`EventCore` merges every registered
+guest's deadline queue into one heap and dispatches guests in
+**virtual-time order**: at every step the runnable guest with the
+smallest virtual instant runs its next lifecycle stage.  Events across
+the whole fleet have a single well-defined global order (ties broken by
+dispatch sequence number, so runs are deterministic).
 
 Guest programs
 --------------
 
 A guest registers as a *program*: a generator whose ``next()`` runs one
-lifecycle stage (build, boot, a chunk of serving, a drain step) and
+lifecycle stage (build, boot, one request, a drain step) and
 advances the guest's own clock.  The yielded value tells the core when
 the guest is next runnable:
 
 - ``yield None`` -- runnable immediately, at the guest's current virtual
-  instant (CPU-bound stages: the next serve chunk);
+  instant (CPU-bound stages);
 - ``yield deadline_ns`` -- **idle** until an armed virtual deadline (a
   2MSL timer, a sleep).  The core parks the guest at that absolute
   instant in the global heap, and when it becomes the earliest event
@@ -51,11 +51,10 @@ Serving extensions (the ``repro.traffic`` layer drives these):
   dispatch, so wake-ups never double-run a guest.
 
 Determinism: the heap is keyed ``(virtual_ns, seq)`` with ``seq`` a
-monotone counter, programs run on one thread, and every per-guest
-outcome depends only on that guest's own clock -- so a fleet run under
-the global loop produces byte-identical per-guest results to the
-sequential oracle (asserted by tests and the ``bench-guests
---global-loop`` gate).
+monotone counter and programs run on one thread, so the same spawns
+dispatch in the same global order on every run -- what lets a serving
+run's manifest digest reproduce byte-for-byte (the ``bench-serve``
+gate).
 
 Fault injection: each dispatch is a :func:`~repro.faults.plane.fault_site`
 (``eventcore.dispatch``) entered inside the dispatched guest's clock

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.boot.phases import RootfsKind
 from repro.simcore.clock import VirtualClock
@@ -175,47 +175,13 @@ class Guest:
         self.requests_served += requests
         return rate
 
-    def serve_chunks(self, profile, requests: int,
-                     chunk_size: int = 8) -> "Iterator[float]":
-        """Incremental :meth:`serve`: yield after every *chunk_size* requests.
-
-        The fleet's global event loop drives this generator so guests
-        interleave in virtual-time order between chunks.  The generator's
-        return value (``StopIteration.value``) is the same rps -- to the
-        bit -- that ``serve(profile, requests)`` computes: ``invoke_batch``
-        folds element-wise over the engine's running accumulator, so any
-        chunking of the same request count replays the identical
-        additions (see :meth:`LinuxServerStack.serve_chunk
-        <repro.workloads.server.LinuxServerStack.serve_chunk>`).
-
-        Each yield carries the guest's current virtual instant.
-        """
-        if self.state not in (GuestState.BUILT, GuestState.BOOTED):
-            raise GuestLifecycleError(
-                f"guest {self.spec.name}: cannot serve while {self.state.value}"
-            )
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        stack = self.server_stack
-        start = stack.engine.clock_ns
-        remaining = requests
-        while remaining > 0:
-            step = chunk_size if chunk_size < remaining else remaining
-            with use_clock(self.clock):
-                stack.serve_chunk(profile, step)
-            remaining -= step
-            yield self.clock.now_ns
-        self.requests_served += requests
-        elapsed_s = (stack.engine.clock_ns - start) / 1e9
-        return requests / elapsed_s
-
     def shutdown(self) -> None:
         """Retire the guest; its clock stops accepting lifecycle work.
 
         Pending virtual deadlines (2MSL timers, armed sleeps) are drained
         first -- the clock lands on each in turn and fires it -- so a
         guest's uptime always covers every event it armed, identically
-        in the sequential and global-loop fleet paths.
+        on a private clock and on an event core's.
         """
         if self.state is GuestState.SHUTDOWN:
             return

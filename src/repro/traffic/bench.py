@@ -27,10 +27,9 @@ them -- by exact equality -- against the checked-in snapshot at
 independent (all config-option float folds iterate sorted), so no
 ``PYTHONHASHSEED`` pin is needed.
 
-Nothing reported is wall-clock: boot/resolver work are counter deltas,
-latency percentiles are virtual-time, and throughput is requests per
-TickClock second (one fixed step per tracer clock reading -- a
-machine-independent proxy for host work).
+Nothing reported is wall-clock: boot/resolver work are counter deltas
+and latency percentiles are virtual-time.  Host time is what
+``perfbench/`` measures.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import json
 import pathlib
 from typing import Any, Callable, Dict, List
 
-from repro.observe import METRICS, TRACER
+from repro.observe import METRICS
 
 #: File the benchmark JSON is written to, next to the run manifest.
 BENCH_SERVE_NAME = "BENCH_serve.json"
@@ -99,7 +98,6 @@ def run_bench() -> Dict[str, Any]:
     from repro import faults
     from repro.core.buildcache import BUILD_CACHE
     from repro.kconfig.rescache import RESOLUTION_CACHE
-    from repro.observe.tracer import TickClock
     from repro.traffic.chaos import SERVE_CHAOS_SEED, default_serving_schedule
     from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO
     from repro.traffic.serve import ServeSpec, run_serving
@@ -118,77 +116,65 @@ def run_bench() -> Dict[str, Any]:
     counters: Dict[str, int] = {}
     gauges: Dict[str, float] = {}
     digests: Dict[str, str] = {}
-    host_clock = TRACER.clock
-    tick = TickClock(step_us=1000.0)
-    TRACER.clock = tick
-    try:
-        for section, policy, chaos in scenarios:
-            spec = ServeSpec(trace=trace, policy=policy, seed=SERVE_SEED)
-            plane = (
-                faults.activated(default_serving_schedule(SERVE_CHAOS_SEED))
-                if chaos else contextlib.nullcontext()
-            )
-            with plane:
-                box: List[Any] = []
-                tick_before = tick._now
-                deltas = _measure(lambda: box.append(run_serving(spec)))
-                tick_elapsed_s = (tick._now - tick_before) / 1e6
-                report = box[0]
-                # The determinism contract: the same spec must reproduce
-                # the manifest byte-for-byte -- including every fault
-                # decision when a schedule is active -- so run it again
-                # and record both digests (check_result asserts they
-                # match).
-                rerun = run_serving(spec)
-            digests[f"serve.manifest_digest48.{section}"] = (
-                report.manifest_digest[:12]
-            )
-            digests[f"serve.manifest_digest48.{section}.rerun"] = (
-                rerun.manifest_digest[:12]
-            )
-            counters.update({
-                f"{metric}.{section}": value
-                for metric, value in deltas.items()
-            })
-            gauges[f"serve.requests.{section}"] = float(report.served)
-            gauges[f"serve.dropped.{section}"] = float(report.dropped)
-            gauges[f"serve.failed.{section}"] = float(report.failed)
-            gauges[f"serve.shed.{section}"] = float(report.shed)
-            gauges[f"serve.retries.{section}"] = float(report.retries)
-            gauges[f"serve.restarts.{section}"] = float(report.restarts)
-            gauges[f"serve.guests_failed.{section}"] = float(
-                report.guests_failed
-            )
-            gauges[f"serve.error_rate.{section}"] = round(
-                report.error_rate, 6
-            )
-            gauges[f"serve.cold_start_fraction.{section}"] = round(
-                report.cold_start_fraction, 6
-            )
-            gauges[f"serve.latency_p50_ms.{section}"] = report.latency_ms[
-                "p50"
-            ]
-            gauges[f"serve.latency_p99_ms.{section}"] = report.latency_ms[
-                "p99"
-            ]
-            gauges[f"serve.latency_p999_ms.{section}"] = report.latency_ms[
-                "p999"
-            ]
-            gauges[f"serve.queue_high_water.{section}"] = float(
-                report.queue_high_water
-            )
-            gauges[f"serve.guests_spawned.{section}"] = float(
-                report.guests_spawned
-            )
-            gauges[f"serve.peak_live.{section}"] = float(report.peak_live)
-            gauges[f"serve.guest_seconds.{section}"] = round(
-                report.guest_seconds, 3
-            )
-            gauges[f"serve.requests_per_tick_sec.{section}"] = round(
-                report.served / tick_elapsed_s, 2
-            )
-    finally:
-        TRACER.clock = host_clock
+    for section, policy, chaos in scenarios:
+        spec = ServeSpec(trace=trace, policy=policy, seed=SERVE_SEED)
+        plane = (
+            faults.activated(default_serving_schedule(SERVE_CHAOS_SEED))
+            if chaos else contextlib.nullcontext()
+        )
+        with plane:
+            box: List[Any] = []
+            deltas = _measure(lambda: box.append(run_serving(spec)))
+            report = box[0]
+            # The determinism contract: the same spec must reproduce the
+            # manifest byte-for-byte -- including every fault decision
+            # when a schedule is active -- so run it again and record
+            # both digests (check_result asserts they match).
+            rerun = run_serving(spec)
+        digests[f"serve.manifest_digest48.{section}"] = (
+            report.manifest_digest[:12]
+        )
+        digests[f"serve.manifest_digest48.{section}.rerun"] = (
+            rerun.manifest_digest[:12]
+        )
+        counters.update({
+            f"{metric}.{section}": value
+            for metric, value in deltas.items()
+        })
+        gauges[f"serve.requests.{section}"] = float(report.served)
+        gauges[f"serve.dropped.{section}"] = float(report.dropped)
+        gauges[f"serve.failed.{section}"] = float(report.failed)
+        gauges[f"serve.shed.{section}"] = float(report.shed)
+        gauges[f"serve.retries.{section}"] = float(report.retries)
+        gauges[f"serve.restarts.{section}"] = float(report.restarts)
+        gauges[f"serve.guests_failed.{section}"] = float(
+            report.guests_failed
+        )
+        gauges[f"serve.error_rate.{section}"] = round(
+            report.error_rate, 6
+        )
+        gauges[f"serve.cold_start_fraction.{section}"] = round(
+            report.cold_start_fraction, 6
+        )
+        gauges[f"serve.latency_p50_ms.{section}"] = report.latency_ms[
+            "p50"
+        ]
+        gauges[f"serve.latency_p99_ms.{section}"] = report.latency_ms[
+            "p99"
+        ]
+        gauges[f"serve.latency_p999_ms.{section}"] = report.latency_ms[
+            "p999"
+        ]
+        gauges[f"serve.queue_high_water.{section}"] = float(
+            report.queue_high_water
+        )
+        gauges[f"serve.guests_spawned.{section}"] = float(
+            report.guests_spawned
+        )
+        gauges[f"serve.peak_live.{section}"] = float(report.peak_live)
+        gauges[f"serve.guest_seconds.{section}"] = round(
+            report.guest_seconds, 3
+        )
     return {"counters": counters, "gauges": gauges, "digests": digests,
             "histograms": {}}
 

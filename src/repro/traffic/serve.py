@@ -24,8 +24,7 @@ policy **and under any installed fault schedule** (the plane's call
 counters are reset at run entry, so fault decisions are counted per
 run).  That is the determinism contract ``bench-serve --check`` and the
 ``chaos-serve`` gate assert.  Execution counters (events dispatched,
-parks/kicks, contained failures) stay *outside* the manifest, exactly
-like ``FleetSimulation``.
+parks/kicks, contained failures) stay *outside* the manifest.
 
 Latency percentiles are **conditional on success**: failed, shed, and
 dropped requests contribute to the availability section (error rate,
@@ -41,7 +40,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.orchestrator import KernelOrchestrator, KernelPolicy
 from repro.simcore.eventcore import EventCore
@@ -273,23 +272,60 @@ def _arrivals_program(source: ArrivalSource, router: Router):
             router.drop(arrival)
 
 
+def _counter_snapshot() -> Dict[str, int]:
+    from repro.observe import METRICS
+
+    return dict(METRICS.to_dict()["counters"])
+
+
+def _run_serving_counted(
+    spec: ServeSpec,
+) -> Tuple[ServingReport, Dict[str, int]]:
+    """Worker entry point: one whole serving run plus its counter deltas."""
+    before = _counter_snapshot()
+    report = run_serving(spec)
+    deltas = {
+        name: value - before.get(name, 0)
+        for name, value in _counter_snapshot().items()
+        if value != before.get(name, 0)
+    }
+    return report, deltas
+
+
 def run_serving_many(specs: List[ServeSpec],
                      jobs: int = 1) -> List[ServingReport]:
     """Execute whole serving runs across worker processes; reports in order.
 
     Serving parallelism is **run-level**: each :class:`ServeSpec` is an
     independent deterministic run (a policy sweep, a seed sweep), so
-    whole runs fan out across processes and merge by position, with each
-    worker's counter deltas folded back into this process's registry.
+    whole runs fan out across ``fork`` workers and merge by position,
+    with each worker's counter deltas folded back into this process's
+    registry, sorted by name, so metrics match a sequential sweep.  With
+    ``jobs <= 1`` (or a single spec) the runs execute in-process.
     A *single* run never shards: the router's global coupling --
     ``max_total`` admission, ``peak_live`` and the queue high-water mark
     are time-maxima over cross-app sums, all in the manifest -- makes a
     run's manifest irreproducible from independently-executed app
     slices (see ``docs/SERVING.md``).
     """
-    from repro.harness.shardpool import execute_serving_runs
+    specs = list(specs)
+    jobs = max(1, int(jobs))
+    if jobs == 1 or len(specs) <= 1:
+        return [run_serving(spec) for spec in specs]
 
-    return execute_serving_runs(list(specs), jobs)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.observe import METRICS
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
+                             mp_context=context) as pool:
+        outcomes = list(pool.map(_run_serving_counted, specs))
+    for _, deltas in outcomes:
+        for name in sorted(deltas):
+            METRICS.counter(name).inc(deltas[name])
+    return [report for report, _ in outcomes]
 
 
 def run_serving(spec: ServeSpec) -> ServingReport:

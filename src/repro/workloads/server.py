@@ -105,44 +105,19 @@ class LinuxServerStack:
         The per-request costs are batched through
         :meth:`~repro.syscall.dispatch.SyscallEngine.invoke_batch`
         (closed-form addends, one engine call), bit-for-bit identical to
-        the stepped loop :meth:`run_stepped` replays -- the property the
+        the stepped per-request loop -- the property the
         batched-vs-stepped parity test pins.  Profiles with config-gated
-        syscalls fall back to the stepped loop to preserve its
-        charge-then-raise semantics.
+        syscalls take that stepped loop to preserve its charge-then-raise
+        semantics.
         """
         start = self.engine.clock_ns
-        self.serve_chunk(profile, requests)
-        elapsed_s = (self.engine.clock_ns - start) / 1e9
-        return requests / elapsed_s
-
-    def serve_chunk(self, profile: RequestProfile, requests: int) -> None:
-        """Charge *requests* requests without rate accounting.
-
-        The unit of work the fleet's global event loop interleaves:
-        because ``invoke_batch`` folds element-wise over the engine's
-        running accumulator and jitter phases key off the continuous
-        ``call_count``, serving ``n`` requests as any sequence of chunks
-        is bit-for-bit identical to one ``n``-request batch -- which is
-        what lets interleaved guests reproduce the sequential oracle's
-        manifest exactly.  Profiles naming a config-gated syscall take
-        the stepped loop, preserving its charge-then-raise semantics.
-        """
         batchable, work_ns = self._plan(profile)
         if batchable:
             self.engine.invoke_batch(profile.syscalls, work_ns, requests)
-            return
-        for _ in range(requests):
-            for name in profile.syscalls:
-                self.engine.invoke(name)
-            self.engine.cpu_work(work_ns)
-
-    def run_stepped(self, profile: RequestProfile, requests: int) -> float:
-        """The reference per-request loop (the oracle :meth:`run` must
-        match bit-for-bit; also the path for ENOSYS-raising profiles)."""
-        start = self.engine.clock_ns
-        for _ in range(requests):
-            for name in profile.syscalls:
-                self.engine.invoke(name)
-            self.engine.cpu_work(self._work_ns(profile, profile.app_ns))
+        else:
+            for _ in range(requests):
+                for name in profile.syscalls:
+                    self.engine.invoke(name)
+                self.engine.cpu_work(work_ns)
         elapsed_s = (self.engine.clock_ns - start) / 1e9
         return requests / elapsed_s

@@ -118,17 +118,8 @@ class TestGateSemantics:
         for name in ("eventcore.events_dispatched",
                      "eventcore.events_dispatched.serve_fixed_pool",
                      "eventcore.kicks.serve_scale_to_zero",
-                     "boot.boots.fleet_general_global"):
+                     "boot.boots.fleet_general"):
             assert is_cost_counter(name), name
-
-    def test_sharded_boot_count_is_execution_not_cost(self):
-        # One cohort representative per app per worker: 20 boots per
-        # --jobs, gated at two job counts against one baseline.
-        name = "boot.boots.fleet_general_sharded"
-        assert not is_cost_counter(name)
-        report = compare_runs(_metrics(**{name: 40}),
-                              _metrics(**{name: 140}))
-        assert report.passed
 
     def test_doubled_dispatched_events_fail_the_gate(self):
         name = "eventcore.events_dispatched.serve_fixed_pool"
@@ -151,6 +142,40 @@ class TestGateSemantics:
             _metrics(**{"buildcache.misses": 1}),
         )
         assert not report.passed
+
+
+class TestRegressDigestGate:
+    def test_digest_drift_fails_the_gate(self):
+        baseline = {"counters": {}, "digests": {"fleet.d": "aaa"}}
+        matching = compare_runs(baseline, {"counters": {},
+                                           "digests": {"fleet.d": "aaa"}})
+        assert matching.passed
+        drifted = compare_runs(baseline, {"counters": {},
+                                          "digests": {"fleet.d": "bbb"}})
+        assert not drifted.passed
+        assert drifted.regressions[0].kind == "digest"
+
+    def test_baseline_digests_gate_skips_new_sections(self):
+        report = compare_runs(
+            {"counters": {}, "digests": {}},
+            {"counters": {}, "digests": {"fleet.new": "ccc"}},
+        )
+        assert report.passed and report.deltas == []
+
+    def test_missing_pinned_digest_fails_the_gate(self):
+        # A benchmark that stops emitting a pinned scenario must be
+        # re-pinned on purpose, not pass because nothing was compared.
+        report = compare_runs(
+            {"counters": {}, "digests": {"fleet.kept": "aaa",
+                                         "fleet.gone": "bbb"}},
+            {"counters": {}, "digests": {"fleet.kept": "aaa"}},
+        )
+        assert not report.passed
+        (regression,) = report.regressions
+        assert (regression.kind, regression.name, regression.baseline) == (
+            "digest", "fleet.gone", "bbb"
+        )
+        assert "[REGRESSED] digest  fleet.gone: bbb -> " in report.render()
 
 
 class TestCliEntrypoint:

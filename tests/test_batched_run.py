@@ -5,8 +5,8 @@
 analytically).  Float addition is not associative, so "bit-exact" is a
 real claim: for every profile, request count, engine, and pre-existing
 jitter phase, the batched fold must reproduce the stepped reference loop
-``run_stepped`` exactly -- same final clock, same rps bits, same jitter
-call count.
+:func:`run_stepped` exactly -- same final clock, same rps bits, same
+jitter call count.
 """
 
 import pytest
@@ -28,6 +28,20 @@ PROFILES = (REDIS_GET, REDIS_SET, NGINX_CONN, NGINX_SESS,
 #: 1000 calls, so counts near multiples of the per-profile round period
 #: are the interesting edges.
 REQUEST_COUNTS = (1, 2, 3, 7, 99, 100, 101, 250, 999, 1000, 1001, 2500)
+
+
+def run_stepped(stack: LinuxServerStack, profile, requests: int) -> float:
+    """The reference per-request loop ``LinuxServerStack.run`` must match
+    bit-for-bit: every syscall invoked, then the request's network and
+    app work charged, one request at a time."""
+    engine = stack.engine
+    start = engine.clock_ns
+    for _ in range(requests):
+        for name in profile.syscalls:
+            engine.invoke(name)
+        engine.cpu_work(stack._work_ns(profile, profile.app_ns))
+    elapsed_s = (engine.clock_ns - start) / 1e9
+    return requests / elapsed_s
 
 
 def _builds():
@@ -56,7 +70,7 @@ class TestBatchedEqualsStepped:
     def test_bit_exact_across_profiles_and_counts(self, profile, requests):
         batched, stepped = _pair(build_microvm())
         rate_batched = batched.run(profile, requests)
-        rate_stepped = stepped.run_stepped(profile, requests)
+        rate_stepped = run_stepped(stepped, profile, requests)
         assert batched.engine.clock_ns == stepped.engine.clock_ns
         assert rate_batched == rate_stepped  # identical bits, not approx
         assert batched.engine.call_count == stepped.engine.call_count
@@ -67,7 +81,7 @@ class TestBatchedEqualsStepped:
         for profile in (REDIS_GET, NGINX_SESS):
             batched, stepped = _pair(build)
             assert (batched.run(profile, 137)
-                    == stepped.run_stepped(profile, 137))
+                    == run_stepped(stepped, profile, 137))
             assert batched.engine.clock_ns == stepped.engine.clock_ns
 
     @pytest.mark.parametrize("offset", (1, 17, 500, 999, 1000, 12345))
@@ -79,7 +93,7 @@ class TestBatchedEqualsStepped:
             for _ in range(offset):
                 stack.engine.invoke("read")
         rate_batched = batched.run(REDIS_GET, 77)
-        rate_stepped = stepped.run_stepped(REDIS_GET, 77)
+        rate_stepped = run_stepped(stepped, REDIS_GET, 77)
         assert rate_batched == rate_stepped
         assert batched.engine.clock_ns == stepped.engine.clock_ns
 
@@ -88,13 +102,13 @@ class TestBatchedEqualsStepped:
         for profile, requests in ((REDIS_GET, 33), (REDIS_SET, 41),
                                   (NGINX_CONN, 250)):
             assert (batched.run(profile, requests)
-                    == stepped.run_stepped(profile, requests))
+                    == run_stepped(stepped, profile, requests))
         assert batched.engine.clock_ns == stepped.engine.clock_ns
 
     def test_per_syscall_counts_match(self):
         batched, stepped = _pair(build_microvm())
         batched.run(NGINX_SESS, 211)
-        stepped.run_stepped(NGINX_SESS, 211)
+        run_stepped(stepped, NGINX_SESS, 211)
         assert (batched.engine.per_syscall_counts
                 == stepped.engine.per_syscall_counts)
 
@@ -103,7 +117,7 @@ class TestBatchedEqualsStepped:
         with pytest.raises(ZeroDivisionError):
             batched.run(REDIS_GET, 0)
         with pytest.raises(ZeroDivisionError):
-            stepped.run_stepped(REDIS_GET, 0)
+            run_stepped(stepped, REDIS_GET, 0)
 
     def test_unsupported_syscall_falls_back_to_stepped_semantics(self):
         from repro.netstack.path import NetworkPath
@@ -205,7 +219,7 @@ class TestPerEngineCostVectors:
             for label in (first, second):
                 batched, stepped = stacks[label]
                 assert (batched.run(profile, requests)
-                        == stepped.run_stepped(profile, requests))
+                        == run_stepped(stepped, profile, requests))
                 assert batched.engine.clock_ns == stepped.engine.clock_ns
         one, two = (stacks[label][0].engine for label in (first, second))
         assert one._costs is not two._costs

@@ -1,11 +1,9 @@
-"""Tests for the fleet-wide event core and the global fleet loop.
+"""Tests for the fleet-wide event core and the fleet simulation edges.
 
 Covers the :class:`~repro.simcore.eventcore.EventCore` dispatch loop
 itself (virtual-time ordering, closed-form fast-forward of idle guests,
-stats), the chunked-serving parity that makes interleaving bit-exact,
-and the headline differential property: ``Fleet.simulate`` under the
-global event loop reproduces the sequential oracle's manifest digest
-byte-for-byte, at acceptance scale, across seeds and policies.
+park/kick, stats), ``Fleet.simulate``'s edge cases and ``build_count``,
+and ``Guest.shutdown`` draining pending deadlines.
 """
 
 import pytest
@@ -16,15 +14,6 @@ from repro.simcore.eventcore import (
     EventCoreError,
     drain_deadlines,
 )
-
-
-def _run_to_return(generator):
-    """Drain *generator*, returning its ``StopIteration.value``."""
-    while True:
-        try:
-            next(generator)
-        except StopIteration as stop:
-            return stop.value
 
 
 class TestEventCore:
@@ -343,56 +332,12 @@ class TestFleetEdgeCases:
             Fleet._validate_specs([spec, spec])
 
 
-class TestServeChunksParity:
-    """Chunked serving is the bit-exactness unit the global loop rests on."""
-
+class TestGuestShutdown:
     def _guest(self):
         from repro.core.variants import Variant
         from repro.simcore.guest import variant_guest
 
         return variant_guest(Variant.LUPINE_NOKML, app="redis")
-
-    def test_serve_chunks_bit_equal_to_serve(self):
-        from repro.workloads.redis import REDIS_GET
-
-        monolithic = self._guest()
-        chunked = self._guest()
-        rps = monolithic.serve(REDIS_GET, 32)
-        chunked_rps = _run_to_return(
-            chunked.serve_chunks(REDIS_GET, 32, chunk_size=5)
-        )
-        # invoke_batch folds element-wise over the engine accumulator, so
-        # any chunking replays the identical float additions: same rps,
-        # same final clock, to the bit.
-        assert chunked_rps == rps
-        assert chunked.clock.now_ns == monolithic.clock.now_ns
-        assert chunked.requests_served == monolithic.requests_served
-
-    def test_chunk_size_does_not_matter(self):
-        from repro.workloads.redis import REDIS_GET
-
-        rates = set()
-        for chunk_size in (1, 3, 8, 32):
-            guest = self._guest()
-            rates.add(_run_to_return(
-                guest.serve_chunks(REDIS_GET, 32, chunk_size=chunk_size)
-            ))
-        assert len(rates) == 1
-
-    def test_yields_carry_monotone_virtual_instants(self):
-        from repro.workloads.redis import REDIS_GET
-
-        guest = self._guest()
-        instants = list(guest.serve_chunks(REDIS_GET, 24, chunk_size=8))
-        assert len(instants) == 3
-        assert instants == sorted(instants)
-        assert instants[-1] == guest.clock.now_ns
-
-    def test_rejects_bad_chunk_size(self):
-        from repro.workloads.redis import REDIS_GET
-
-        with pytest.raises(ValueError):
-            next(self._guest().serve_chunks(REDIS_GET, 8, chunk_size=0))
 
     def test_shutdown_drains_pending_deadlines(self):
         guest = self._guest()
@@ -403,7 +348,7 @@ class TestServeChunksParity:
         assert guest.uptime_ns == 5e9
 
 
-class TestFleetGlobalLoop:
+class TestFleetBuildCount:
     def test_manifest_reports_build_count(self):
         from repro.core.orchestrator import Fleet, KernelPolicy
 
@@ -419,47 +364,3 @@ class TestFleetGlobalLoop:
 
         simulation = Fleet.simulate(60, policy=KernelPolicy.PER_APP, seed=5)
         assert simulation.build_count == simulation.distinct_kernels > 1
-
-    def test_global_loop_populates_eventcore_stats(self):
-        from repro.core.orchestrator import Fleet, KernelPolicy
-
-        sequential = Fleet.simulate(30, policy=KernelPolicy.GENERAL, seed=9)
-        interleaved = Fleet.simulate(
-            30, policy=KernelPolicy.GENERAL, seed=9, global_loop=True
-        )
-        assert sequential.eventcore_stats is None
-        stats = interleaved.eventcore_stats
-        assert stats is not None
-        assert stats.guests == 30
-        assert stats.events_dispatched >= 30
-        assert stats.heap_high_water >= 30
-
-    def test_global_loop_small_fleet_matches_oracle(self):
-        from repro.core.orchestrator import Fleet, KernelPolicy
-
-        sequential = Fleet.simulate(50, policy=KernelPolicy.PER_APP, seed=13)
-        interleaved = Fleet.simulate(
-            50, policy=KernelPolicy.PER_APP, seed=13, global_loop=True
-        )
-        # Stats live outside the manifest, so the whole document -- not
-        # just the digest -- is execution-strategy-independent.
-        assert interleaved.manifest() == sequential.manifest()
-        assert interleaved.manifest_digest == sequential.manifest_digest
-
-    @pytest.mark.parametrize("policy_name,seed", [
-        ("GENERAL", 2020),
-        ("GENERAL", 77),
-        ("PER_APP", 2020),
-        ("PER_APP", 77),
-    ])
-    def test_global_loop_matches_oracle_at_scale(self, policy_name, seed):
-        """The acceptance criterion: byte-identical manifests at 1000
-        guests, two seeds x two policies, global loop vs sequential."""
-        from repro.core.orchestrator import Fleet, KernelPolicy
-
-        policy = KernelPolicy[policy_name]
-        sequential = Fleet.simulate(1000, policy=policy, seed=seed)
-        interleaved = Fleet.simulate(
-            1000, policy=policy, seed=seed, global_loop=True
-        )
-        assert interleaved.manifest_digest == sequential.manifest_digest

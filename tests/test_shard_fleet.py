@@ -1,19 +1,17 @@
-"""Sharded fleet execution: determinism, cohort oracle, shard plumbing.
+"""Fleet execution: the cohort oracle and run-level serving fan-out.
 
-The contracts under test (see docs/ARCHITECTURE.md "Sharded execution"):
+The contracts under test:
 
-- **Shard-count invariance.** ``Fleet.simulate(seed=s, jobs=N)`` produces
-  a byte-identical manifest (hence digest) for every N, because shards
-  are contiguous index ranges merged in shard order and each guest's
-  outcome depends only on its own spec + clock.
 - **Cohort oracle.** The cohort-vectorized fold (one representative per
   application, members replayed) is bit-identical to the per-guest
-  sequential fold.
+  sequential loop -- the full manifest and ``build_count`` -- for any
+  seed, fleet size and kernel policy.
 - **Hash-seed independence.** Every config-option float fold iterates
   sorted, so digests do not depend on PYTHONHASHSEED.
-- **Counter merge.** Worker counter deltas fold back into the parent
-  process's METRICS registry, so sharded and sequential runs cost the
-  same by the counters.
+- **Serving fan-out.** ``run_serving_many`` runs whole serving runs in
+  worker processes: the same reports as in-process runs, and each
+  worker's counter deltas fold back into the parent process's METRICS
+  registry, so a fanned-out sweep costs the same by the counters.
 """
 
 from __future__ import annotations
@@ -24,36 +22,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.orchestrator import Fleet, KernelPolicy
-from repro.harness.shardpool import shard_bounds
 from repro.observe import METRICS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-class TestShardBounds:
-    def test_partitions_are_contiguous_and_exhaustive(self):
-        for count in (1, 2, 7, 100, 101):
-            for jobs in (1, 2, 3, 7, 16):
-                bounds = shard_bounds(count, jobs)
-                assert bounds[0][0] == 0
-                assert bounds[-1][1] == count
-                for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                    assert hi == lo
-                assert all(hi > lo for lo, hi in bounds)
-
-    def test_jobs_clamped_to_fleet_size(self):
-        assert len(shard_bounds(3, 16)) == 3
-        assert len(shard_bounds(5, 0)) == 1
-        assert shard_bounds(0, 4) == []
-
-    def test_near_equal_sizes(self):
-        sizes = [hi - lo for lo, hi in shard_bounds(10, 3)]
-        assert sorted(sizes) == [3, 3, 4]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestCohortOracle:
@@ -70,62 +46,32 @@ class TestCohortOracle:
         assert cohort.manifest() == seq.manifest()
         assert cohort.build_count == seq.build_count
 
-
-class TestShardedExecution:
-    def test_sharded_matches_sequential_manifest(self):
-        seq = Fleet.simulate(30, seed=3)
-        sharded = Fleet.simulate(30, seed=3, jobs=2)
-        assert sharded.manifest() == seq.manifest()
-        assert sharded.build_count == seq.build_count
-
-    def test_shard_stats_surface_worker_count(self):
-        sharded = Fleet.simulate(12, seed=1, jobs=3)
-        stats = sharded.shard_stats
-        assert stats is not None
-        assert stats.jobs == 3
-        assert sum(stats.shard_sizes) == 12
-        assert stats.max_elapsed_us <= stats.total_elapsed_us
-        assert Fleet.simulate(12, seed=1).shard_stats is None
-
-    def test_sharded_per_app_merges_build_count(self):
-        seq = Fleet.simulate(40, policy=KernelPolicy.PER_APP, seed=5)
-        sharded = Fleet.simulate(40, policy=KernelPolicy.PER_APP, seed=5,
-                                 jobs=3, cohort=True)
-        assert sharded.manifest_digest == seq.manifest_digest
-        assert sharded.build_count == seq.build_count
-
-    def test_worker_counters_fold_into_parent(self):
-        def boots() -> int:
-            return METRICS.counter("boot.boots").value
-
-        before = boots()
-        Fleet.simulate(20, seed=9)
-        sequential_delta = boots() - before
-
-        before = boots()
-        Fleet.simulate(20, seed=9, jobs=2)
-        sharded_delta = boots() - before
-        assert sharded_delta == sequential_delta > 0
-
-    @settings(max_examples=5, deadline=None,
+    @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           count=st.integers(min_value=1, max_value=40))
-    def test_digest_invariant_across_job_counts(self, seed, count):
-        digests = {
-            Fleet.simulate(count, seed=seed, jobs=jobs,
-                           cohort=(jobs > 1)).manifest_digest
-            for jobs in (1, 2, 7)
-        }
-        assert len(digests) == 1
+           count=st.integers(min_value=1, max_value=40),
+           policy=st.sampled_from(list(KernelPolicy)))
+    def test_cohort_matches_sequential_for_any_draw(self, seed, count,
+                                                    policy):
+        seq = Fleet.simulate(count, policy=policy, seed=seed)
+        cohort = Fleet.simulate(count, policy=policy, seed=seed,
+                                cohort=True)
+        assert cohort.manifest() == seq.manifest()
+        assert cohort.build_count == seq.build_count
 
-    def test_global_loop_rejects_shards_and_cohort(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Fleet.simulate(4, global_loop=True, jobs=2)
-        with pytest.raises(ValueError):
-            Fleet.simulate(4, global_loop=True, cohort=True)
+    @pytest.mark.parametrize("policy_name,seed", [
+        ("GENERAL", 2020),
+        ("GENERAL", 77),
+        ("PER_APP", 2020),
+        ("PER_APP", 77),
+    ])
+    def test_cohort_matches_sequential_at_scale(self, policy_name, seed):
+        """Byte-identical manifests at 1000 guests, two seeds x two
+        policies, cohort fold vs the sequential loop."""
+        policy = KernelPolicy[policy_name]
+        sequential = Fleet.simulate(1000, policy=policy, seed=seed)
+        cohort = Fleet.simulate(1000, policy=policy, seed=seed, cohort=True)
+        assert cohort.manifest_digest == sequential.manifest_digest
 
 
 class TestHashSeedIndependence:
@@ -147,48 +93,47 @@ class TestHashSeedIndependence:
         assert len(digests) == 1
 
 
-class TestRegressDigestGate:
-    def test_digest_drift_fails_the_gate(self):
-        from repro.observe.regress import compare_runs
+def _serving_specs():
+    from repro.traffic.bench import canonical_trace
+    from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO
+    from repro.traffic.serve import ServeSpec
 
-        baseline = {"counters": {}, "digests": {"fleet.d": "aaa"}}
-        matching = compare_runs(baseline, {"counters": {},
-                                           "digests": {"fleet.d": "aaa"}})
-        assert matching.passed
-        drifted = compare_runs(baseline, {"counters": {},
-                                          "digests": {"fleet.d": "bbb"}})
-        assert not drifted.passed
-        assert drifted.regressions[0].kind == "digest"
-
-    def test_baseline_digests_gate_skips_new_sections(self):
-        from repro.observe.regress import compare_runs
-
-        report = compare_runs(
-            {"counters": {}, "digests": {}},
-            {"counters": {}, "digests": {"fleet.new": "ccc"}},
-        )
-        assert report.passed and report.deltas == []
+    trace = canonical_trace(requests=400)
+    return [
+        ServeSpec(trace=trace, policy=SCALE_TO_ZERO, seed=2020),
+        ServeSpec(trace=trace, policy=FIXED_POOL, seed=2020),
+    ]
 
 
 class TestServingRunFanOut:
     def test_run_serving_many_matches_sequential(self):
-        from repro.traffic.bench import canonical_trace
-        from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO
-        from repro.traffic.serve import (
-            ServeSpec,
-            run_serving,
-            run_serving_many,
-        )
+        from repro.traffic.serve import run_serving, run_serving_many
 
-        trace = canonical_trace(requests=400)
-        specs = [
-            ServeSpec(trace=trace, policy=SCALE_TO_ZERO, seed=2020),
-            ServeSpec(trace=trace, policy=FIXED_POOL, seed=2020),
-        ]
+        specs = _serving_specs()
         fanned = run_serving_many(specs, jobs=2)
         assert [r.manifest_digest for r in fanned] == [
             run_serving(spec).manifest_digest for spec in specs
         ]
+
+    def test_worker_counter_deltas_fold_into_parent(self):
+        from repro.traffic.serve import run_serving_many
+
+        names = ("boot.boots", "eventcore.events_dispatched",
+                 "traffic.requests_served")
+
+        def deltas(jobs):
+            before = {name: METRICS.counter(name).value for name in names}
+            run_serving_many(_serving_specs(), jobs=jobs)
+            return {
+                name: METRICS.counter(name).value - before[name]
+                for name in names
+            }
+
+        run_serving_many(_serving_specs(), jobs=1)  # warm the caches
+        in_process = deltas(1)
+        fanned = deltas(2)
+        assert fanned == in_process
+        assert all(value > 0 for value in in_process.values())
 
 
 class TestRunnerEffectiveJobs:

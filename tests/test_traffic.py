@@ -4,10 +4,9 @@ Covers the seeded arrival generators (shape, determinism, the
 clock-agreement property), the warm-pool policies, the router's
 dispatch/queue/cold-boot behaviour, the end-to-end determinism contract
 of :func:`~repro.traffic.serve.run_serving` (same spec, byte-identical
-manifest digest, under both preset policies), the closed-loop
-``Fleet.serve`` sequential-vs-global-loop parity property, the
-``traffic.arrival`` fault site, and the ``bench-serve`` acceptance
-checker against the committed baseline.
+manifest digest, under both preset policies), the ``traffic.arrival``
+fault site, and the ``bench-serve`` acceptance checker against the
+committed baseline.
 """
 
 import json
@@ -329,29 +328,6 @@ class TestArrivalFaultSite:
             with activated(plane):
                 digests.append(run_serving(spec).manifest_digest)
         assert digests[0] == digests[1]
-
-
-class TestFleetServeParity:
-    @settings(max_examples=8, deadline=None)
-    @given(count=st.integers(1, 5), seed=st.integers(0, 99),
-           requests=st.integers(1, 6))
-    def test_global_loop_serves_identical_latency_samples(
-        self, count, seed, requests
-    ):
-        """Closed-loop serving property: the global event loop produces
-        bit-identical per-request latency samples to sequential runs."""
-        from repro.core.orchestrator import Fleet
-
-        sequential = Fleet.serve(count, seed=seed,
-                                 requests_per_guest=requests)
-        interleaved = Fleet.serve(count, seed=seed,
-                                  requests_per_guest=requests,
-                                  global_loop=True)
-        assert (sequential.all_samples_ns == interleaved.all_samples_ns)
-        assert sequential.manifest() == interleaved.manifest()
-        assert (sequential.manifest_digest
-                == interleaved.manifest_digest)
-        assert len(sequential.all_samples_ns) == count * requests
 
 
 class TestPercentiles:

@@ -23,14 +23,12 @@
 # simcore invariant: no simulator advances time through the tracer's sim
 # view or keeps a private clock accumulator field.
 #
-# The fleet gate runs bench-guests --check --global-loop twice -- at
-# --jobs 2 and again at --jobs 7 -- and regresses both runs against the
-# same benchmarks/baseline/BENCH_guests.json.  Each run asserts the
-# fleet scale/kernel-sharing criteria, that the cohort-vectorized and
-# sharded 10k-guest fleets reproduce their single-process oracles'
-# manifest digests, and the sharded throughput floor; regressing both
-# job counts against one pinned digests section is the shard-determinism
-# gate (same seed => byte-identical merged manifest for any job count).
+# The fleet gate runs bench-guests --check and regresses the result
+# against benchmarks/baseline/BENCH_guests.json.  The run asserts the
+# fleet scale/kernel-sharing criteria and that the cohort-vectorized
+# fold reproduces the sequential oracle's manifest digest; the regress
+# step pins every scenario's digest (the 10k-guest cohort fleet's
+# included) and fails if a pinned scenario goes missing.
 #
 # The serving gate runs bench-serve --check (the canonical 100k-request
 # diurnal trace per warm-pool policy, each run twice: manifests must
@@ -63,7 +61,8 @@
 #
 # No PYTHONHASHSEED pin anywhere: every config-option float fold
 # iterates its frozenset sorted, so all manifest digests are hash-seed
-# independent (tests/test_golden_parity.py and the shard tests pin this).
+# independent (tests/test_golden_parity.py and tests/test_shard_fleet.py
+# pin this).
 #
 # The host-time benchmark's own tests (perfbench/tests) run tiny timed
 # runs of every workload and tiny traced runs of serve_cold: they catch
@@ -138,18 +137,11 @@ PYTHONPATH=src python -m repro.observe.regress \
     benchmarks/baseline/BENCH_resolve.json "$RUN_DIR/BENCH_resolve.json" \
     --no-timings
 
-echo "==> fleet-simulation microbenchmark + sharded/cohort + counter gate"
+echo "==> fleet-simulation microbenchmark + cohort + counter gate"
 PYTHONPATH=src python -m repro.cli bench-guests --check \
-    --global-loop --jobs 2 --output-dir "$RUN_DIR"
+    --output-dir "$RUN_DIR"
 PYTHONPATH=src python -m repro.observe.regress \
     benchmarks/baseline/BENCH_guests.json "$RUN_DIR/BENCH_guests.json" \
-    --no-timings
-
-echo "==> fleet shard-determinism gate (same digests at --jobs 7)"
-PYTHONPATH=src python -m repro.cli bench-guests --check \
-    --global-loop --jobs 7 --output-dir "$TMP_DIR/jobs7"
-PYTHONPATH=src python -m repro.observe.regress \
-    benchmarks/baseline/BENCH_guests.json "$TMP_DIR/jobs7/BENCH_guests.json" \
     --no-timings
 
 echo "==> traffic-serving microbenchmark + determinism + counter gate"

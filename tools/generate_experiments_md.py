@@ -214,9 +214,9 @@ def main(argv=None) -> int:
       "of the keepalive tradeoff |\n")
     w("| `per_app` | per-application requests / cold starts / spawns |\n\n")
     w("Execution counters (`eventcore.*`, `traffic.*` in "
-      "`metrics.json`) stay outside the manifest, exactly like the "
-      "fleet-simulation manifest: the digest pins *what was served*, "
-      "not how the event loop scheduled it. The conservation identity "
+      "`metrics.json`) stay outside the manifest: the digest pins "
+      "*what was served*, not how the event loop scheduled it. The "
+      "conservation identity "
       "`availability.arrivals == served + availability.failed + "
       "availability.shed + dropped` holds in every manifest.\n\n")
 
@@ -226,12 +226,13 @@ def main(argv=None) -> int:
       "`bench-serve`, `bench-derive`) each write a JSON result with "
       "four sections: "
       "`counters` (monotonic work deltas — boots, resolutions, events "
-      "dispatched), `gauges` (point measurements — guests/tick-sec, "
+      "dispatched), `gauges` (point measurements — fleet sizes, "
       "latency percentiles), `digests` (manifest digest48 identities), "
       "and `histograms`. The `regress` gate compares cost counters "
       "with a growth threshold but pins every `digests` entry by "
       "**exact equality** — a digest is an identity, not a quantity, "
-      "so a one-bit drift fails the gate. All digests are hash-seed "
+      "so a one-bit drift fails the gate, and so does a pinned digest "
+      "the current run no longer emits. All digests are hash-seed "
       "independent (config-option float folds iterate sorted), so no "
       "`PYTHONHASHSEED` pin appears in `tools/check.sh`.\n\n")
     w("`bench-guests` sections (`BENCH_guests.json`):\n\n")
@@ -242,20 +243,11 @@ def main(argv=None) -> int:
     w("| `fleet_general_cohort` | the 1000-guest general fleet, "
       "cohort-vectorized (one representative per app, members "
       "replayed); digest must equal `fleet_general`'s |\n")
-    w("| `fleet_general_tenk` | 10,000 guests, cohort fold, single "
-      "process — the sharded run's oracle |\n")
-    w("| `fleet_general_sharded` | the same 10,000 guests across "
-      "`--jobs` worker processes; digest must equal "
-      "`fleet_general_tenk`'s, throughput gated ≥ 5000 "
-      "guests/tick-sec |\n")
-    w("| `fleet_general_global` | (with `--global-loop`) the 1000-guest "
-      "fleet as one EventCore loop; digest must equal "
-      "`fleet_general`'s |\n\n")
-    w("`tools/check.sh` runs `bench-guests --check` at `--jobs 2` *and* "
-      "`--jobs 7` against the same pinned baseline — the "
-      "shard-determinism gate: same seed ⇒ byte-identical merged "
-      "manifest for any job count (see docs/ARCHITECTURE.md \"Sharded "
-      "execution\").\n\n")
+    w("| `fleet_general_tenk` | 10,000 guests through the cohort fold; "
+      "`build_count` must equal `distinct_kernels` |\n\n")
+    w("`tools/check.sh` runs `bench-guests --check` and regresses it "
+      "against the pinned baseline (see docs/GUEST_RUNTIME.md \"Fleet "
+      "simulation\").\n\n")
     w("`bench-derive` (`BENCH_derive.json`, see "
       "docs/SPECIALIZATION.md) runs the trace-driven specialization "
       "loop — record each top-20 app's usage, derive a config from the "

@@ -47,14 +47,12 @@ ALLOWED = ("simcore", "observe")
 #: Fleet code paths (relative to src/repro): modules that orchestrate
 #: many guests and therefore must source clocks from the EventCore.
 #: Entries ending in "/" cover a whole directory (every module of the
-#: traffic layer routes across fleet timelines).  ``harness/shardpool.py``
-#: is fleet code too: shard workers rebuild fleet slices and must draw
-#: guest clocks from their fold-local EventCore, never construct them.
-#: The ``traffic/`` entry also covers the usage-recording hooks
-#: (``router.py`` attaching ``UsageTrace`` recorders to worker guests):
-#: recorders count exercised syscalls/options, never time, so they stay
-#: clean under both lints by construction.
-FLEET_PATHS = ("core/orchestrator.py", "harness/shardpool.py", "traffic/")
+#: traffic layer routes across fleet timelines).  The ``traffic/`` entry
+#: also covers the usage-recording hooks (``router.py`` attaching
+#: ``UsageTrace`` recorders to worker guests): recorders count exercised
+#: syscalls/options, never time, so they stay clean under both lints by
+#: construction.
+FLEET_PATHS = ("core/orchestrator.py", "traffic/")
 
 #: Class-level field names that smell like a private timeline.  Duration
 #: parameters and result records (``deadline_ms``, ``elapsed_ns``, ...)
