@@ -20,35 +20,22 @@ Subcommands:
   breakdown (see docs/OBSERVABILITY.md).
 - ``regress A B``      -- the perf gate: diff two runs' metrics/manifests
   and exit nonzero past a threshold.
-- ``bench-resolve``    -- the resolver microbenchmark: cold sweep vs cold
-  worklist vs warm-start delta vs cache hit, as deterministic work-counter
-  deltas written to ``BENCH_resolve.json`` next to the run manifest.
-- ``bench-guests``     -- the fleet-simulation microbenchmark: boot and
-  serve whole guest fleets per kernel policy through the unified guest
-  runtime, as deterministic work-counter deltas written to
-  ``BENCH_guests.json``.
+- ``bench-resolve``, ``bench-guests``, ``bench-serve``, ``bench-derive``
+  -- the counted benchmarks (:data:`BENCHES`): resolver work, fleet
+  simulation, traffic serving with and without guest faults, and
+  trace-driven derivation.  Each writes deterministic work-counter
+  deltas, gauges and digests to ``BENCH_<name>.json``; ``--check``
+  enforces its acceptance criteria and ``--snapshot PATH`` also writes
+  the document to PATH (how a baseline is re-pinned).
 - ``fleet-serve``      -- one traffic-driven serving run: a seeded
   open-loop trace (diurnal/poisson/bursty) routed across warm pools with
   cold boots and capacity queueing, printing the latency/cold-start
   report and writing its manifest to ``serve_report.json`` (see
   docs/SERVING.md).
-- ``bench-serve``      -- the serving microbenchmark: the canonical
-  100k-request diurnal trace per warm-pool policy, run twice each for
-  the determinism contract, written to ``BENCH_serve.json``.
 - ``derive``           -- trace-driven specialization: record an app's
   usage (syscalls, config options, facilities), derive a minimal config
   from the observation and diff it against the curated one (see
   docs/SPECIALIZATION.md).
-- ``bench-derive``     -- the specialization microbenchmark: the full
-  record/derive/audit loop for every top-20 app, run twice each, as
-  deterministic work-counter deltas written to ``BENCH_derive.json``;
-  ``--check`` enforces full coverage, the 1.5x option-ratio ceiling and
-  rerun/--jobs digest equality.
-- ``chaos-serve``      -- the serving chaos gate: the canonical trace
-  under a seeded guest-fault schedule (crash/hang/boot-fail/arrival),
-  asserting faulted reruns and ``--jobs`` sweeps are byte-identical,
-  an empty plane is invisible, and the fleet recovers instead of
-  erroring (see docs/RESILIENCE.md).
 - ``apps``             -- list the top-20 application registry.
 """
 
@@ -56,9 +43,75 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro._version import __version__
+
+
+class Bench(NamedTuple):
+    """One counted benchmark: where it lives and how the CLI presents it."""
+
+    #: Module providing ``run_bench``, ``check_result`` and
+    #: ``render_summary`` (imported only when the subcommand runs).
+    module: str
+    #: Result document, written under ``--output-dir``.
+    result: str
+    help: str
+    #: What ``--check`` requires ("exit 1 unless ...").
+    check: str
+    #: What a passing ``--check`` confirms.
+    ok: str
+
+
+#: Subcommand -> counted benchmark; :func:`_cmd_bench` runs every entry.
+BENCHES: Dict[str, Bench] = {
+    "bench-resolve": Bench(
+        module="repro.kconfig.bench",
+        result="BENCH_resolve.json",
+        help="kconfig resolver microbenchmark: cold sweep vs cold "
+             "worklist vs warm-start delta vs cache hit",
+        check="warm-start visits >=10x fewer options than cold sweeps "
+              "and cache hits do no resolution work",
+        ok="warm-start and cache criteria hold",
+    ),
+    "bench-guests": Bench(
+        module="repro.simcore.bench",
+        result="BENCH_guests.json",
+        help="fleet-simulation microbenchmark: boot+serve whole guest "
+             "fleets per kernel policy",
+        check="the general fleet boots >= 1000 monitor-checked guests on "
+              "exactly one shared kernel, the per-app fleet diversifies, "
+              "every fleet builds through the kernel memo, and the cohort "
+              "fold reproduces the sequential oracle's manifest digest",
+        ok="fleet scale and kernel-sharing criteria hold",
+    ),
+    "bench-serve": Bench(
+        module="repro.traffic.bench",
+        result="BENCH_serve.json",
+        help="traffic-serving microbenchmark: the canonical 100k-request "
+             "diurnal trace per warm-pool policy, with and without the "
+             "stock guest-fault schedule, twice each",
+        check="every scenario reproduces its manifest digest on rerun "
+              "(clean reruns under an empty fault plane, faulted reruns "
+              "across worker processes), scale-to-zero cold-boots >= 1000 "
+              "guests with a nonzero cold-start fraction, the fixed pool "
+              "buys back the latency tail, and both faulted runs recover "
+              "(restarts, retries, request conservation, error rate below "
+              "the fault mass)",
+        ok="determinism, churn scale, warm-pool tail and recovery "
+           "criteria hold",
+    ),
+    "bench-derive": Bench(
+        module="repro.core.bench",
+        result="BENCH_derive.json",
+        help="trace-driven specialization microbenchmark: record + "
+             "derive + audit for every top-20 app, twice each",
+        check="every derived config covers 100%% of its recorded usage, "
+              "stays within 1.5x the curated option count, and both "
+              "reruns reproduce their digests",
+        ok="full coverage, bounded option ratio, and rerun digests hold",
+    ),
+}
 
 
 def _cmd_apps(args: argparse.Namespace) -> int:
@@ -185,77 +238,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     return regress.main(argv)
 
 
-def _cmd_bench_resolve(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.harness.runner import default_output_dir
-    from repro.kconfig.bench import (
-        BENCH_RESOLVE_NAME,
-        check_result,
-        render_summary,
-        run_bench,
-        write_result,
-    )
-
-    result = run_bench()
-    output_dir = (
-        pathlib.Path(args.output_dir)
-        if args.output_dir is not None else default_output_dir()
-    )
-    result_path = output_dir / BENCH_RESOLVE_NAME
-    write_result(result, result_path)
-    print(render_summary(result))
-    print(f"written      : {result_path}")
-    if args.snapshot is not None:
-        snapshot_path = pathlib.Path(args.snapshot)
-        write_result(result, snapshot_path)
-        print(f"snapshot     : {snapshot_path}")
-    if args.check:
-        failures = check_result(result)
-        for failure in failures:
-            print(f"CHECK FAILED : {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("check        : ok (warm-start and cache criteria hold)")
-    return 0
-
-
-def _cmd_bench_guests(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.harness.runner import default_output_dir
-    from repro.simcore.bench import (
-        BENCH_GUESTS_NAME,
-        check_result,
-        render_summary,
-        run_bench,
-        write_result,
-    )
-
-    result = run_bench()
-    output_dir = (
-        pathlib.Path(args.output_dir)
-        if args.output_dir is not None else default_output_dir()
-    )
-    result_path = output_dir / BENCH_GUESTS_NAME
-    write_result(result, result_path)
-    print(render_summary(result))
-    print(f"written      : {result_path}")
-    if args.snapshot is not None:
-        snapshot_path = pathlib.Path(args.snapshot)
-        write_result(result, snapshot_path)
-        print(f"snapshot     : {snapshot_path}")
-    if args.check:
-        failures = check_result(result)
-        for failure in failures:
-            print(f"CHECK FAILED : {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("check        : ok (fleet scale and kernel-sharing "
-              "criteria hold)")
-    return 0
-
-
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     import pathlib
 
@@ -341,42 +323,6 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.harness.runner import default_output_dir
-    from repro.traffic.bench import (
-        BENCH_SERVE_NAME,
-        check_result,
-        render_summary,
-        run_bench,
-        write_result,
-    )
-
-    result = run_bench()
-    output_dir = (
-        pathlib.Path(args.output_dir)
-        if args.output_dir is not None else default_output_dir()
-    )
-    result_path = output_dir / BENCH_SERVE_NAME
-    write_result(result, result_path)
-    print(render_summary(result))
-    print(f"written      : {result_path}")
-    if args.snapshot is not None:
-        snapshot_path = pathlib.Path(args.snapshot)
-        write_result(result, snapshot_path)
-        print(f"snapshot     : {snapshot_path}")
-    if args.check:
-        failures = check_result(result)
-        for failure in failures:
-            print(f"CHECK FAILED : {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("check        : ok (determinism, churn scale, and "
-              "warm-pool tail criteria hold)")
-    return 0
-
-
 def _cmd_derive(args: argparse.Namespace) -> int:
     from repro.apps.registry import get_app, top20_in_popularity_order
     from repro.core.specialization import app_option_requirements
@@ -405,42 +351,6 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         if args.defconfig:
             for option in report.request:
                 print(f"CONFIG_{option}=y")
-    return 0
-
-
-def _cmd_bench_derive(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.core.bench import (
-        BENCH_DERIVE_NAME,
-        check_result,
-        render_summary,
-        run_bench,
-        write_result,
-    )
-    from repro.harness.runner import default_output_dir
-
-    result = run_bench(jobs=args.jobs)
-    output_dir = (
-        pathlib.Path(args.output_dir)
-        if args.output_dir is not None else default_output_dir()
-    )
-    result_path = output_dir / BENCH_DERIVE_NAME
-    write_result(result, result_path)
-    print(render_summary(result))
-    print(f"written      : {result_path}")
-    if args.snapshot is not None:
-        snapshot_path = pathlib.Path(args.snapshot)
-        write_result(result, snapshot_path)
-        print(f"snapshot     : {snapshot_path}")
-    if args.check:
-        failures = check_result(result)
-        for failure in failures:
-            print(f"CHECK FAILED : {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("check        : ok (full coverage, bounded option ratio, "
-              "and rerun digests hold)")
     return 0
 
 
@@ -612,20 +522,39 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_chaos_serve(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run one counted benchmark: run, write, summarize, snapshot, check."""
+    import importlib
+    import json
     import pathlib
 
-    from repro.traffic.chaos import run_chaos_serve
+    from repro.harness.runner import default_output_dir
 
-    report = run_chaos_serve(
-        seed=args.seed,
-        jobs=args.jobs,
-        requests=args.requests,
-        runs=args.runs,
-        baseline_path=pathlib.Path(args.baseline),
+    bench = BENCHES[args.bench]
+    module = importlib.import_module(bench.module)
+    result = module.run_bench()
+    output_dir = (
+        pathlib.Path(args.output_dir)
+        if args.output_dir is not None else default_output_dir()
     )
-    print(report.render())
-    return 0 if report.passed else 1
+    targets = [("written", output_dir / bench.result)]
+    if args.snapshot is not None:
+        targets.append(("snapshot", pathlib.Path(args.snapshot)))
+    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    for _, path in targets:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    print(module.render_summary(result))
+    for label, path in targets:
+        print(f"{label:<13}: {path}")
+    if args.check:
+        failures = module.check_result(result)
+        for failure in failures:
+            print(f"CHECK FAILED : {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print(f"check        : ok ({bench.ok})")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -729,43 +658,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--no-timings", action="store_true")
     sub.set_defaults(func=_cmd_regress)
 
-    sub = subparsers.add_parser(
-        "bench-resolve",
-        help="kconfig resolver microbenchmark (deterministic counter "
-             "deltas; writes BENCH_resolve.json)",
-    )
-    sub.add_argument("--check", action="store_true",
-                     help="exit 1 unless warm-start visits >=10x fewer "
-                          "options than cold sweeps and cache hits do no "
-                          "resolution work")
-    sub.add_argument("--snapshot", default=None, metavar="PATH",
-                     help="also write the result JSON to PATH (e.g. "
-                          "benchmarks/baseline/BENCH_resolve.json)")
-    sub.add_argument("--output-dir", default=None, metavar="DIR",
-                     help="where BENCH_resolve.json lands "
-                          "(default: benchmarks/output/)")
-    sub.set_defaults(func=_cmd_bench_resolve)
-
-    sub = subparsers.add_parser(
-        "bench-guests",
-        help="fleet-simulation microbenchmark: boot+serve whole guest "
-             "fleets per kernel policy (deterministic counter deltas; "
-             "writes BENCH_guests.json)",
-    )
-    sub.add_argument("--check", action="store_true",
-                     help="exit 1 unless the general fleet boots >= 1000 "
-                          "monitor-checked guests on exactly one shared "
-                          "kernel, the per-app fleet diversifies, every "
-                          "fleet builds through the kernel memo, and the "
-                          "cohort fold reproduces the sequential oracle's "
-                          "manifest digest")
-    sub.add_argument("--snapshot", default=None, metavar="PATH",
-                     help="also write the result JSON to PATH (e.g. "
-                          "benchmarks/baseline/BENCH_guests.json)")
-    sub.add_argument("--output-dir", default=None, metavar="DIR",
-                     help="where BENCH_guests.json lands "
-                          "(default: benchmarks/output/)")
-    sub.set_defaults(func=_cmd_bench_guests)
+    for name, bench in BENCHES.items():
+        sub = subparsers.add_parser(
+            name, help=f"{bench.help} (deterministic counter deltas; "
+                       f"writes {bench.result})"
+        )
+        sub.add_argument("--check", action="store_true",
+                         help=f"exit 1 unless {bench.check}")
+        sub.add_argument("--snapshot", default=None, metavar="PATH",
+                         help="also write the result JSON to PATH (e.g. "
+                              f"benchmarks/baseline/{bench.result})")
+        sub.add_argument("--output-dir", default=None, metavar="DIR",
+                         help=f"where {bench.result} lands "
+                              "(default: benchmarks/output/)")
+        sub.set_defaults(func=_cmd_bench, bench=name)
 
     sub = subparsers.add_parser(
         "fleet-serve",
@@ -818,26 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_fleet_serve)
 
     sub = subparsers.add_parser(
-        "bench-serve",
-        help="traffic-serving microbenchmark: the canonical 100k-request "
-             "diurnal trace per warm-pool policy, twice each "
-             "(deterministic counter deltas; writes BENCH_serve.json)",
-    )
-    sub.add_argument("--check", action="store_true",
-                     help="exit 1 unless both policies reproduce their "
-                          "manifest digests byte-identically, "
-                          "scale-to-zero cold-boots >= 1000 guests with "
-                          "a nonzero cold-start fraction, and the fixed "
-                          "pool buys back the latency tail")
-    sub.add_argument("--snapshot", default=None, metavar="PATH",
-                     help="also write the result JSON to PATH (e.g. "
-                          "benchmarks/baseline/BENCH_serve.json)")
-    sub.add_argument("--output-dir", default=None, metavar="DIR",
-                     help="where BENCH_serve.json lands "
-                          "(default: benchmarks/output/)")
-    sub.set_defaults(func=_cmd_bench_serve)
-
-    sub = subparsers.add_parser(
         "derive",
         help="derive an app config from its recorded usage trace and "
              "diff it against the curated one (see "
@@ -849,57 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also print the minimized request as "
                           "CONFIG_*=y defconfig lines")
     sub.set_defaults(func=_cmd_derive)
-
-    sub = subparsers.add_parser(
-        "bench-derive",
-        help="trace-driven specialization microbenchmark: record + "
-             "derive + audit for every top-20 app, twice each "
-             "(deterministic work deltas; writes BENCH_derive.json)",
-    )
-    sub.add_argument("--check", action="store_true",
-                     help="exit 1 unless every derived config covers "
-                          "100%% of its recorded usage, stays within "
-                          "1.5x the curated option count, and both "
-                          "reruns reproduce their digests")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (apps fan out; hermetic "
-                          "shards keep the document byte-identical "
-                          "for any N)")
-    sub.add_argument("--snapshot", default=None, metavar="PATH",
-                     help="also write the result JSON to PATH (e.g. "
-                          "benchmarks/baseline/BENCH_derive.json)")
-    sub.add_argument("--output-dir", default=None, metavar="DIR",
-                     help="where BENCH_derive.json lands "
-                          "(default: benchmarks/output/)")
-    sub.set_defaults(func=_cmd_bench_derive)
-
-    sub = subparsers.add_parser(
-        "chaos-serve",
-        help="run the serving bench under a seeded guest-fault schedule "
-             "and assert the serving resilience invariants (faulted "
-             "reruns and --jobs sweeps byte-identical, empty plane "
-             "invisible, fleet recovers instead of erroring)",
-    )
-    sub.add_argument("--seed", type=int, default=77, metavar="N",
-                     help="serving fault-schedule seed (default 77)")
-    sub.add_argument("--jobs", type=int, default=2, metavar="N",
-                     help="worker processes for the policy-sweep leg "
-                          "(default 2); its digests must match the "
-                          "sequential runs at any value")
-    sub.add_argument("--runs", type=int, default=2, metavar="N",
-                     help="identical faulted runs to compare per policy "
-                          "(default 2)")
-    sub.add_argument("--requests", type=int, default=None, metavar="N",
-                     help="shrink the trace (default: the canonical "
-                          "100000; custom sizes judge the zero-fault leg "
-                          "against a plain run instead of the baseline)")
-    sub.add_argument("--baseline",
-                     default="benchmarks/baseline/BENCH_serve.json",
-                     metavar="PATH",
-                     help="BENCH_serve.json whose digests the zero-fault "
-                          "canonical runs must reproduce (default: "
-                          "benchmarks/baseline/BENCH_serve.json)")
-    sub.set_defaults(func=_cmd_chaos_serve)
 
     sub = subparsers.add_parser(
         "diff",

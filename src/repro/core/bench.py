@@ -16,31 +16,23 @@ enforces the acceptance criteria:
 - **bounded ratio**: each derived config's enabled-option count is at
   most :data:`MAX_OPTION_RATIO` times its curated counterpart's;
 - **determinism**: the whole pipeline runs twice per app and the
-  per-app and whole-report digests must be byte-identical; ``--jobs``
-  fans apps across fork workers (submission-order merge, counter deltas
-  folded back), so regressing any job count against the same pinned
-  digests is the fan-out-determinism gate.
+  per-app and whole-report digests must be byte-identical.
 
 Counters are work deltas (resolver work during the derive loop), never
-wall-clock, so the document is byte-stable across machines and job
-counts: every shard is hermetic -- caches reset and the shared
-fixpoints (lupine-base, microvm) re-warmed before its counters are
-snapshotted -- so each app's delta is a constant and the loop total is
-the same sum regardless of fork-pool task placement.
+wall-clock, so the document is byte-stable across machines.  Apps run
+in order, in-process, and each is hermetic -- caches reset and the
+shared fixpoints (lupine-base, microvm) re-warmed before its counters
+are measured -- so each app's delta is a constant, independent of the
+apps before it, and the loop total is their sum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.observe import METRICS
-
-#: File the benchmark JSON is written to, next to the run manifest.
-BENCH_DERIVE_NAME = "BENCH_derive.json"
 
 #: Acceptance ceiling: derived enabled-option count over curated.
 MAX_OPTION_RATIO = 1.5
@@ -50,17 +42,6 @@ _WORK_COUNTERS = (
     "kconfig.resolve.visited_options",
     "kconfig.expr.evals",
 )
-
-
-def _counter_snapshot() -> Dict[str, int]:
-    return {name: METRICS.counter(name).value for name in _WORK_COUNTERS}
-
-
-def _counter_deltas(before: Dict[str, int]) -> Dict[str, int]:
-    return {
-        name: METRICS.counter(name).value - before[name]
-        for name in _WORK_COUNTERS
-    }
 
 
 def _derive_one(app_name: str, tree: Any) -> Dict[str, Any]:
@@ -92,64 +73,6 @@ def _derive_one(app_name: str, tree: Any) -> Dict[str, Any]:
     }
 
 
-def _derive_shard(app_name: str) -> Tuple[Dict[str, Any], Dict[str, int]]:
-    """Worker entry point: one app's row plus its work-counter deltas.
-
-    The shard is hermetic: caches are reset and the shared fixpoints
-    (lupine-base, microvm) re-warmed before the counters are
-    snapshotted, so every app's delta is the same constant no matter
-    which process runs it or what ran before it -- totals are then
-    invariant across ``--jobs`` and across fork-pool task placement.
-    """
-    from repro.core.buildcache import BUILD_CACHE
-    from repro.kconfig.configs import lupine_base_config, microvm_config
-    from repro.kconfig.database import build_linux_tree
-    from repro.kconfig.rescache import RESOLUTION_CACHE
-
-    RESOLUTION_CACHE.reset()
-    BUILD_CACHE.reset()
-    tree = build_linux_tree()
-    lupine_base_config(tree)
-    microvm_config(tree)
-    before = _counter_snapshot()
-    row = _derive_one(app_name, tree)
-    return row, _counter_deltas(before)
-
-
-def _execute(
-    app_names: List[str], jobs: int
-) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
-    """Fan apps across fork workers; rows in submission order.
-
-    Returns the rows plus the fold of the per-shard counter deltas --
-    the benchmark's loop counters come from that fold (never from a
-    parent-registry snapshot), so they are the same sum of per-app
-    constants whether shards ran in-process or across a fork pool.
-    """
-    import multiprocessing
-
-    jobs = max(1, int(jobs))
-    fold = {name: 0 for name in _WORK_COUNTERS}
-    if jobs == 1 or len(app_names) <= 1:
-        outcomes = [_derive_shard(name) for name in app_names]
-    else:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(app_names)),
-                                 mp_context=context) as pool:
-            futures = [pool.submit(_derive_shard, name)
-                       for name in app_names]
-            outcomes = [future.result() for future in futures]
-        # Worker processes died with their registries; fold the shard
-        # work back into the parent so global metrics stay conserved.
-        for _, deltas in outcomes:
-            for name in sorted(deltas):
-                METRICS.counter(name).inc(deltas[name])
-    for _, deltas in outcomes:
-        for name in deltas:
-            fold[name] += deltas[name]
-    return [row for row, _ in outcomes], fold
-
-
 def _report_digest(rows: List[Dict[str, Any]], key: str) -> str:
     payload = json.dumps(
         [[row["app"], row[key], row["extras"]] for row in rows],
@@ -158,7 +81,7 @@ def _report_digest(rows: List[Dict[str, Any]], key: str) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def run_bench(jobs: int = 1) -> Dict[str, Any]:
+def run_bench() -> Dict[str, Any]:
     """Run the derive loop for all curated apps; metrics-shaped result."""
     from repro.apps.registry import TOP20_APPS
     from repro.core.buildcache import BUILD_CACHE
@@ -166,19 +89,31 @@ def run_bench(jobs: int = 1) -> Dict[str, Any]:
     from repro.kconfig.database import build_linux_tree
     from repro.kconfig.rescache import RESOLUTION_CACHE
 
-    # Start cold, then pre-warm the shared fixpoints in the parent so
-    # every worker (forked or in-process) inherits identical cache
-    # state and each app's derivation costs the same work everywhere.
+    # Start cold and count what warming the shared fixpoints costs.
     RESOLUTION_CACHE.reset()
     BUILD_CACHE.reset()
     tree = build_linux_tree()
-    prewarm_before = _counter_snapshot()
-    lupine_base_config(tree)
-    microvm_config(tree)
-    prewarm = _counter_deltas(prewarm_before)
+    _, prewarm = METRICS.measure(
+        lambda: (lupine_base_config(tree), microvm_config(tree)),
+        _WORK_COUNTERS,
+    )
 
-    app_names = [app.name for app in TOP20_APPS]
-    rows, loop = _execute(app_names, jobs)
+    rows: List[Dict[str, Any]] = []
+    loop = dict.fromkeys(_WORK_COUNTERS, 0)
+    for app in TOP20_APPS:
+        # Hermetic: reset the caches and re-warm the shared fixpoints
+        # before measuring, so this app's delta is a constant whatever
+        # ran before it.
+        RESOLUTION_CACHE.reset()
+        BUILD_CACHE.reset()
+        tree = build_linux_tree()
+        lupine_base_config(tree)
+        microvm_config(tree)
+        row, deltas = METRICS.measure(lambda: _derive_one(app.name, tree),
+                                      _WORK_COUNTERS)
+        rows.append(row)
+        for name, value in deltas.items():
+            loop[name] += value
 
     counters = {
         f"{metric}.prewarm": value for metric, value in prewarm.items()
@@ -258,13 +193,6 @@ def check_result(result: Dict[str, Any]) -> List[str]:
     ):
         failures.append("whole-report rerun digest mismatch")
     return failures
-
-
-def write_result(result: Dict[str, Any], path: pathlib.Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def render_summary(result: Dict[str, Any]) -> str:

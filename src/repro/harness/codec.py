@@ -15,6 +15,10 @@ Invariants:
   make warm and cold results indistinguishable.
 - **Deterministic encoding**: set elements are sorted, so
   ``json.dumps(encode(x), sort_keys=True)`` is byte-stable.
+- **Canonical decoding**: string-keyed dicts come back in sorted key
+  order, so ``decode(encode(x))`` and a decode of the cache's
+  ``sort_keys`` JSON iterate identically (non-string-keyed dicts keep
+  their encoded pair order on both paths).
 - **Closed decode surface**: the decoder only ever constructs dataclasses
   whitelisted in :data:`RESULT_DATACLASSES` -- a cache file can never name
   an arbitrary class to instantiate.
@@ -108,5 +112,5 @@ def decode(value: Any) -> Any:
                 for name, item in value["fields"].items()
             }
             return cls(**fields)
-        return {key: decode(item) for key, item in value.items()}
+        return {key: decode(value[key]) for key in sorted(value)}
     return value

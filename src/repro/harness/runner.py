@@ -33,8 +33,10 @@ Invariants:
   code, perform kernel builds, or consult the kernel build cache; it only
   decodes the stored result.  (``test_harness.py`` pins this.)
 - **Codec normalization.** Cold results pass through
-  ``decode(encode(...))`` before being returned, so cold and warm runs
-  hand consumers structurally identical objects.
+  ``decode(encode(...))`` before being returned, and ``decode`` rebuilds
+  dicts in sorted key order (the order the cache's ``sort_keys`` JSON
+  stores), so cold and warm runs hand consumers identical objects, down
+  to the order their dicts iterate in.
 - **Span containment.** Every span the runner emits for one experiment is
   a descendant of that experiment's ``experiment:<name>`` span; the trace
   exporter's per-experiment breakdown depends on this.

@@ -24,19 +24,15 @@ checked-in snapshot lives at ``benchmarks/baseline/BENCH_resolve.json``.
 ``check_result`` enforces the headline acceptance claim: warm-start
 derivation of all 20 variants must visit at least
 :data:`MIN_SWEEP_OVER_WARM_RATIO` times fewer options than 20 cold
-sweeps, and cache hits must visit none at all.
+sweeps, and cache hits must visit none at all.  A document missing any
+scenario's counters, or the ``bench_apps`` gauge, fails outright.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.observe import METRICS
-
-#: File the benchmark JSON is written to, next to the run manifest.
-BENCH_RESOLVE_NAME = "BENCH_resolve.json"
 
 #: The acceptance floor: cold sweeps must visit at least this many times
 #: more options than the warm per-app derivations.
@@ -50,15 +46,9 @@ _WORK_COUNTERS = (
     "kconfig.resolve.cache_misses",
 )
 
-
-def _measure(fn: Callable[[], None]) -> Dict[str, int]:
-    """Run *fn* and return the work-counter deltas it caused."""
-    before = {name: METRICS.counter(name).value for name in _WORK_COUNTERS}
-    fn()
-    return {
-        name: METRICS.counter(name).value - before[name]
-        for name in _WORK_COUNTERS
-    }
+#: Scenario sections, in run order.
+SCENARIOS = ("cold_sweep", "cold_worklist", "warm_base", "warm_delta",
+             "cache_hit")
 
 
 def run_bench() -> Dict[str, Any]:
@@ -77,40 +67,39 @@ def run_bench() -> Dict[str, Any]:
     worklist = Resolver(tree)
     sections: Dict[str, Dict[str, int]] = {}
 
-    sections["cold_sweep"] = _measure(lambda: [
+    _, sections["cold_sweep"] = METRICS.measure(lambda: [
         sweep.resolve_names(names, name=f"bench-sweep-{app}")
         for app, names in request_sets
-    ])
-    sections["cold_worklist"] = _measure(lambda: [
+    ], _WORK_COUNTERS)
+    _, sections["cold_worklist"] = METRICS.measure(lambda: [
         worklist.resolve_names(
             names, name=f"bench-cold-{app}", use_cache=False
         )
         for app, names in request_sets
-    ])
+    ], _WORK_COUNTERS)
 
-    base_box: List[Any] = []
-    sections["warm_base"] = _measure(lambda: base_box.append(
-        worklist.resolve_names(
+    base, sections["warm_base"] = METRICS.measure(
+        lambda: worklist.resolve_names(
             base_option_names(), name="lupine-base", use_cache=False
-        )
-    ))
-    base = base_box[0]
-    sections["warm_delta"] = _measure(lambda: [
+        ),
+        _WORK_COUNTERS,
+    )
+    _, sections["warm_delta"] = METRICS.measure(lambda: [
         worklist.resolve_names_from(
             base, names, name=f"bench-warm-{app}", use_cache=False
         )
         for app, names in request_sets
-    ])
+    ], _WORK_COUNTERS)
 
     # The cache scenario owns the cache: start it empty, populate with the
     # 20 app resolutions (misses), then measure the second round (hits).
     RESOLUTION_CACHE.reset()
     for app, names in request_sets:
         worklist.resolve_names(names, name=f"bench-cached-{app}")
-    sections["cache_hit"] = _measure(lambda: [
+    _, sections["cache_hit"] = METRICS.measure(lambda: [
         worklist.resolve_names(names, name=f"bench-cached-{app}")
         for app, names in request_sets
-    ])
+    ], _WORK_COUNTERS)
 
     counters = {
         f"{metric}.{section}": value
@@ -133,47 +122,52 @@ def run_bench() -> Dict[str, Any]:
 def check_result(result: Dict[str, Any]) -> List[str]:
     """Return acceptance-criterion violations ([] when the result passes)."""
     counters = result.get("counters", {})
+    apps = result.get("gauges", {}).get("kconfig.resolve.bench_apps")
+    missing = [
+        f"{metric}.{section}"
+        for section in SCENARIOS for metric in _WORK_COUNTERS
+        if f"{metric}.{section}" not in counters
+    ]
+    if apps is None:
+        missing.append("kconfig.resolve.bench_apps")
+    if missing:
+        return [f"result is missing {len(missing)} entries, e.g. "
+                f"{missing[0]}; every scenario must report"]
     failures: List[str] = []
-    warm = counters.get("kconfig.resolve.visited_options.warm_delta", 0)
-    cold = counters.get("kconfig.resolve.visited_options.cold_sweep", 0)
-    ratio = cold / warm if warm else float("inf")
-    if ratio < MIN_SWEEP_OVER_WARM_RATIO:
+    warm = counters["kconfig.resolve.visited_options.warm_delta"]
+    cold = counters["kconfig.resolve.visited_options.cold_sweep"]
+    if warm <= 0:
         failures.append(
-            f"warm-start derivation visited only {ratio:.1f}x fewer options "
-            f"than cold sweeps ({cold} vs {warm}); "
+            f"warm-start derivation visited {warm} options; the warm_delta "
+            "scenario did no resolution work"
+        )
+    elif cold / warm < MIN_SWEEP_OVER_WARM_RATIO:
+        failures.append(
+            f"warm-start derivation visited only {cold / warm:.1f}x fewer "
+            f"options than cold sweeps ({cold} vs {warm}); "
             f"need >= {MIN_SWEEP_OVER_WARM_RATIO:.0f}x"
         )
-    hit_visited = counters.get("kconfig.resolve.visited_options.cache_hit", 0)
+    hit_visited = counters["kconfig.resolve.visited_options.cache_hit"]
     if hit_visited != 0:
         failures.append(
             f"cache-hit resolutions visited {hit_visited} options; "
             "hits must do no resolution work"
         )
-    hits = counters.get("kconfig.resolve.cache_hits.cache_hit", 0)
-    apps = int(result.get("gauges", {}).get("kconfig.resolve.bench_apps", 0))
-    if hits != apps:
+    hits = counters["kconfig.resolve.cache_hits.cache_hit"]
+    if hits != int(apps):
         failures.append(
-            f"expected {apps} resolution-cache hits, observed {hits}"
+            f"expected {int(apps)} resolution-cache hits, observed {hits}"
         )
     return failures
-
-
-def write_result(result: Dict[str, Any], path: pathlib.Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def render_summary(result: Dict[str, Any]) -> str:
     """Human-readable scenario table for the CLI."""
     counters = result["counters"]
-    sections = ("cold_sweep", "cold_worklist", "warm_base", "warm_delta",
-                "cache_hit")
     lines = [
         f"{'scenario':<14} {'resolutions':>11} {'visited':>9} {'evals':>9}"
     ]
-    for section in sections:
+    for section in SCENARIOS:
         lines.append(
             f"{section:<14} "
             f"{counters[f'kconfig.resolutions.{section}']:>11} "

@@ -18,13 +18,29 @@ regression checker (:mod:`repro.observe.regress`) needs.
 Re-declaring an instrument with a conflicting kind (or a histogram with
 different buckets) raises -- silent redefinition would corrupt
 cross-run comparisons.
+
+:meth:`MetricsRegistry.measure` is the one way to count the work a
+callable did: every ``bench-*`` scenario and every serving fan-out
+worker reports the counter deltas it returns.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+T = TypeVar("T")
 
 #: Default histogram boundaries for millisecond durations.
 DEFAULT_MS_BUCKETS: Tuple[float, ...] = (
@@ -199,6 +215,30 @@ class MetricsRegistry:
             self._check_free(name, self._histograms)
             self._histograms[name] = Histogram(name, buckets)
             return self._histograms[name]
+
+    def measure(
+        self, fn: Callable[[], T], names: Optional[Sequence[str]] = None
+    ) -> Tuple[T, Dict[str, int]]:
+        """Run *fn*; return its value and the counter deltas it caused.
+
+        With *names*, exactly those counters are reported, in the given
+        order, zero deltas included; with ``None``, every counter that
+        moved, sorted by name.
+        """
+        start = self._counter_values()
+        value = fn()
+        end = self._counter_values()
+        if names is None:
+            names = [name for name in sorted(end)
+                     if end[name] != start.get(name, 0)]
+        return value, {
+            name: end.get(name, 0) - start.get(name, 0) for name in names
+        }
+
+    def _counter_values(self) -> Dict[str, int]:
+        with self._lock:
+            counters = list(self._counters.values())
+        return {counter.name: counter.value for counter in counters}
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready snapshot: the ``metrics.json`` payload."""

@@ -32,14 +32,9 @@ checked-in snapshot lives at ``benchmarks/baseline/BENCH_guests.json``.
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from repro.observe import METRICS
-
-#: File the benchmark JSON is written to, next to the run manifest.
-BENCH_GUESTS_NAME = "BENCH_guests.json"
 
 #: Fleet sizes per scenario.  The general fleet is the acceptance-scale
 #: run (>= 1000 guests on one shared kernel); the per-app fleet is
@@ -60,16 +55,6 @@ _WORK_COUNTERS = (
     "kconfig.resolve.cache_hits",
     "kconfig.resolve.cache_misses",
 )
-
-
-def _measure(fn: Callable[[], None]) -> Dict[str, int]:
-    """Run *fn* and return the work-counter deltas it caused."""
-    before = {name: METRICS.counter(name).value for name in _WORK_COUNTERS}
-    fn()
-    return {
-        name: METRICS.counter(name).value - before[name]
-        for name in _WORK_COUNTERS
-    }
 
 
 def run_bench() -> Dict[str, Any]:
@@ -94,12 +79,11 @@ def run_bench() -> Dict[str, Any]:
     gauges: Dict[str, float] = {}
     digests: Dict[str, str] = {}
     for section, policy, count, cohort in scenarios:
-        box: List[Any] = []
-        sections[section] = _measure(lambda: box.append(
-            Fleet.simulate(count, policy=policy, seed=FLEET_SEED,
-                           cohort=cohort)
-        ))
-        simulation = box[0]
+        simulation, sections[section] = METRICS.measure(
+            lambda: Fleet.simulate(count, policy=policy, seed=FLEET_SEED,
+                                   cohort=cohort),
+            _WORK_COUNTERS,
+        )
         # Digest as an identity in the dedicated digests section: the
         # regress gate then pins bit-identical manifests, not just equal
         # work totals.
@@ -174,13 +158,6 @@ def check_result(result: Dict[str, Any]) -> List[str]:
             f"manifest digest48 {cohort or '?'} != {oracle or '?'}"
         )
     return failures
-
-
-def write_result(result: Dict[str, Any], path: pathlib.Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def render_summary(result: Dict[str, Any]) -> str:

@@ -22,10 +22,10 @@ routing across specialized kernels:
 - :mod:`repro.traffic.serve` -- one run end-to-end, producing the
   canonical :class:`~repro.traffic.serve.ServingReport` manifest
   (schema v2: availability + resilience sections);
-- :mod:`repro.traffic.chaos` -- the ``chaos-serve`` gate: the stock
-  seeded guest-fault schedule plus the rerun/jobs/zero-fault digest
-  assertions;
-- :mod:`repro.traffic.bench` -- the ``bench-serve`` gate.
+- :mod:`repro.traffic.chaos` -- the stock seeded guest-fault schedule
+  (``fleet-serve --chaos`` and ``bench-serve``'s faulted scenarios);
+- :mod:`repro.traffic.bench` -- the ``bench-serve`` gate, the
+  rerun/fan-out/empty-plane digest assertions included.
 
 Determinism contract: a :class:`~repro.traffic.serve.ServeSpec` fully
 determines the report manifest -- same seed, byte-identical digest --
@@ -45,12 +45,7 @@ from repro.traffic.arrivals import (
     poisson_trace,
     zipf_app_mix,
 )
-from repro.traffic.chaos import (
-    SERVE_CHAOS_SEED,
-    ChaosServeReport,
-    default_serving_schedule,
-    run_chaos_serve,
-)
+from repro.traffic.chaos import SERVE_CHAOS_SEED, default_serving_schedule
 from repro.traffic.policy import (
     FIXED_POOL,
     SCALE_TO_ZERO,
@@ -89,9 +84,7 @@ __all__ = [
     "poisson_trace",
     "zipf_app_mix",
     "SERVE_CHAOS_SEED",
-    "ChaosServeReport",
     "default_serving_schedule",
-    "run_chaos_serve",
     "FIXED_POOL",
     "SCALE_TO_ZERO",
     "WarmPoolPolicy",

@@ -2,24 +2,31 @@
 
 Runs the canonical serving scenario -- a seeded diurnal trace of
 :data:`SERVE_REQUESTS` requests against a 1000-guest fleet capacity --
-once per warm-pool policy, and reports the deterministic work counters
-plus the latency/cold-start shape of each run:
+once per warm-pool policy, with and without the stock serving fault
+schedule, and reports the deterministic work counters plus the
+latency/cold-start shape of each run (:data:`SCENARIOS`):
 
 - ``serve_scale_to_zero`` -- the serverless deployment: every traffic
   trough retires the fleet past the idle timeout, every ramp cold-boots
   it again through the full ``GuestSpec -> build -> boot`` pipeline, so
   the paper's Fig 7 boot cost lands inside the latency tail;
 - ``serve_fixed_pool`` -- the provisioned deployment: pre-warmed,
-  keepalive-forever pools buy the tail back with guest-seconds.
-- ``serve_chaos_scale_to_zero`` -- the churn deployment again, under the
-  stock serving fault schedule (seeded guest crash/hang/boot-fail plus
-  arrival faults): the self-healing control plane must recover --
-  nonzero restarts and retries, error rate below the injected fault
-  mass -- and still digest byte-identically on rerun.
+  keepalive-forever pools buy the tail back with guest-seconds;
+- ``serve_chaos_scale_to_zero`` / ``serve_chaos_fixed_pool`` -- both
+  deployments again under the stock serving fault schedule (seeded
+  guest crash/hang/boot-fail plus arrival faults, seed
+  :data:`~repro.traffic.chaos.SERVE_CHAOS_SEED`): the self-healing
+  control plane must recover -- nonzero restarts and retries, request
+  conservation, error rate below the injected fault mass.
 
 Every scenario runs **twice**; the manifest digest of the rerun must be
 byte-identical to the first run's, which is the serving determinism
 contract (same :class:`~repro.traffic.serve.ServeSpec`, same bytes).
+The reruns also carry the resilience invariants: the two clean
+scenarios rerun under an installed fault plane with nothing scheduled
+(an empty plane must be invisible), and the two faulted scenarios rerun
+as one :func:`~repro.traffic.serve.run_serving_many` sweep across
+:data:`RERUN_JOBS` worker processes (fan-out must not change a byte).
 Both digests land in the result's dedicated ``digests`` section (they
 are identities, not monotonic counts), where the ``regress`` gate pins
 them -- by exact equality -- against the checked-in snapshot at
@@ -28,20 +35,15 @@ independent (all config-option float folds iterate sorted), so no
 ``PYTHONHASHSEED`` pin is needed.
 
 Nothing reported is wall-clock: boot/resolver work are counter deltas
-and latency percentiles are virtual-time.  Host time is what
-``perfbench/`` measures.
+(of each scenario's first run) and latency percentiles are
+virtual-time.  Host time is what ``perfbench/`` measures.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from repro.observe import METRICS
-
-#: File the benchmark JSON is written to, next to the run manifest.
-BENCH_SERVE_NAME = "BENCH_serve.json"
 
 #: The canonical trace: requests served per run (acceptance floor 100k).
 SERVE_REQUESTS = 100_000
@@ -57,6 +59,17 @@ SERVE_AMPLITUDE = 1.0
 
 #: The PRNG seed arrivals and the app mix are drawn from.
 SERVE_SEED = 2020  # EuroSys '20
+
+#: ``(section, policy name, faulted)``, in run order.
+SCENARIOS = (
+    ("serve_scale_to_zero", "scale-to-zero", False),
+    ("serve_fixed_pool", "fixed-pool", False),
+    ("serve_chaos_scale_to_zero", "scale-to-zero", True),
+    ("serve_chaos_fixed_pool", "fixed-pool", True),
+)
+
+#: Worker processes the faulted reruns fan out across.
+RERUN_JOBS = 2
 
 _WORK_COUNTERS = (
     "boot.boots",
@@ -81,26 +94,15 @@ def canonical_trace(requests: int = SERVE_REQUESTS):
     )
 
 
-def _measure(fn: Callable[[], None]) -> Dict[str, int]:
-    """Run *fn* and return the work-counter deltas it caused."""
-    before = {name: METRICS.counter(name).value for name in _WORK_COUNTERS}
-    fn()
-    return {
-        name: METRICS.counter(name).value - before[name]
-        for name in _WORK_COUNTERS
-    }
-
-
 def run_bench() -> Dict[str, Any]:
     """Run all scenarios (twice each) and return the result document."""
-    import contextlib
-
     from repro import faults
     from repro.core.buildcache import BUILD_CACHE
+    from repro.faults.plane import FaultPlane
     from repro.kconfig.rescache import RESOLUTION_CACHE
     from repro.traffic.chaos import SERVE_CHAOS_SEED, default_serving_schedule
-    from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO
-    from repro.traffic.serve import ServeSpec, run_serving
+    from repro.traffic.policy import named_policy
+    from repro.traffic.serve import ServeSpec, run_serving, run_serving_many
 
     # Start cold so the counters are history-independent: the same bench
     # numbers whether run standalone or after a full experiment sweep.
@@ -108,75 +110,78 @@ def run_bench() -> Dict[str, Any]:
     RESOLUTION_CACHE.reset()
 
     trace = canonical_trace()
-    scenarios = [
-        ("serve_scale_to_zero", SCALE_TO_ZERO, False),
-        ("serve_fixed_pool", FIXED_POOL, False),
-        ("serve_chaos_scale_to_zero", SCALE_TO_ZERO, True),
-    ]
+    specs = {
+        section: ServeSpec(trace=trace, policy=named_policy(policy),
+                           seed=SERVE_SEED)
+        for section, policy, _ in SCENARIOS
+    }
+    clean = [section for section, _, faulted in SCENARIOS if not faulted]
+    chaos = [section for section, _, faulted in SCENARIOS if faulted]
+
+    def counted(sections):
+        return {
+            section: METRICS.measure(lambda: run_serving(specs[section]),
+                                     _WORK_COUNTERS)
+            for section in sections
+        }
+
+    # First runs, whose counters the document reports: the clean
+    # scenarios with no fault plane, the faulted ones back to back under
+    # one schedule (each run must rewind its call counters).
+    runs = counted(clean)
+    with faults.activated(default_serving_schedule(SERVE_CHAOS_SEED)):
+        runs.update(counted(chaos))
+    # Reruns, which must reproduce every manifest byte for byte: the
+    # clean scenarios under an installed plane with nothing scheduled,
+    # the faulted ones as one sweep across worker processes.
+    with faults.activated(FaultPlane(SERVE_CHAOS_SEED)):
+        reruns = [run_serving(specs[section]) for section in clean]
+    with faults.activated(default_serving_schedule(SERVE_CHAOS_SEED)):
+        reruns += run_serving_many([specs[section] for section in chaos],
+                                   jobs=RERUN_JOBS)
+
     counters: Dict[str, int] = {}
     gauges: Dict[str, float] = {}
     digests: Dict[str, str] = {}
-    for section, policy, chaos in scenarios:
-        spec = ServeSpec(trace=trace, policy=policy, seed=SERVE_SEED)
-        plane = (
-            faults.activated(default_serving_schedule(SERVE_CHAOS_SEED))
-            if chaos else contextlib.nullcontext()
-        )
-        with plane:
-            box: List[Any] = []
-            deltas = _measure(lambda: box.append(run_serving(spec)))
-            report = box[0]
-            # The determinism contract: the same spec must reproduce the
-            # manifest byte-for-byte -- including every fault decision
-            # when a schedule is active -- so run it again and record
-            # both digests (check_result asserts they match).
-            rerun = run_serving(spec)
+    for section, (report, deltas) in runs.items():
+        counters.update({
+            f"{metric}.{section}": value for metric, value in deltas.items()
+        })
+        gauges.update(_gauges(section, report))
         digests[f"serve.manifest_digest48.{section}"] = (
             report.manifest_digest[:12]
         )
+    for section, rerun in zip(clean + chaos, reruns):
         digests[f"serve.manifest_digest48.{section}.rerun"] = (
             rerun.manifest_digest[:12]
         )
-        counters.update({
-            f"{metric}.{section}": value
-            for metric, value in deltas.items()
-        })
-        gauges[f"serve.requests.{section}"] = float(report.served)
-        gauges[f"serve.dropped.{section}"] = float(report.dropped)
-        gauges[f"serve.failed.{section}"] = float(report.failed)
-        gauges[f"serve.shed.{section}"] = float(report.shed)
-        gauges[f"serve.retries.{section}"] = float(report.retries)
-        gauges[f"serve.restarts.{section}"] = float(report.restarts)
-        gauges[f"serve.guests_failed.{section}"] = float(
-            report.guests_failed
-        )
-        gauges[f"serve.error_rate.{section}"] = round(
-            report.error_rate, 6
-        )
-        gauges[f"serve.cold_start_fraction.{section}"] = round(
-            report.cold_start_fraction, 6
-        )
-        gauges[f"serve.latency_p50_ms.{section}"] = report.latency_ms[
-            "p50"
-        ]
-        gauges[f"serve.latency_p99_ms.{section}"] = report.latency_ms[
-            "p99"
-        ]
-        gauges[f"serve.latency_p999_ms.{section}"] = report.latency_ms[
-            "p999"
-        ]
-        gauges[f"serve.queue_high_water.{section}"] = float(
-            report.queue_high_water
-        )
-        gauges[f"serve.guests_spawned.{section}"] = float(
-            report.guests_spawned
-        )
-        gauges[f"serve.peak_live.{section}"] = float(report.peak_live)
-        gauges[f"serve.guest_seconds.{section}"] = round(
-            report.guest_seconds, 3
-        )
     return {"counters": counters, "gauges": gauges, "digests": digests,
             "histograms": {}}
+
+
+def _gauges(section: str, report: Any) -> Dict[str, float]:
+    """One run's latency, churn and availability shape."""
+    latency = report.latency_ms
+    return {
+        f"serve.requests.{section}": float(report.served),
+        f"serve.dropped.{section}": float(report.dropped),
+        f"serve.failed.{section}": float(report.failed),
+        f"serve.shed.{section}": float(report.shed),
+        f"serve.retries.{section}": float(report.retries),
+        f"serve.restarts.{section}": float(report.restarts),
+        f"serve.guests_failed.{section}": float(report.guests_failed),
+        f"serve.error_rate.{section}": round(report.error_rate, 6),
+        f"serve.cold_start_fraction.{section}": round(
+            report.cold_start_fraction, 6
+        ),
+        f"serve.latency_p50_ms.{section}": latency["p50"],
+        f"serve.latency_p99_ms.{section}": latency["p99"],
+        f"serve.latency_p999_ms.{section}": latency["p999"],
+        f"serve.queue_high_water.{section}": float(report.queue_high_water),
+        f"serve.guests_spawned.{section}": float(report.guests_spawned),
+        f"serve.peak_live.{section}": float(report.peak_live),
+        f"serve.guest_seconds.{section}": round(report.guest_seconds, 3),
+    }
 
 
 def check_result(result: Dict[str, Any]) -> List[str]:
@@ -185,11 +190,9 @@ def check_result(result: Dict[str, Any]) -> List[str]:
     gauges = result.get("gauges", {})
     digests = result.get("digests", {})
     failures: List[str] = []
-    sections = ("serve_scale_to_zero", "serve_fixed_pool",
-                "serve_chaos_scale_to_zero")
-    for section in sections:
+    for section, _, faulted in SCENARIOS:
         served = gauges.get(f"serve.requests.{section}", 0.0)
-        if section != "serve_chaos_scale_to_zero" and served < SERVE_REQUESTS:
+        if not faulted and served < SERVE_REQUESTS:
             failures.append(
                 f"{section} served only {served:g} requests; the canonical "
                 f"trace must deliver >= {SERVE_REQUESTS}"
@@ -211,6 +214,20 @@ def check_result(result: Dict[str, Any]) -> List[str]:
                 f"{section} latency percentiles disordered: "
                 f"p50 {p50:g} / p99 {p99:g} / p999 {p999:g} ms"
             )
+        if faulted:
+            failures.extend(_chaos_failures(section, gauges))
+        else:
+            # The zero-fault scenarios must show no availability events
+            # at all (installed or not, an idle fault plane is invisible).
+            for metric in ("failed", "shed", "retries", "restarts",
+                           "guests_failed"):
+                value = gauges.get(f"serve.{metric}.{section}", 0.0)
+                if value != 0.0:
+                    failures.append(
+                        f"{section} reported {metric} = {value:g} with no "
+                        "fault schedule active; the zero-fault path "
+                        "regressed"
+                    )
     spawned = gauges.get("serve.guests_spawned.serve_scale_to_zero", 0.0)
     if spawned < 1000:
         failures.append(
@@ -241,60 +258,44 @@ def check_result(result: Dict[str, Any]) -> List[str]:
             "scale-to-zero recorded no EventCore kicks; dispatch cannot "
             "have woken pooled workers"
         )
-    # The zero-fault scenarios must show no availability events at all
-    # (installed or not, an idle fault plane is invisible) ...
-    for section in ("serve_scale_to_zero", "serve_fixed_pool"):
-        for metric in ("failed", "shed", "retries", "restarts",
-                       "guests_failed"):
-            value = gauges.get(f"serve.{metric}.{section}", 0.0)
-            if value != 0.0:
-                failures.append(
-                    f"{section} reported {metric} = {value:g} with no fault "
-                    "schedule active; the zero-fault path regressed"
-                )
-    # ... while the faulted scenario must show the control plane healing:
-    # nonzero recovery work, request conservation, and an error rate
-    # below the injected per-attempt fault mass.
-    from repro.traffic.chaos import SERVE_CHAOS_RATES
-
-    chaos = "serve_chaos_scale_to_zero"
-    if gauges.get(f"serve.restarts.{chaos}", 0.0) <= 0.0:
-        failures.append(
-            "chaos scenario recorded no supervisor restarts; guest "
-            "failures cannot have been healed"
-        )
-    if gauges.get(f"serve.retries.{chaos}", 0.0) <= 0.0:
-        failures.append(
-            "chaos scenario recorded no retries; failed requests cannot "
-            "have been re-dispatched"
-        )
-    fault_mass = sum(SERVE_CHAOS_RATES.values())
-    error_rate = gauges.get(f"serve.error_rate.{chaos}", 1.0)
-    if error_rate >= fault_mass:
-        failures.append(
-            f"chaos error rate {error_rate:g} is not below the injected "
-            f"fault mass {fault_mass:g}; retries/restarts failed to absorb "
-            "the injected failures"
-        )
-    accounted = (
-        gauges.get(f"serve.requests.{chaos}", 0.0)
-        + gauges.get(f"serve.failed.{chaos}", 0.0)
-        + gauges.get(f"serve.shed.{chaos}", 0.0)
-        + gauges.get(f"serve.dropped.{chaos}", 0.0)
-    )
-    if accounted != SERVE_REQUESTS:
-        failures.append(
-            f"chaos scenario lost requests: served + failed + shed + "
-            f"dropped = {accounted:g} != {SERVE_REQUESTS} arrivals"
-        )
     return failures
 
 
-def write_result(result: Dict[str, Any], path: pathlib.Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+def _chaos_failures(section: str, gauges: Dict[str, float]) -> List[str]:
+    """A faulted scenario must show the control plane healing: nonzero
+    recovery work, request conservation, and an error rate below the
+    injected per-attempt fault mass."""
+    from repro.traffic.chaos import SERVE_CHAOS_RATES
+
+    fault_mass = sum(SERVE_CHAOS_RATES.values())
+    failures: List[str] = []
+    if gauges.get(f"serve.restarts.{section}", 0.0) <= 0.0:
+        failures.append(
+            f"{section} recorded no supervisor restarts; guest failures "
+            "cannot have been healed"
+        )
+    if gauges.get(f"serve.retries.{section}", 0.0) <= 0.0:
+        failures.append(
+            f"{section} recorded no retries; failed requests cannot have "
+            "been re-dispatched"
+        )
+    error_rate = gauges.get(f"serve.error_rate.{section}", 1.0)
+    if error_rate >= fault_mass:
+        failures.append(
+            f"{section} error rate {error_rate:g} is not below the "
+            f"injected fault mass {fault_mass:g}; retries/restarts failed "
+            "to absorb the injected failures"
+        )
+    accounted = sum(
+        gauges.get(f"serve.{metric}.{section}", 0.0)
+        for metric in ("requests", "failed", "shed", "dropped")
     )
+    if accounted != SERVE_REQUESTS:
+        failures.append(
+            f"{section} lost requests: served + failed + shed + dropped = "
+            f"{accounted:g} != {SERVE_REQUESTS} arrivals"
+        )
+    return failures
 
 
 def render_summary(result: Dict[str, Any]) -> str:

@@ -1,43 +1,22 @@
-"""The serving chaos harness behind ``repro-lupine chaos-serve``.
+"""The stock serving fault schedule.
 
-Runs the canonical serving bench under a seeded guest-fault schedule and
-asserts the serving plane's resilience invariants:
-
-1. **Determinism under faults.**  The same ``(ServeSpec, fault seed)``
-   produces a byte-identical serving-report manifest digest on every
-   rerun -- :func:`~repro.traffic.serve.run_serving` rewinds the
-   plane's call counters at entry, so the n-th fault decision of a run
-   is the n-th decision of any rerun, whatever ran before it.
-2. **Fan-out equivalence.**  The ``--policy all`` sweep through
-   :func:`~repro.traffic.serve.run_serving_many` at any ``--jobs``
-   produces the same digests as the sequential sweep (worker processes
-   inherit the installed plane across the ``fork`` and reset it per
-   run).
-3. **Zero-fault transparency.**  An installed plane with *no* scheduled
-   faults changes nothing: digests match the committed
-   ``BENCH_serve.json`` baseline (canonical trace), or a plain
-   no-plane run (custom ``--requests``).
-4. **Recovery, not collapse.**  The faulted scale-to-zero run must show
-   the control plane working: nonzero restarts and retries, with the
-   error rate bounded by the per-attempt fault mass -- the retry
-   budget is supposed to keep errors *well below* the injection rate.
-
-Everything is virtual-time and seeded; the gate is wired into
-``tools/check.sh`` next to the harness chaos gate.  See
-``docs/RESILIENCE.md`` ("Fleet-scale failure model").
+:func:`default_serving_schedule` arms every serving-path fault site --
+guest crash, guest hang, corrupted-image boot failure, arrival fault --
+at the per-attempt rates of :data:`SERVE_CHAOS_RATES`, seeded by
+:data:`SERVE_CHAOS_SEED` by default.  ``fleet-serve --chaos`` serves
+under it, and ``bench-serve`` runs its two faulted scenarios under it
+and asserts the serving resilience invariants: faulted reruns and
+worker-process sweeps are byte-identical, an installed-but-empty plane
+is invisible, and the fleet recovers (error rate below the fault mass)
+instead of collapsing.  See ``docs/RESILIENCE.md`` ("Fleet-scale
+failure model").
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro import faults
 from repro.faults.plane import FaultPlane
 
-#: The stock seed for the serving fault schedule (CLI default).
+#: The stock seed for the serving fault schedule.
 SERVE_CHAOS_SEED = 77
 
 #: Per-attempt injection probabilities of the stock schedule.  Their sum
@@ -77,168 +56,3 @@ def default_serving_schedule(seed: int) -> FaultPlane:
                     message="injected arrival-path fault")
     return plane
 
-
-@dataclass
-class ChaosServeReport:
-    """Everything one ``chaos-serve`` invocation produced."""
-
-    seed: int
-    jobs: int
-    requests: int
-    sections: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def render(self) -> str:
-        lines = [
-            f"chaos-serve: seed={self.seed} jobs={self.jobs} "
-            f"requests={self.requests}"
-        ]
-        for name in sorted(self.sections):
-            section = self.sections[name]
-            lines.append(
-                f"  {name:<14}: digest48 {section['digest48']} "
-                f"(rerun {section['rerun_matches']}, "
-                f"jobs-sweep {section['jobs_matches']}, "
-                f"zero-fault {section['zero_fault_matches']})"
-            )
-            lines.append(
-                f"  {'':<14}  restarts {section['restarts']}, "
-                f"retries {section['retries']}, "
-                f"failed {section['failed']}, shed {section['shed']}, "
-                f"dropped {section['dropped']}, "
-                f"error rate {section['error_rate']:.4%}"
-            )
-        for violation in self.violations:
-            lines.append(f"  VIOLATION: {violation}")
-        lines.append(
-            "  invariants   : " + ("all hold" if self.passed else "VIOLATED")
-        )
-        return "\n".join(lines)
-
-
-def _baseline_digests(path: pathlib.Path) -> Dict[str, str]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return dict(doc.get("digests", {}))
-
-
-def run_chaos_serve(
-    seed: int = SERVE_CHAOS_SEED,
-    jobs: int = 2,
-    requests: Optional[int] = None,
-    runs: int = 2,
-    baseline_path: Optional[pathlib.Path] = None,
-) -> ChaosServeReport:
-    """Run the serving chaos gate (see module docstring).
-
-    With ``requests=None`` the canonical bench trace is used and the
-    zero-fault invariant is judged against *baseline_path* (the
-    committed ``BENCH_serve.json``); with a custom ``requests`` the
-    zero-fault reference is a plain run with no plane installed.
-    """
-    from repro.traffic.bench import SERVE_REQUESTS, SERVE_SEED, canonical_trace
-    from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO
-    from repro.traffic.serve import ServeSpec, run_serving, run_serving_many
-
-    canonical = requests is None
-    trace = canonical_trace(SERVE_REQUESTS if canonical else int(requests))
-    policies = (SCALE_TO_ZERO, FIXED_POOL)
-    specs = [ServeSpec(trace=trace, policy=policy, seed=SERVE_SEED)
-             for policy in policies]
-    report = ChaosServeReport(seed=seed, jobs=max(1, int(jobs)),
-                              requests=trace.requests)
-
-    baseline: Dict[str, str] = {}
-    if canonical and baseline_path is not None:
-        path = pathlib.Path(baseline_path)
-        if path.exists():
-            baseline = _baseline_digests(path)
-
-    # 1. Faulted sequential runs: every rerun must be byte-identical.
-    faulted_digests: List[str] = []
-    faulted_reports = []
-    with faults.activated(default_serving_schedule(seed)):
-        for spec in specs:
-            digests = [run_serving(spec).manifest_digest]
-            first = None
-            for _ in range(max(1, int(runs)) - 1):
-                first = run_serving(spec)
-                digests.append(first.manifest_digest)
-            outcome = first if first is not None else run_serving(spec)
-            faulted_reports.append(outcome)
-            faulted_digests.append(digests[0])
-            if len(set(digests)) != 1:
-                report.violations.append(
-                    f"{spec.policy.name}: faulted reruns diverge: "
-                    f"{sorted(d[:12] for d in set(digests))}"
-                )
-        # 2. The --policy all sweep across worker processes.
-        sweep = run_serving_many(specs, jobs=report.jobs)
-    sweep_digests = [r.manifest_digest for r in sweep]
-
-    # 3. Zero-fault transparency: an installed-but-empty plane.
-    zero_digests: List[str] = []
-    with faults.activated(FaultPlane(seed)):
-        for spec in specs:
-            zero_digests.append(run_serving(spec).manifest_digest)
-    reference_digests: List[Optional[str]] = []
-    if canonical:
-        for spec in specs:
-            section = "serve_" + spec.policy.name.replace("-", "_")
-            reference_digests.append(
-                baseline.get(f"serve.manifest_digest48.{section}")
-            )
-    else:
-        reference_digests = [run_serving(spec).manifest_digest
-                             for spec in specs]
-
-    fault_mass = sum(SERVE_CHAOS_RATES.values())
-    for spec, outcome, digest, sweep_digest, zero, reference in zip(
-            specs, faulted_reports, faulted_digests, sweep_digests,
-            zero_digests, reference_digests):
-        name = spec.policy.name
-        if sweep_digest != digest:
-            report.violations.append(
-                f"{name}: jobs={report.jobs} sweep digest "
-                f"{sweep_digest[:12]} != sequential {digest[:12]}"
-            )
-        zero_matches = True
-        if reference is None:
-            if canonical:
-                report.violations.append(
-                    f"{name}: no baseline digest to judge the zero-fault "
-                    f"run against"
-                )
-                zero_matches = False
-        elif not zero.startswith(reference):
-            zero_matches = False
-            report.violations.append(
-                f"{name}: zero-fault digest {zero[:12]} != "
-                f"reference {reference[:12]} (an empty plane must be "
-                f"invisible)"
-            )
-        if outcome.error_rate >= fault_mass:
-            report.violations.append(
-                f"{name}: error rate {outcome.error_rate:.4%} is not below "
-                f"the injected fault mass {fault_mass:.4%}; the control "
-                f"plane collapsed instead of recovering"
-            )
-        report.sections[name] = {
-            "digest48": digest[:12],
-            "rerun_matches": not any(
-                v.startswith(f"{name}: faulted reruns")
-                for v in report.violations
-            ),
-            "jobs_matches": sweep_digest == digest,
-            "zero_fault_matches": zero_matches,
-            "restarts": outcome.restarts,
-            "retries": outcome.retries,
-            "failed": outcome.failed,
-            "shed": outcome.shed,
-            "dropped": outcome.dropped,
-            "error_rate": outcome.error_rate,
-        }
-    return report

@@ -22,9 +22,10 @@ therefore SHA-256 digest -- is a pure function of the
 :class:`ServeSpec`: same spec, same bytes, under either warm-pool
 policy **and under any installed fault schedule** (the plane's call
 counters are reset at run entry, so fault decisions are counted per
-run).  That is the determinism contract ``bench-serve --check`` and the
-``chaos-serve`` gate assert.  Execution counters (events dispatched,
-parks/kicks, contained failures) stay *outside* the manifest.
+run).  That is the determinism contract ``bench-serve --check``
+asserts, with and without the stock fault schedule.  Execution counters
+(events dispatched, parks/kicks, contained failures) stay *outside* the
+manifest.
 
 Latency percentiles are **conditional on success**: failed, shed, and
 dropped requests contribute to the availability section (error rate,
@@ -272,24 +273,13 @@ def _arrivals_program(source: ArrivalSource, router: Router):
             router.drop(arrival)
 
 
-def _counter_snapshot() -> Dict[str, int]:
-    from repro.observe import METRICS
-
-    return dict(METRICS.to_dict()["counters"])
-
-
 def _run_serving_counted(
     spec: ServeSpec,
 ) -> Tuple[ServingReport, Dict[str, int]]:
     """Worker entry point: one whole serving run plus its counter deltas."""
-    before = _counter_snapshot()
-    report = run_serving(spec)
-    deltas = {
-        name: value - before.get(name, 0)
-        for name, value in _counter_snapshot().items()
-        if value != before.get(name, 0)
-    }
-    return report, deltas
+    from repro.observe import METRICS
+
+    return METRICS.measure(lambda: run_serving(spec))
 
 
 def run_serving_many(specs: List[ServeSpec],

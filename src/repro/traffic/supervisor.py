@@ -30,7 +30,8 @@ failures the router observes:
 
 Everything is driven by virtual-time events and deterministic state, so
 a faulted serving run is exactly as replayable as a fault-free one --
-the ``chaos-serve`` gate's contract (see ``docs/RESILIENCE.md``).
+the contract ``bench-serve``'s faulted scenarios gate (see
+``docs/RESILIENCE.md``).
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ warm-start deltas, and the work counters the acceptance criteria gate.
 """
 
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -23,6 +25,11 @@ from repro.kconfig.resolver import Resolver
 from repro.observe import METRICS
 
 Y, M, N = Tristate.YES, Tristate.MODULE, Tristate.NO
+
+BENCH_RESOLVE_BASELINE = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks" / "baseline" / "BENCH_resolve.json"
+)
 
 
 def _tree(*options):
@@ -252,20 +259,48 @@ class TestStrategySelection:
 
 class TestBenchCheck:
     def _result(self, **overrides):
-        counters = {
+        # Every entry of the committed document, with small headline
+        # numbers the cases below perturb.
+        result = json.loads(BENCH_RESOLVE_BASELINE.read_text("utf-8"))
+        result["counters"].update({
             "kconfig.resolve.visited_options.cold_sweep": 1000,
             "kconfig.resolve.visited_options.warm_delta": 50,
             "kconfig.resolve.visited_options.cache_hit": 0,
             "kconfig.resolve.cache_hits.cache_hit": 20,
-        }
-        counters.update(overrides)
-        return {
-            "counters": counters,
-            "gauges": {"kconfig.resolve.bench_apps": 20.0},
-        }
+        })
+        result["counters"].update(overrides)
+        return result
 
     def test_passing_result(self):
         assert check_result(self._result()) == []
+
+    def test_committed_baseline_passes(self):
+        baseline = json.loads(BENCH_RESOLVE_BASELINE.read_text("utf-8"))
+        assert check_result(baseline) == []
+
+    def test_empty_document_fails(self):
+        failures = check_result({})
+        assert failures and "missing" in failures[0]
+
+    def test_missing_scenario_fails(self):
+        result = self._result()
+        for name in [n for n in result["counters"]
+                     if n.endswith(".warm_delta")]:
+            del result["counters"][name]
+        failures = check_result(result)
+        assert failures and "warm_delta" in failures[0]
+
+    def test_missing_apps_gauge_fails(self):
+        result = self._result()
+        del result["gauges"]["kconfig.resolve.bench_apps"]
+        failures = check_result(result)
+        assert failures and "bench_apps" in failures[0]
+
+    def test_warm_delta_without_work_fails(self):
+        failures = check_result(self._result(**{
+            "kconfig.resolve.visited_options.warm_delta": 0,
+        }))
+        assert any("did no resolution work" in f for f in failures)
 
     def test_ratio_below_floor_fails(self):
         failures = check_result(self._result(**{

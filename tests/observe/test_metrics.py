@@ -137,3 +137,29 @@ class TestRegistry:
         registry.counter("c").inc(9)
         registry.reset()
         assert registry.counter("c").value == 0
+
+    def test_measure_reports_named_deltas_in_order(self):
+        registry = MetricsRegistry()
+        registry.counter("b").inc(5)
+
+        def work():
+            registry.counter("b").inc(2)
+            registry.counter("c").inc()
+            return "done"
+
+        value, deltas = registry.measure(work, ("c", "b", "never"))
+        assert value == "done"
+        assert list(deltas.items()) == [("c", 1), ("b", 2), ("never", 0)]
+
+    def test_measure_without_names_reports_every_moved_counter(self):
+        registry = MetricsRegistry()
+        registry.counter("idle").inc(3)
+        registry.counter("z").inc()
+
+        def work():
+            registry.counter("z").inc(4)
+            registry.counter("a").inc(1)
+            registry.counter("created_unused")
+
+        _, deltas = registry.measure(work)
+        assert list(deltas.items()) == [("a", 1), ("z", 4)]

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import pathlib
+
 import pytest
 
-from repro.cli import main
+from repro.cli import BENCHES, build_parser, main
+
+BASELINE_DIR = (
+    pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "baseline"
+)
 
 
 class TestCli:
@@ -197,3 +205,49 @@ class TestObservabilityCli:
         capsys.readouterr()
         assert main(["regress", str(tmp_path), str(tmp_path)]) == 0
         assert "0 regressed" in capsys.readouterr().out
+
+
+class TestBenchCli:
+    def test_bench_resolve_writes_the_pinned_document(self, capsys,
+                                                      tmp_path):
+        snapshot = tmp_path / "snap.json"
+        assert main(["bench-resolve", "--check", "--output-dir",
+                     str(tmp_path), "--snapshot", str(snapshot)]) == 0
+        pinned = (BASELINE_DIR / "BENCH_resolve.json").read_bytes()
+        assert (tmp_path / "BENCH_resolve.json").read_bytes() == pinned
+        assert snapshot.read_bytes() == pinned
+        assert "check        : ok" in capsys.readouterr().out
+
+    def test_failing_check_exits_nonzero(self, capsys, monkeypatch,
+                                         tmp_path):
+        import repro.kconfig.bench as bench
+
+        pinned = json.loads(
+            (BASELINE_DIR / "BENCH_resolve.json").read_text("utf-8")
+        )
+        monkeypatch.setattr(bench, "run_bench", lambda: pinned)
+        monkeypatch.setattr(bench, "check_result",
+                            lambda result: ["warm-start ratio collapsed"])
+        assert main(["bench-resolve", "--check",
+                     "--output-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "CHECK FAILED : warm-start ratio collapsed" in captured.err
+        assert "check        : ok" not in captured.out
+        # The document still lands, so a failing gate can be inspected.
+        assert (tmp_path / "BENCH_resolve.json").exists()
+
+    def test_every_bench_is_a_subcommand_with_the_shared_flags(self):
+        parser = build_parser()
+        commands = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(BENCHES) <= set(commands)
+        for name, bench in BENCHES.items():
+            flags = {
+                flag for action in commands[name]._actions
+                for flag in action.option_strings
+            } - {"-h", "--help"}
+            assert flags == {"--check", "--snapshot", "--output-dir"}, name
+            assert bench.result == f"BENCH_{name[len('bench-'):]}.json"
+        assert "chaos-serve" not in commands

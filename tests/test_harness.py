@@ -270,6 +270,29 @@ class TestResultCache:
             assert path.read_bytes() == warm.output_paths[name].read_bytes()
         assert warm.results == cold.results
 
+    def test_cold_and_warm_results_iterate_in_the_same_order(self, tmp_path):
+        experiment = Experiment(
+            name="unsorted",
+            run_fn=lambda: {"microvm": {"z": 1, "a": (2, 3)},
+                            "lupine": [{"b": 1, "a": 0}]},
+            artifact_fn=lambda: Artifact(text="unsorted"),
+            fingerprint_fn=lambda: "fp",
+        )
+        kwargs = dict(
+            experiments=[experiment], jobs=1, write_outputs=False,
+            cache_dir=tmp_path / "cache",
+        )
+        cold = run_experiments(**kwargs)
+        warm = run_experiments(**kwargs)
+        assert warm.telemetry.result_cache_hits == 1
+        cold_result = cold.results["unsorted"]
+        warm_result = warm.results["unsorted"]
+        assert warm_result == cold_result
+        # Consumers iterate these dicts (the EXPERIMENTS.md generator
+        # renders table rows in dict order): order must not depend on
+        # whether the result came from the cache.
+        assert repr(warm_result) == repr(cold_result)
+
     def test_fingerprint_change_invalidates(self, tmp_path):
         calls = []
         fingerprint = {"value": "aaaa"}

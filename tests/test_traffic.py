@@ -361,6 +361,30 @@ class TestBenchServe:
         assert any("not deterministic" in f for f in failures)
         assert any("1000" in f for f in failures)
 
+    def test_checker_flags_faulted_fixed_pool_regressions(self):
+        from repro.traffic.bench import check_result
+        from repro.traffic.chaos import SERVE_CHAOS_RATES
+
+        baseline = REPO_ROOT / "benchmarks" / "baseline" / "BENCH_serve.json"
+        result = json.loads(baseline.read_text(encoding="utf-8"))
+        assert "serve.manifest_digest48.serve_chaos_fixed_pool" in (
+            result["digests"]
+        )
+        result["digests"][
+            "serve.manifest_digest48.serve_chaos_fixed_pool.rerun"
+        ] = "0" * 12
+        failures = check_result(result)
+        assert any("serve_chaos_fixed_pool is not deterministic" in f
+                   for f in failures)
+
+        result = json.loads(baseline.read_text(encoding="utf-8"))
+        result["gauges"]["serve.error_rate.serve_chaos_fixed_pool"] = sum(
+            SERVE_CHAOS_RATES.values()
+        )
+        failures = check_result(result)
+        assert any("serve_chaos_fixed_pool error rate" in f
+                   for f in failures)
+
     def test_checker_flags_missing_tail_buyback(self):
         from repro.traffic.bench import check_result
 

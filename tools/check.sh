@@ -1,10 +1,14 @@
 #!/bin/sh
-# Repo health check: tier-1 tests, the EXPERIMENTS.md generator, the
-# observability perf gate, and the chaos (fault-injection) gate.
+# Repo health check: lints, tier-1 tests, the EXPERIMENTS.md generator,
+# the observability perf gate, the harness chaos gate, and the four
+# counted benchmarks, each followed by its regress step.
 #
 # The generator is deliberately run from a temporary working directory to
 # guard the sys.path bootstrap in tools/generate_experiments_md.py -- it
-# must locate the repro package regardless of the caller's cwd.
+# must locate the repro package regardless of the caller's cwd -- and its
+# output must equal the committed EXPERIMENTS.md byte for byte (cold and
+# warm harness results iterate identically, so the result cache's state
+# does not matter).
 #
 # The perf gate runs run-all twice into a scratch directory (first run
 # warms the result cache, second run must be fully warm) and compares the
@@ -13,47 +17,37 @@
 # run are left in $RUN_DIR for CI to archive (override with
 # CHECK_RUN_DIR).
 #
-# The resolver gate runs the differential suite (worklist engine vs the
-# full-sweep oracle), then bench-resolve --check (warm-start must beat 20
-# cold sweeps by >= 10x on visited options; cache hits must do zero
-# resolution work) and regresses the resulting counters against
-# benchmarks/baseline/BENCH_resolve.json.
-#
 # The single-time-authority lint (tools/lint_time.py) enforces the
 # simcore invariant: no simulator advances time through the tracer's sim
 # view or keeps a private clock accumulator field.
 #
-# The fleet gate runs bench-guests --check and regresses the result
-# against benchmarks/baseline/BENCH_guests.json.  The run asserts the
-# fleet scale/kernel-sharing criteria and that the cohort-vectorized
-# fold reproduces the sequential oracle's manifest digest; the regress
-# step pins every scenario's digest (the 10k-guest cohort fleet's
-# included) and fails if a pinned scenario goes missing.
+# The counted benchmarks all run through one CLI path (repro.cli.BENCHES):
+# `bench-<name> --check` writes BENCH_<name>.json and enforces that
+# bench's acceptance criteria, then `regress` compares its counters and
+# pins every digest against benchmarks/baseline/BENCH_<name>.json (a
+# pinned digest the run no longer emits fails too).
 #
-# The serving gate runs bench-serve --check (the canonical 100k-request
-# diurnal trace per warm-pool policy, each run twice: manifests must
-# reproduce byte-identically, scale-to-zero must cold-boot >= 1000
-# guests with a nonzero cold-start fraction, the fixed pool must buy
-# the latency tail back, and the chaos scenario must recover -- nonzero
-# restarts/retries, error rate below the injected fault mass, request
-# conservation) and regresses its counters and digests against
-# benchmarks/baseline/BENCH_serve.json.
-#
-# The chaos-serve gate (repro-lupine chaos-serve) reruns the canonical
-# serving trace under the stock seeded guest-fault schedule and asserts
-# the serving resilience invariants: faulted reruns and the --jobs
-# policy sweep are byte-identical, and an installed-but-empty fault
-# plane reproduces the committed BENCH_serve.json digests exactly.
-#
-# The derive gate runs bench-derive --check twice -- at --jobs 2 and
-# --jobs 3 -- and regresses both runs against the same
-# benchmarks/baseline/BENCH_derive.json.  Each run records every top-20
-# app's usage, derives a config from the observation and audits it:
-# 100% coverage of recorded usage, enabled-option count within 1.5x the
-# curated config, and byte-identical usage/config/report digests across
-# in-bench reruns; regressing both job counts against one pinned
-# digests section is the derive fan-out-determinism gate (see
-# docs/SPECIALIZATION.md).
+# - bench-resolve: warm-start must beat 20 cold sweeps by >= 10x on
+#   visited options, cache hits do zero resolution work, and every
+#   scenario must report.  The differential suite (worklist engine vs
+#   the full-sweep oracle) runs just before it.
+# - bench-guests: fleet scale/kernel-sharing criteria, and the
+#   cohort-vectorized fold reproduces the sequential oracle's manifest
+#   digest.
+# - bench-serve: the canonical 100k-request diurnal trace per warm-pool
+#   policy, clean and under the stock guest-fault schedule (seed 77),
+#   each run twice.  Every rerun must reproduce its digest: the clean
+#   reruns under an installed-but-empty fault plane (regress pins them to
+#   the no-plane baseline), the faulted reruns as one two-worker
+#   run_serving_many sweep (rerun determinism and fan-out equivalence).
+#   Scale-to-zero must cold-boot >= 1000 guests with a nonzero cold-start
+#   fraction, the fixed pool must buy the latency tail back, and both
+#   faulted runs must recover: nonzero restarts/retries, request
+#   conservation, error rate below the injected fault mass.
+# - bench-derive: every top-20 app's recorded usage -> derived config
+#   covers 100% of that usage, stays within 1.5x the curated option
+#   count, and reproduces its digests on rerun (see
+#   docs/SPECIALIZATION.md).
 #
 # The fault-site drift check (tools/check_fault_sites.py) cross-checks
 # every fault_site()/corrupt_text() literal wired in src/ against the
@@ -106,9 +100,7 @@ echo "==> EXPERIMENTS.md generator (from a temp cwd, no PYTHONPATH)"
 TMP_DIR=$(mktemp -d)
 trap 'rm -rf "$TMP_DIR"' EXIT
 (cd "$TMP_DIR" && python "$REPO_ROOT/tools/generate_experiments_md.py" --jobs 2)
-test -s "$TMP_DIR/EXPERIMENTS.md"
-grep -q "Running the experiments" "$TMP_DIR/EXPERIMENTS.md"
-grep -q "Run manifest schema" "$TMP_DIR/EXPERIMENTS.md"
+diff "$REPO_ROOT/EXPERIMENTS.md" "$TMP_DIR/EXPERIMENTS.md"
 
 echo "==> resolver differential suite (worklist vs sweep oracle)"
 (cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q \
@@ -144,29 +136,18 @@ PYTHONPATH=src python -m repro.observe.regress \
     benchmarks/baseline/BENCH_guests.json "$RUN_DIR/BENCH_guests.json" \
     --no-timings
 
-echo "==> traffic-serving microbenchmark + determinism + counter gate"
+echo "==> traffic-serving microbenchmark: determinism, faults, counter gate"
 PYTHONPATH=src python -m repro.cli bench-serve --check \
     --output-dir "$RUN_DIR"
 PYTHONPATH=src python -m repro.observe.regress \
     benchmarks/baseline/BENCH_serve.json "$RUN_DIR/BENCH_serve.json" \
     --no-timings
 
-echo "==> chaos-serve gate (seeded guest faults, rerun/jobs/zero-fault)"
-PYTHONPATH=src python -m repro.cli chaos-serve --seed 77 --jobs 2
-
 echo "==> trace-driven derivation gate (coverage, option ratio, digests)"
 PYTHONPATH=src python -m repro.cli bench-derive --check \
-    --jobs 2 --output-dir "$RUN_DIR"
+    --output-dir "$RUN_DIR"
 PYTHONPATH=src python -m repro.observe.regress \
     benchmarks/baseline/BENCH_derive.json "$RUN_DIR/BENCH_derive.json" \
-    --no-timings
-
-echo "==> derive fan-out-determinism gate (same digests at --jobs 3)"
-PYTHONPATH=src python -m repro.cli bench-derive --check \
-    --jobs 3 --output-dir "$TMP_DIR/derive-jobs3"
-PYTHONPATH=src python -m repro.observe.regress \
-    benchmarks/baseline/BENCH_derive.json \
-    "$TMP_DIR/derive-jobs3/BENCH_derive.json" \
     --no-timings
 
 echo "==> all checks passed"

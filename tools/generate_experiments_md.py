@@ -178,8 +178,8 @@ def main(argv=None) -> int:
       "mechanism). A `ServeSpec` fully determines the manifest — same "
       "seed ⇒ byte-identical SHA-256 digest under every warm-pool "
       "policy, with or without an installed fault schedule; "
-      "`bench-serve --check`, `chaos-serve`, and the regress gate "
-      "against `benchmarks/baseline/BENCH_serve.json` enforce that in "
+      "`bench-serve --check` and the regress gate against "
+      "`benchmarks/baseline/BENCH_serve.json` enforce that in "
       "`tools/check.sh`. Fields:\n\n")
     w("| Field | Meaning |\n|---|---|\n")
     w("| `schema_version` | serving-report format version (currently "
@@ -248,6 +248,22 @@ def main(argv=None) -> int:
     w("`tools/check.sh` runs `bench-guests --check` and regresses it "
       "against the pinned baseline (see docs/GUEST_RUNTIME.md \"Fleet "
       "simulation\").\n\n")
+    w("`bench-serve` sections (`BENCH_serve.json`), each the canonical "
+      "100k-request diurnal trace, run twice:\n\n")
+    w("| Section | Run | Rerun |\n|---|---|---|\n")
+    w("| `serve_scale_to_zero` | scale-to-zero, no fault plane | under "
+      "an installed empty fault plane |\n")
+    w("| `serve_fixed_pool` | fixed pool, no fault plane | under an "
+      "installed empty fault plane |\n")
+    w("| `serve_chaos_scale_to_zero` | scale-to-zero, stock fault "
+      "schedule (seed 77) | two-worker `run_serving_many` sweep, same "
+      "schedule |\n")
+    w("| `serve_chaos_fixed_pool` | fixed pool, stock fault schedule "
+      "(seed 77) | two-worker `run_serving_many` sweep, same "
+      "schedule |\n\n")
+    w("Each `.rerun` digest must equal its run's: rerun determinism, "
+      "an invisible empty plane, and fan-out equivalence in one "
+      "comparison. Counters count each section's first run.\n\n")
     w("`bench-derive` (`BENCH_derive.json`, see "
       "docs/SPECIALIZATION.md) runs the trace-driven specialization "
       "loop — record each top-20 app's usage, derive a config from the "
@@ -255,7 +271,8 @@ def main(argv=None) -> int:
     w("| Entry | Meaning |\n|---|---|\n")
     w("| `counters` `kconfig.*.prewarm` / `.derive_loop` | resolver "
       "work to warm the shared fixpoints vs the per-app derive loop "
-      "(hermetic shards: totals are `--jobs`-invariant) |\n")
+      "(each app hermetic: caches reset and fixpoints re-warmed first) "
+      "|\n")
     w("| `digests` `derive.usage_digest48.<app>` | the recorded usage "
       "trace (counts, misses, facilities), canonical-JSON sha256 |\n")
     w("| `digests` `derive.config_digest48.<app>` | the derived "
@@ -271,8 +288,7 @@ def main(argv=None) -> int:
     w("`bench-derive --check` fails unless every derived config covers "
       "100% of its recorded usage, stays within the 1.5× option "
       "ratio, and reproduces its digests across both in-bench passes; "
-      "`tools/check.sh` additionally regresses `--jobs 2` and "
-      "`--jobs 3` runs against the pinned "
+      "`tools/check.sh` regresses the run against the pinned "
       "`benchmarks/baseline/BENCH_derive.json`.\n\n")
 
     # -- structural results (exact by construction) ---------------------------
