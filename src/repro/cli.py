@@ -8,8 +8,8 @@ Subcommands:
 - ``config APP``       -- print the derived kernel config fragment.
 - ``experiment ID``    -- run one paper experiment (fig3..table5) and print
   the table/figure; ``all`` runs everything.
-- ``run-all``          -- run every experiment through the parallel harness
-  (``--jobs N``), with result caching and a JSON run manifest plus
+- ``run-all``          -- run every experiment, in order, through the
+  harness, with result caching and a JSON run manifest plus
   ``trace.json``/``metrics.json`` under ``benchmarks/output/``; ``--cold``
   forces a full re-run.  Prints a failure summary and exits nonzero when
   any experiment's final status is not ``ok``/``cache_hit``.
@@ -451,7 +451,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     try:
         run = run_experiments(
             names=names,
-            jobs=args.jobs,
             output_dir=args.output_dir,
             force=args.cold,
         )
@@ -462,8 +461,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
     telemetry = run.telemetry
     summary = Table(
-        title=f"harness run: {len(telemetry.experiments)} experiments, "
-              f"jobs={telemetry.jobs}",
+        title=f"harness run: {len(telemetry.experiments)} experiments",
         headers=["experiment", "status", "result cache", "wall ms"],
     )
     for record in telemetry.experiments:
@@ -514,7 +512,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     report = run_chaos(
         seed=args.seed,
         names=names,
-        jobs=args.jobs,
         output_dir=output_dir,
         runs=args.runs,
     )
@@ -595,11 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "run-all",
-        help="run all experiments through the parallel harness "
+        help="run all experiments, in order, through the harness "
              "(result cache + run manifest under benchmarks/output/)",
     )
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="run up to N experiments concurrently")
+    # Experiments always run in order, in one thread.  The flag stays,
+    # accepting only 1, because perfbench/workloads.py invokes
+    # `run-all --cold --jobs 1`; any other value exits 2.
+    sub.add_argument("--jobs", type=int, default=1, choices=[1],
+                     metavar="1",
+                     help="accepted for compatibility; only 1 is valid "
+                          "(experiments run in order)")
     sub.add_argument("--only", default=None, metavar="ID[,ID...]",
                      help="comma-separated experiment ids (default: all)")
     sub.add_argument("--cold", action="store_true",
@@ -617,9 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--seed", type=int, default=1234, metavar="N",
                      help="fault-schedule seed (default 1234)")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="experiments run concurrently; byte-identity "
-                          "across sub-runs is checked only at --jobs 1")
     sub.add_argument("--runs", type=int, default=2, metavar="N",
                      help="identical sub-runs to compare (default 2)")
     sub.add_argument("--only", default=None, metavar="ID[,ID...]",

@@ -14,8 +14,7 @@ policies request them.
 stable hash of the requested option set plus the KML/patch state -- so two
 applications that resolve to the identical specialized configuration share
 one build, which is also what makes ``Fleet.distinct_kernels`` meaningful.
-The cache is thread-safe: the experiment harness runs independent
-experiments concurrently and they all hit this one instance.
+Every experiment the harness runs hits this one instance.
 
 Invariants:
 
@@ -26,12 +25,8 @@ Invariants:
   the key; anything that doesn't (the requesting app's name, call order)
   must not be.
 - **Build-once accounting.** ``hits + misses`` counts every
-  ``get_or_build`` call, and ``misses == builds stored``: when two threads
-  race on a new key, the losing thread's duplicate build is discarded and
-  recorded as a *hit*, keeping "builds performed" equal to distinct
-  entries created.
-- **Factory runs unlocked.** Builds are slow; concurrent misses on
-  different keys must never serialize on the cache lock.
+  ``get_or_build`` call, and ``misses == builds stored``: "builds
+  performed" equals distinct entries created.
 - **No poisoned entries.** A factory that raises stores nothing and
   counts nothing: the exception propagates before any entry or counter
   is touched, so the next ``get_or_build`` on the same key retries the
@@ -46,7 +41,6 @@ Cache effectiveness is published to the process metrics registry as
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Tuple
 
@@ -90,64 +84,45 @@ class BuildCacheStats:
 
 
 class KernelBuildCache:
-    """Thread-safe content-addressed cache of built kernel artifacts."""
+    """Content-addressed cache of built kernel artifacts."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._entries: Dict[str, Any] = {}
         self._hits = 0
         self._misses = 0
 
     def get_or_build(self, key: str, factory: Callable[[], Any]) -> Any:
-        """Return the cached artifact for *key*, building it on first use.
-
-        The factory runs outside the lock (builds are slow; concurrent
-        misses on *different* keys must not serialize), so two threads
-        racing on the same new key may both build -- the first stored
-        result wins and exactly one build is counted.
-        """
-        with self._lock:
-            if key in self._entries:
-                self._hits += 1
-                METRICS.counter("buildcache.hits").inc()
-                return self._entries[key]
+        """Return the cached artifact for *key*, building it on first use."""
+        if key in self._entries:
+            self._hits += 1
+            METRICS.counter("buildcache.hits").inc()
+            return self._entries[key]
         with span("buildcache.build", category="buildcache", key=key):
             with fault_site("buildcache.factory"):
                 artifact = factory()
-        with self._lock:
-            if key in self._entries:
-                # Lost the race: another thread stored first; count as a hit
-                # so performed-build accounting matches stored entries.
-                self._hits += 1
-                METRICS.counter("buildcache.hits").inc()
-                return self._entries[key]
-            self._entries[key] = artifact
-            self._misses += 1
-            METRICS.counter("buildcache.misses").inc()
-            METRICS.gauge("buildcache.entries").set(len(self._entries))
-            return artifact
+        self._entries[key] = artifact
+        self._misses += 1
+        METRICS.counter("buildcache.misses").inc()
+        METRICS.gauge("buildcache.entries").set(len(self._entries))
+        return artifact
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def stats(self) -> BuildCacheStats:
-        with self._lock:
-            return BuildCacheStats(
-                hits=self._hits, misses=self._misses,
-                entries=len(self._entries),
-            )
+        return BuildCacheStats(
+            hits=self._hits, misses=self._misses,
+            entries=len(self._entries),
+        )
 
     def reset(self) -> None:
         """Drop all entries and counters (test isolation)."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
+        self._entries.clear()
+        self._hits = 0
+        self._misses = 0
 
 
 #: The one cache every build path in the process shares.

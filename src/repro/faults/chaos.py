@@ -7,10 +7,9 @@ resilience invariants the fault plane + harness are supposed to provide:
    (``ok``/``cache_hit``/``failed``/``timed_out``) and the run manifest,
    ``trace.json`` and ``metrics.json`` always land -- however many
    experiments fail.
-2. **Determinism.** Two runs with the same seed produce byte-identical
-   artifacts (at ``jobs=1``; with ``jobs>1`` trace/metrics interleaving
-   is scheduler-dependent, so the gate falls back to comparing statuses,
-   outputs and rendered artifacts).
+2. **Determinism.** Two runs with the same seed produce the same
+   statuses and byte-identical files: manifest, trace, metrics, result
+   cache and every rendered output.
 3. **Atomicity.** No stray ``*.tmp`` files survive a run: every durable
    write went through :func:`repro.core.atomicio.atomic_write_text`.
 
@@ -97,7 +96,6 @@ class ChaosReport:
     """Everything one chaos invocation produced."""
 
     seed: int
-    jobs: int
     runs: List[ChaosRun] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
 
@@ -106,8 +104,7 @@ class ChaosReport:
         return not self.violations
 
     def render(self) -> str:
-        lines = [f"chaos: seed={self.seed} jobs={self.jobs} "
-                 f"runs={len(self.runs)}"]
+        lines = [f"chaos: seed={self.seed} runs={len(self.runs)}"]
         if self.runs:
             first = self.runs[0]
             by_status: Dict[str, int] = {}
@@ -166,7 +163,6 @@ def _snapshot_files(root: pathlib.Path) -> Dict[str, bytes]:
 def _one_run(
     seed: int,
     names: Optional[Sequence[str]],
-    jobs: int,
     run_dir: pathlib.Path,
     violations: List[str],
 ) -> Optional[ChaosRun]:
@@ -185,7 +181,7 @@ def _one_run(
     try:
         with faults.activated(default_schedule(seed)):
             common = dict(
-                names=names, jobs=jobs, output_dir=run_dir,
+                names=names, output_dir=run_dir,
                 cache_dir=run_dir / "result-cache", retry_policy=policy,
             )
             run_experiments(**common)          # cold pass
@@ -235,7 +231,6 @@ def _one_run(
 def run_chaos(
     seed: int,
     names: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     output_dir: Optional[pathlib.Path] = None,
     runs: int = 2,
 ) -> ChaosReport:
@@ -245,11 +240,10 @@ def run_chaos(
     if output_dir is None:
         output_dir = default_output_dir() / "chaos"
     output_dir = pathlib.Path(output_dir)
-    report = ChaosReport(seed=seed, jobs=max(1, int(jobs)))
+    report = ChaosReport(seed=seed)
     for index in range(max(1, int(runs))):
         sub = output_dir / f"run-{chr(ord('a') + index)}"
-        chaos_run = _one_run(seed, names, report.jobs, sub,
-                             report.violations)
+        chaos_run = _one_run(seed, names, sub, report.violations)
         if chaos_run is not None:
             report.runs.append(chaos_run)
 
@@ -261,16 +255,7 @@ def run_chaos(
                     f"{other.output_dir.name}: statuses diverge from "
                     f"{first.output_dir.name} under the same seed"
                 )
-            if report.jobs == 1:
-                compared = (set(first.files) | set(other.files))
-            else:
-                # Trace/metrics interleaving is scheduler-dependent at
-                # jobs>1; rendered outputs must still be identical.
-                compared = {
-                    path for path in (set(first.files) | set(other.files))
-                    if path.endswith((".txt", ".dat"))
-                }
-            for path in sorted(compared):
+            for path in sorted(set(first.files) | set(other.files)):
                 if first.files.get(path) != other.files.get(path):
                     report.violations.append(
                         f"artifact {path} differs between "

@@ -19,11 +19,12 @@ Determinism is the whole point -- a chaos run must be replayable:
 - **Stateless decisions.**  Whether call *n* at ``(site, scope)`` injects
   is a pure function of ``(seed, site, scope, n)`` -- each decision draws
   from its own ``random.Random`` seeded with exactly that tuple, never
-  from shared RNG state, so thread interleaving cannot reorder draws.
+  from shared RNG state, so calls at one site cannot shift another
+  site's draws.
 - **Scoped call counters.**  The harness wraps each experiment in
   :func:`experiment_scope`, so the per-site call index is counted per
-  experiment; an experiment's own call sequence is sequential and
-  therefore deterministic even when experiments run concurrently.
+  experiment: the experiments that ran before it do not shift its
+  draws.
 - **Three fault kinds.**  ``raise`` (the default) raises the configured
   exception; ``hang`` advances the simulated clock by ``hang_ms`` (a
   guest that stops answering) and raises :class:`FaultHang`, which the
@@ -39,7 +40,6 @@ Every injection is observable: a ``fault.injected`` span (category
 from __future__ import annotations
 
 import random
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -119,7 +119,6 @@ class FaultPlane:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._rng = random.Random(self.seed)   # reserved for schedule gen
-        self._lock = threading.Lock()
         self._specs: Dict[str, List[FaultSpec]] = {}
         self._calls: Dict[Tuple[str, str], int] = {}
         self._fired: Dict[int, int] = {}       # spec id -> injections so far
@@ -130,8 +129,7 @@ class FaultPlane:
     def configure(self, site: str, **kwargs: object) -> FaultSpec:
         """Add a :class:`FaultSpec` for *site* (keywords as on the spec)."""
         spec = FaultSpec(site=site, **kwargs)  # type: ignore[arg-type]
-        with self._lock:
-            self._specs.setdefault(site, []).append(spec)
+        self._specs.setdefault(site, []).append(spec)
         return spec
 
     def one_shot(self, site: str, **kwargs: object) -> FaultSpec:
@@ -143,15 +141,13 @@ class FaultPlane:
     @property
     def injected(self) -> int:
         """Total injections this plane has performed."""
-        with self._lock:
-            return self._injected
+        return self._injected
 
     def reset_counters(self) -> None:
         """Rewind call/injection counters (the schedule stays)."""
-        with self._lock:
-            self._calls.clear()
-            self._fired.clear()
-            self._injected = 0
+        self._calls.clear()
+        self._fired.clear()
+        self._injected = 0
 
     # -- decisions ---------------------------------------------------------
 
@@ -159,26 +155,25 @@ class FaultPlane:
         """Count one call at *site* under the current scope; the spec to
         inject, or None.  Deterministic in ``(seed, site, scope, n)``."""
         scope = current_scope()
-        with self._lock:
-            specs = self._specs.get(site)
-            if not specs:
-                return None
-            key = (site, scope)
-            call = self._calls.get(key, 0) + 1
-            self._calls[key] = call
-            for spec in specs:
-                if spec.scope is not None and spec.scope != scope:
-                    continue
-                fired = self._fired.get(id(spec), 0)
-                if (spec.max_injections is not None
-                        and fired >= spec.max_injections):
-                    continue
-                if not self._scheduled(spec, scope, call):
-                    continue
-                self._fired[id(spec)] = fired + 1
-                self._injected += 1
-                return spec
+        specs = self._specs.get(site)
+        if not specs:
             return None
+        key = (site, scope)
+        call = self._calls.get(key, 0) + 1
+        self._calls[key] = call
+        for spec in specs:
+            if spec.scope is not None and spec.scope != scope:
+                continue
+            fired = self._fired.get(id(spec), 0)
+            if (spec.max_injections is not None
+                    and fired >= spec.max_injections):
+                continue
+            if not self._scheduled(spec, scope, call):
+                continue
+            self._fired[id(spec)] = fired + 1
+            self._injected += 1
+            return spec
+        return None
 
     def _scheduled(self, spec: FaultSpec, scope: str, call: int) -> bool:
         if call in spec.nth_calls:
@@ -228,29 +223,26 @@ class FaultPlane:
 
 # -- the installed plane + experiment scope ---------------------------------
 
-_active_lock = threading.Lock()
 _active: Optional[FaultPlane] = None
-_scopes = threading.local()
+#: The experiment the harness is running ('' outside any experiment).
+_scope = ""
 
 
 def install(plane: FaultPlane) -> FaultPlane:
     """Make *plane* the process-wide active plane (returns it)."""
     global _active
-    with _active_lock:
-        _active = plane
+    _active = plane
     return plane
 
 
 def deactivate() -> None:
     """Remove the active plane; every site becomes a no-op again."""
     global _active
-    with _active_lock:
-        _active = None
+    _active = None
 
 
 def active_plane() -> Optional[FaultPlane]:
-    with _active_lock:
-        return _active
+    return _active
 
 
 @contextmanager
@@ -264,19 +256,20 @@ def activated(plane: FaultPlane) -> Iterator[FaultPlane]:
 
 
 def current_scope() -> str:
-    """The thread's current fault scope ('' outside any experiment)."""
-    return getattr(_scopes, "value", "")
+    """The current fault scope ('' outside any experiment)."""
+    return _scope
 
 
 @contextmanager
 def experiment_scope(name: str) -> Iterator[None]:
-    """Scope fault decisions on this thread to experiment *name*."""
-    previous = getattr(_scopes, "value", "")
-    _scopes.value = name
+    """Scope fault decisions to experiment *name*."""
+    global _scope
+    previous = _scope
+    _scope = name
     try:
         yield
     finally:
-        _scopes.value = previous
+        _scope = previous
 
 
 class _Site:
@@ -319,8 +312,7 @@ def fault_site(site: str) -> ContextManager[None]:
 
     A no-op (no RNG, no metrics, no spans) unless a plane is installed.
     Sites sit on per-request paths, so the context manager is a plain
-    object, and the unarmed one is shared.  Reading the installed plane
-    without the lock is safe: it is a single reference.
+    object, and the unarmed one is shared.
     """
     if _active is None:
         return _UNARMED

@@ -1,22 +1,21 @@
-"""The parallel experiment harness.
+"""The experiment harness.
 
 One registry + runner for every paper reproduction: experiments are
-discovered behind a uniform :class:`Experiment` protocol, executed
-concurrently with a shared kernel build cache, cached on disk by inputs
+discovered behind a uniform :class:`Experiment` protocol, executed in
+order with a shared kernel build cache, cached on disk by inputs
 fingerprint, and reported through a JSON run manifest.
 
     from repro.harness import run_experiments
 
-    run = run_experiments(jobs=4)          # all experiments
+    run = run_experiments()                 # all experiments
     run.results["fig7"]                     # structured results
     run.telemetry.result_cache_hit_rate     # run telemetry
 
-CLI equivalent: ``python -m repro.cli run-all --jobs 4``.
+CLI equivalent: ``python -m repro.cli run-all``.
 
 Package-level invariants (each submodule documents its own):
 
-- results/artifacts merge in registry order regardless of ``jobs``
-  (:mod:`.runner`);
+- results/artifacts land in registry order (:mod:`.runner`);
 - the result cache is keyed on the experiment's transitive-source
   fingerprint, never on time or environment (:mod:`.registry`,
   :mod:`.resultcache`);

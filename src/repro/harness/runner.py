@@ -1,10 +1,10 @@
-"""The experiment runner: concurrent execution, caching, failure isolation.
+"""The experiment runner: in-order execution, caching, failure isolation.
 
 ``run_experiments`` executes a set of registered experiments:
 
-- independent experiments run concurrently on a thread pool (``jobs``);
-  results are merged in registry order, so output is deterministic and
-  identical for ``--jobs 1`` and ``--jobs 4``;
+- experiments run one after another in the calling thread, in selection
+  order (the work is CPU-bound pure Python, which threads cannot speed
+  up);
 - kernel builds inside experiments all hit the process-wide
   :data:`~repro.core.buildcache.BUILD_CACHE`, so the fleet of variants the
   paper's evaluation needs is built once per process, not once per figure;
@@ -19,16 +19,16 @@
   ``status="timed_out"`` -- and every other experiment's result still
   lands;
 - every run emits a JSON run manifest (``run_manifest.json``,
-  schema_version 2: per-experiment ``status``/``attempts``/``error``)
+  schema_version 3: per-experiment ``status``/``attempts``/``error``)
   plus the observability artifacts ``trace.json`` and ``metrics.json``
   -- *always*, even when experiments fail: a partial run lands a
   complete manifest.
 
 Invariants:
 
-- **Merge-order determinism.** Results, artifacts and manifest entries are
-  merged in *selection* order (registry order for named runs), never in
-  completion order: a ``--jobs 4`` run is byte-identical to ``--jobs 1``.
+- **Selection order.** Results, artifacts and manifest entries land in
+  *selection* order (registry order for named runs), the order the
+  experiments ran in.
 - **Warm-run purity.** A result-cache hit must not execute experiment
   code, perform kernel builds, or consult the kernel build cache; it only
   decodes the stored result.  (``test_harness.py`` pins this.)
@@ -52,7 +52,6 @@ Invariants:
 
 from __future__ import annotations
 
-import concurrent.futures
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -120,8 +119,8 @@ class RetryPolicy:
     since the experiment started, the experiment is marked
     ``timed_out`` and not retried.  An injected :class:`FaultHang`
     (which advances the simulated clock past any useful deadline) is
-    classified ``timed_out`` directly.  A genuinely hung thread cannot
-    be preempted from Python -- the deadline is judged at attempt
+    classified ``timed_out`` directly.  A genuinely hung experiment
+    cannot be preempted from Python -- the deadline is judged at attempt
     boundaries, which the simulators always reach.
     """
 
@@ -140,7 +139,7 @@ class HarnessRun:
 
     results: Dict[str, Any] = field(default_factory=dict)
     artifacts: Dict[str, str] = field(default_factory=dict)
-    telemetry: RunTelemetry = field(default_factory=lambda: RunTelemetry(jobs=1))
+    telemetry: RunTelemetry = field(default_factory=RunTelemetry)
     output_paths: Dict[str, pathlib.Path] = field(default_factory=dict)
     manifest_path: Optional[pathlib.Path] = None
     trace_path: Optional[pathlib.Path] = None
@@ -305,7 +304,6 @@ def _execute_one(
 
 def run_experiments(
     names: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     experiments: Optional[Sequence[Experiment]] = None,
     output_dir: Optional[pathlib.Path] = None,
     cache_dir: Optional[pathlib.Path] = None,
@@ -348,13 +346,6 @@ def run_experiments(
             cache_dir = default_cache_dir(output_dir)
         cache = ResultCache(pathlib.Path(cache_dir))
 
-    jobs = max(1, int(jobs))
-    # What the pool will actually occupy: requesting more workers than
-    # there are experiments never spawns idle threads, and the manifest
-    # records both numbers (``jobs`` asked, ``effective_jobs`` used).
-    effective_jobs = min(jobs, max(1, len(selected)))
-    METRICS.gauge("harness.jobs").set(jobs)
-    METRICS.gauge("harness.effective_jobs").set(effective_jobs)
     # Pre-register the cost and resilience counters so a clean run reports
     # them as explicit zeros rather than omitting them: the regression
     # gate compares baseline-side counters, and "0 misses" / "0 failures"
@@ -373,30 +364,13 @@ def run_experiments(
     trace_mark = TRACER.mark()
     run_started = _now_ms()
 
-    with span("harness.run", category="harness",
-              jobs=jobs, experiments=len(selected)):
-        if effective_jobs == 1:
-            outcomes = [
-                _execute_one(e, cache, force, retry_policy) for e in selected
-            ]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=effective_jobs
-            ) as pool:
-                futures = [
-                    pool.submit(_execute_one, e, cache, force, retry_policy)
-                    for e in selected
-                ]
-                # Futures are collected in submission (registry) order: the
-                # merge is deterministic no matter which finishes first.
-                # _execute_one never raises, so one failing experiment
-                # cannot discard the others' in-flight results.
-                outcomes = [future.result() for future in futures]
+    with span("harness.run", category="harness", experiments=len(selected)):
+        outcomes = [
+            _execute_one(e, cache, force, retry_policy) for e in selected
+        ]
 
     build_stats_after = BUILD_CACHE.stats()
     telemetry = RunTelemetry(
-        jobs=jobs,
-        effective_jobs=effective_jobs,
         total_wall_ms=_now_ms() - run_started,
         experiments=[outcome.telemetry for outcome in outcomes],
         kernel_builds_performed=(

@@ -13,8 +13,8 @@ pruned ``savedefconfig``-style by :mod:`repro.kconfig.minimize`.
 Determinism contract: every artifact here is a pure function of the
 usage *set* (never of call order, counts beyond zero/nonzero, or process
 layout).  Requirement sets fold sorted, so derived request lists,
-resolved configs and digests are byte-identical across reruns and
-``--jobs`` fan-outs -- the property ``bench-derive`` pins.
+resolved configs and digests are byte-identical across reruns -- the
+property ``bench-derive`` pins.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def config_digest(config: ResolvedConfig) -> str:
     """sha256 over the sorted enabled set (label-independent).
 
     Two resolutions reaching the same enabled set digest identically, so
-    the rerun/``--jobs`` determinism gates compare config *content*.
+    the rerun determinism gate compares config *content*.
     """
     payload = json.dumps(sorted(config.enabled), separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()

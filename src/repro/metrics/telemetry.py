@@ -5,7 +5,7 @@ time, result-cache outcome and final *status* (``ok`` / ``cache_hit`` /
 ``failed`` / ``timed_out``, with attempt count and captured error), plus
 run-level kernel-build accounting (builds performed vs. reused out of the
 shared :class:`~repro.core.buildcache.KernelBuildCache`).  Serialized as
-a JSON run manifest (schema_version 2) under ``benchmarks/output/`` so
+a JSON run manifest (schema_version 3) under ``benchmarks/output/`` so
 runs are comparable across machines and commits -- and so a *partial*
 run (experiments failed or timed out) still lands a complete manifest.
 The manifest schema is documented in EXPERIMENTS.md ("Run manifest
@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Manifest format version.  2 added per-experiment ``status`` /
-#: ``attempts`` / ``error`` and the top-level ``failures`` count.
-MANIFEST_SCHEMA_VERSION = 2
+#: ``attempts`` / ``error`` and the top-level ``failures`` count; 3
+#: dropped ``jobs`` and ``effective_jobs`` (experiments run in order).
+MANIFEST_SCHEMA_VERSION = 3
 
 #: Statuses that mean the experiment produced a result this run.
 OK_STATUSES = ("ok", "cache_hit")
@@ -52,11 +53,6 @@ class ExperimentTelemetry:
 class RunTelemetry:
     """Aggregate telemetry for one harness run."""
 
-    jobs: int
-    #: Workers actually used: ``min(jobs, len(selected))``, floored at 1.
-    #: ``jobs`` records what was *requested*; a 2-experiment run at
-    #: ``--jobs 8`` still only occupies 2 pool threads.
-    effective_jobs: int = 1
     total_wall_ms: float = 0.0
     experiments: List[ExperimentTelemetry] = field(default_factory=list)
     kernel_builds_performed: int = 0
@@ -85,8 +81,6 @@ class RunTelemetry:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "schema_version": MANIFEST_SCHEMA_VERSION,
-            "jobs": self.jobs,
-            "effective_jobs": self.effective_jobs,
             "total_wall_ms": self.total_wall_ms,
             "experiments": [e.to_dict() for e in self.experiments],
             "failures": len(self.failed_experiments),

@@ -4,7 +4,7 @@ The paper's whole evaluation is measurement; this package is how the
 reproduction measures *itself*.  Four pieces:
 
 - :mod:`repro.observe.tracer` -- a deterministic span tracer (context
-  manager / decorator, nested per-thread spans, host + simulated clocks);
+  manager / decorator, nested spans, host + simulated clocks);
 - :mod:`repro.observe.metrics` -- counters, gauges and fixed-bucket
   histograms the caches, resolver and runner publish into;
 - :mod:`repro.observe.export` -- per-run ``trace.json`` (Chrome

@@ -44,11 +44,6 @@ def chrome_trace(records: Sequence[SpanRecord],
             "args": {"name": process_name},
         }
     ]
-    # Compact thread ids: Perfetto tracks sort better as small integers,
-    # and compaction removes the host's arbitrary thread handles.
-    tids: Dict[int, int] = {}
-    for record in records:
-        tids.setdefault(record.thread_id, len(tids))
     for record in records:
         args = {
             "index": record.index,
@@ -65,7 +60,7 @@ def chrome_trace(records: Sequence[SpanRecord],
                 "ts": record.start_us,
                 "dur": record.duration_us,
                 "pid": 1,
-                "tid": tids[record.thread_id],
+                "tid": 0,
                 "args": args,
             }
         )

@@ -2,10 +2,9 @@
 
 Instruments are created on first use (``METRICS.counter("x").inc()``) and
 live for the process, like the kernel build cache they instrument.  All
-three kinds are thread-safe -- the harness publishes into them from a
-thread pool -- and all serialize to plain JSON (:meth:`MetricsRegistry
-.to_dict`), sorted by name, so ``metrics.json`` is byte-stable for a
-given set of observations.
+three kinds serialize to plain JSON (:meth:`MetricsRegistry.to_dict`),
+sorted by name, so ``metrics.json`` is byte-stable for a given set of
+observations.
 
 Histograms use **fixed, inclusive upper-bound buckets** declared at
 creation: an observation lands in the first bucket whose bound is
@@ -26,7 +25,6 @@ worker reports the counter deltas it returns.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from typing import (
     Any,
@@ -58,19 +56,16 @@ class Counter:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = threading.Lock()
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name}: negative increment")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
+        return self._value
 
 
 class Gauge:
@@ -78,17 +73,14 @@ class Gauge:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = threading.Lock()
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     @property
     def value(self) -> float:
-        with self._lock:
-            return self._value
+        return self._value
 
 
 class Histogram:
@@ -104,7 +96,6 @@ class Histogram:
             )
         self.name = name
         self.bounds = bounds
-        self._lock = threading.Lock()
         self._counts = [0] * (len(bounds) + 1)   # +1: overflow (+inf)
         self._count = 0
         self._sum = 0.0
@@ -120,21 +111,18 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = self._bucket(value)
-        with self._lock:
-            self._record(index, value)
+        self._record(self._bucket(value), value)
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """``observe`` each of *values* in order, taking the lock once.
+        """``observe`` each of *values* in order.
 
         For folding a run's samples in at its end (the serving run's
         per-request latencies): the result equals one ``observe`` per
         value, sum order included.
         """
-        with self._lock:
-            for value in values:
-                value = float(value)
-                self._record(self._bucket(value), value)
+        for value in values:
+            value = float(value)
+            self._record(self._bucket(value), value)
 
     def _record(self, index: int, value: float) -> None:
         self._counts[index] += 1
@@ -145,37 +133,33 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
     def bucket_counts(self) -> List[Tuple[Optional[float], int]]:
         """``(upper_bound, count)`` pairs; the final bound is None (+inf)."""
-        with self._lock:
-            bounds: List[Optional[float]] = list(self.bounds)
-            bounds.append(None)
-            return list(zip(bounds, list(self._counts)))
+        bounds: List[Optional[float]] = list(self.bounds)
+        bounds.append(None)
+        return list(zip(bounds, self._counts))
 
     def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "buckets": [
-                    [bound, count]
-                    for bound, count in zip(
-                        list(self.bounds) + [None], self._counts
-                    )
-                ],
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min,
-                "max": self._max,
-            }
+        return {
+            "buckets": [
+                [bound, count]
+                for bound, count in zip(
+                    list(self.bounds) + [None], self._counts
+                )
+            ],
+            "count": self._count,
+            "sum": self._sum,
+            "min": self._min,
+            "max": self._max,
+        }
 
 
 class MetricsRegistry:
     """Name -> instrument registry (create-on-first-use)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -188,33 +172,30 @@ class MetricsRegistry:
                 raise ValueError(f"metric {name!r} already exists as a {kind}")
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            if name not in self._counters:
-                self._check_free(name, self._counters)
-                self._counters[name] = Counter(name)
-            return self._counters[name]
+        if name not in self._counters:
+            self._check_free(name, self._counters)
+            self._counters[name] = Counter(name)
+        return self._counters[name]
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            if name not in self._gauges:
-                self._check_free(name, self._gauges)
-                self._gauges[name] = Gauge(name)
-            return self._gauges[name]
+        if name not in self._gauges:
+            self._check_free(name, self._gauges)
+            self._gauges[name] = Gauge(name)
+        return self._gauges[name]
 
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_MS_BUCKETS) -> Histogram:
-        with self._lock:
-            existing = self._histograms.get(name)
-            if existing is not None:
-                if existing.bounds != tuple(float(b) for b in buckets):
-                    raise ValueError(
-                        f"histogram {name!r} re-declared with different "
-                        "buckets"
-                    )
-                return existing
-            self._check_free(name, self._histograms)
-            self._histograms[name] = Histogram(name, buckets)
-            return self._histograms[name]
+        existing = self._histograms.get(name)
+        if existing is not None:
+            if existing.bounds != tuple(float(b) for b in buckets):
+                raise ValueError(
+                    f"histogram {name!r} re-declared with different "
+                    "buckets"
+                )
+            return existing
+        self._check_free(name, self._histograms)
+        self._histograms[name] = Histogram(name, buckets)
+        return self._histograms[name]
 
     def measure(
         self, fn: Callable[[], T], names: Optional[Sequence[str]] = None
@@ -236,32 +217,28 @@ class MetricsRegistry:
         }
 
     def _counter_values(self) -> Dict[str, int]:
-        with self._lock:
-            counters = list(self._counters.values())
-        return {counter.name: counter.value for counter in counters}
+        return {
+            name: counter.value for name, counter in self._counters.items()
+        }
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready snapshot: the ``metrics.json`` payload."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
         return {
             "counters": {
-                name: counters[name].value for name in sorted(counters)
+                name: self._counters[name].value
+                for name in sorted(self._counters)
             },
             "gauges": {
-                name: gauges[name].value for name in sorted(gauges)
+                name: self._gauges[name].value for name in sorted(self._gauges)
             },
             "histograms": {
-                name: histograms[name].to_dict()
-                for name in sorted(histograms)
+                name: self._histograms[name].to_dict()
+                for name in sorted(self._histograms)
             },
         }
 
     def reset(self) -> None:
         """Drop every instrument (test isolation)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+        self._counters.clear()
+        self._gauges.clear()
+        self._histograms.clear()

@@ -11,17 +11,16 @@ clocks per span:
   each phase's modelled duration), so traces also carry the
   *deterministic* time the models computed.
 
-Spans nest per thread (the experiment harness runs spans concurrently on
-a thread pool; each pool thread keeps its own stack), and every record
+Spans nest on one stack (the process runs one thread), and every record
 carries a global sequence index plus its parent's index, so the full tree
 is reconstructible from the flat event list -- which is exactly how the
 Chrome-trace exporter (:mod:`repro.observe.export`) ships it.
 
-Determinism: span *structure* (names, nesting, per-thread order,
-attributes) is a pure function of the traced code path.  ``span_tree()``
-projects records onto that structure, so two identical runs compare equal
-even though host timestamps differ; with a :class:`TickClock` the full
-records (timestamps included) are bit-identical.
+Determinism: span *structure* (names, nesting, order, attributes) is a
+pure function of the traced code path.  ``span_tree()`` projects records
+onto that structure, so two identical runs compare equal even though
+host timestamps differ; with a :class:`TickClock` the full records
+(timestamps included) are bit-identical.
 
 The process-wide instance is :data:`repro.observe.TRACER`; library code
 uses the module-level :func:`span` / :func:`traced` conveniences so call
@@ -31,7 +30,6 @@ sites stay one line.
 from __future__ import annotations
 
 import functools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -63,19 +61,15 @@ class TickClock:
     Used by tests and the chaos harness (and available to any caller
     wanting bit-identical traces): with a ``TickClock`` two identical
     runs produce identical timestamps, not just identical span trees.
-    Thread-safe so it can stand in for the host clock under a concurrent
-    harness (readings are then interleaving-dependent but never torn).
     """
 
     def __init__(self, step_us: float = 1.0) -> None:
         self.step_us = step_us
-        self._lock = threading.Lock()
         self._now = 0.0
 
     def now_us(self) -> float:
-        with self._lock:
-            self._now += self.step_us
-            return self._now
+        self._now += self.step_us
+        return self._now
 
 
 class SimClock:
@@ -142,9 +136,8 @@ class SpanRecord:
     name: str
     category: str
     index: int                      # global sequence number (creation order)
-    parent_index: Optional[int]     # enclosing span on the same thread
-    thread_id: int
-    depth: int                      # nesting depth on its thread (0 = root)
+    parent_index: Optional[int]     # enclosing span
+    depth: int                      # nesting depth (0 = root)
     start_us: float = 0.0
     duration_us: float = 0.0
     sim_start_ms: float = 0.0
@@ -163,18 +156,10 @@ class Tracer:
                  sim: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else HostClock()
         self.sim = sim if sim is not None else SimClock()
-        self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
-        self._stacks = threading.local()
+        self._stack: List[SpanRecord] = []
 
     # -- recording ---------------------------------------------------------
-
-    def _stack(self) -> List[SpanRecord]:
-        stack = getattr(self._stacks, "value", None)
-        if stack is None:
-            stack = []
-            self._stacks.value = stack
-        return stack
 
     @contextmanager
     def span(self, name: str, category: str = "repro",
@@ -184,19 +169,16 @@ class Tracer:
         Keyword arguments become span attributes; the yielded record
         accepts more via :meth:`SpanRecord.set_attr` while live.
         """
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        with self._lock:
-            record = SpanRecord(
-                name=name,
-                category=category,
-                index=len(self._records),
-                parent_index=parent.index if parent is not None else None,
-                thread_id=threading.get_ident(),
-                depth=len(stack),
-                attrs=dict(attrs),
-            )
-            self._records.append(record)
+        stack = self._stack
+        record = SpanRecord(
+            name=name,
+            category=category,
+            index=len(self._records),
+            parent_index=stack[-1].index if stack else None,
+            depth=len(stack),
+            attrs=dict(attrs),
+        )
+        self._records.append(record)
         record.start_us = self.clock.now_us()
         record.sim_start_ms = self.sim.now_ms
         stack.append(record)
@@ -231,24 +213,21 @@ class Tracer:
 
     def mark(self) -> int:
         """A watermark: pass to :meth:`records_since` to scope one run."""
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     def records(self) -> List[SpanRecord]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def records_since(self, mark: int) -> List[SpanRecord]:
         """Spans recorded (started) at or after *mark*."""
-        with self._lock:
-            return list(self._records[mark:])
+        return self._records[mark:]
 
     def span_tree(self, records: Optional[List[SpanRecord]] = None
                   ) -> List[Dict[str, Any]]:
         """The deterministic structural projection of recorded spans.
 
         Returns a forest of ``{"name", "category", "attrs", "children"}``
-        nodes (no timestamps, no thread ids): identical code paths yield
+        nodes (no timestamps): identical code paths yield
         identical trees, which is what the determinism tests compare.
         """
         if records is None:
@@ -274,6 +253,5 @@ class Tracer:
 
     def reset(self) -> None:
         """Drop all records and rewind the simulated clock (tests)."""
-        with self._lock:
-            self._records.clear()
+        self._records.clear()
         self.sim.reset()

@@ -4,7 +4,7 @@ Three pieces:
 
 - :mod:`repro.simcore.clock` / :mod:`repro.simcore.context` -- the
   per-guest :class:`VirtualClock` (ns resolution, monotonic, deadline
-  queue) and the thread-local *active clock* every time-modelling layer
+  queue) and the *active clock* every time-modelling layer
   advances;
 - :mod:`repro.simcore.guest` -- the :class:`Guest` lifecycle object
   (``GuestSpec -> build -> boot -> serve -> shutdown``) composing

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from typing import Callable, List, Optional
 
 
@@ -78,9 +77,9 @@ class ScheduledEvent:
 class VirtualClock:
     """Monotonic simulated time in nanoseconds, with deadlines.
 
-    Thread-safe for concurrent advances (the harness runs experiments on
-    a pool); callbacks and listeners run outside the lock, at the moment
-    the clock sits exactly on the event's deadline.
+    Single-threaded, like every simulator in the process: callbacks and
+    listeners run at the moment the clock sits exactly on the event's
+    deadline, and may re-enter the clock.
     """
 
     #: Heap-compaction floor: cancelled entries are swept out only once the
@@ -89,7 +88,6 @@ class VirtualClock:
     COMPACT_MIN_EVENTS = 64
 
     def __init__(self, start_ns: float = 0.0) -> None:
-        self._lock = threading.RLock()
         self._now_ns = float(start_ns)
         self._events: List[ScheduledEvent] = []
         self._seq = itertools.count()
@@ -100,18 +98,15 @@ class VirtualClock:
 
     @property
     def now_ns(self) -> float:
-        with self._lock:
-            return self._now_ns
+        return self._now_ns
 
     @property
     def now_ms(self) -> float:
-        with self._lock:
-            return self._now_ns / 1e6
+        return self._now_ns / 1e6
 
     @property
     def pending_events(self) -> int:
-        with self._lock:
-            return len(self._events) - self._cancelled_count
+        return len(self._events) - self._cancelled_count
 
     def next_deadline_ns(self) -> Optional[float]:
         """The earliest pending (non-cancelled) deadline, or None.
@@ -121,9 +116,8 @@ class VirtualClock:
         ``advance_to`` instead of stepping (see
         :mod:`repro.simcore.eventcore`).
         """
-        with self._lock:
-            self._skim_cancelled()
-            return self._events[0].deadline_ns if self._events else None
+        self._skim_cancelled()
+        return self._events[0].deadline_ns if self._events else None
 
     # -- advancing ---------------------------------------------------------
 
@@ -135,8 +129,7 @@ class VirtualClock:
         """
         if ns < 0:
             raise ClockError(f"virtual time cannot go backwards ({ns} ns)")
-        with self._lock:
-            return self._run_to(self._now_ns + ns)
+        return self._run_to(self._now_ns + ns)
 
     def advance_ms(self, ms: float) -> float:
         """Advance by *ms* milliseconds; returns the new now in ms."""
@@ -146,13 +139,12 @@ class VirtualClock:
 
     def advance_to(self, target_ns: float) -> float:
         """Advance to exactly *target_ns* (>= now); fires due events."""
-        with self._lock:
-            if target_ns < self._now_ns:
-                raise ClockError(
-                    f"advance_to({target_ns}) is in the past "
-                    f"(now {self._now_ns})"
-                )
-            return self._run_to(target_ns)
+        if target_ns < self._now_ns:
+            raise ClockError(
+                f"advance_to({target_ns}) is in the past "
+                f"(now {self._now_ns})"
+            )
+        return self._run_to(target_ns)
 
     def jump_to(self, value_ns: float) -> float:
         """Set the clock to exactly *value_ns*, forwards or backwards.
@@ -165,12 +157,11 @@ class VirtualClock:
         moves, so a bound :class:`~repro.sched.timers.TimerWheel`
         re-anchors its tick base instead of keeping a stale one.
         """
-        with self._lock:
-            if value_ns < self._now_ns:
-                self._now_ns = float(value_ns)
-                self._notify(self._now_ns)
-                return self._now_ns
-            return self._run_to(value_ns)
+        if value_ns < self._now_ns:
+            self._now_ns = float(value_ns)
+            self._notify(self._now_ns)
+            return self._now_ns
+        return self._run_to(value_ns)
 
     def reset(self) -> None:
         """Rewind to zero and drop all pending events (test isolation).
@@ -178,11 +169,10 @@ class VirtualClock:
         Listeners stay registered and observe the rebase to 0.0 -- the
         same rebase semantics as a backward :meth:`jump_to`.
         """
-        with self._lock:
-            self._now_ns = 0.0
-            self._events.clear()
-            self._cancelled_count = 0
-            self._notify(0.0)
+        self._now_ns = 0.0
+        self._events.clear()
+        self._cancelled_count = 0
+        self._notify(0.0)
 
     # -- deadlines ---------------------------------------------------------
 
@@ -190,16 +180,15 @@ class VirtualClock:
                 callback: Optional[Callable[[], None]] = None
                 ) -> ScheduledEvent:
         """Schedule *callback* to fire when the clock reaches *deadline_ns*."""
-        with self._lock:
-            if deadline_ns < self._now_ns:
-                raise ClockError(
-                    f"deadline {deadline_ns} is in the past "
-                    f"(now {self._now_ns})"
-                )
-            event = ScheduledEvent(
-                deadline_ns, next(self._seq), callback, clock=self
+        if deadline_ns < self._now_ns:
+            raise ClockError(
+                f"deadline {deadline_ns} is in the past "
+                f"(now {self._now_ns})"
             )
-            heapq.heappush(self._events, event)
+        event = ScheduledEvent(
+            deadline_ns, next(self._seq), callback, clock=self
+        )
+        heapq.heappush(self._events, event)
         return event
 
     def call_after(self, delay_ns: float,
@@ -208,8 +197,7 @@ class VirtualClock:
         """Schedule *callback* to fire *delay_ns* >= 0 from now."""
         if delay_ns < 0:
             raise ClockError(f"cannot schedule {delay_ns} ns in the past")
-        with self._lock:
-            return self.call_at(self._now_ns + delay_ns, callback)
+        return self.call_at(self._now_ns + delay_ns, callback)
 
     # -- listeners ---------------------------------------------------------
 
@@ -220,23 +208,18 @@ class VirtualClock:
         by the number of whole ticks elapsed (see
         :meth:`repro.sched.timers.TimerWheel.bind_clock`).
         """
-        with self._lock:
-            self._listeners.append(listener)
+        self._listeners.append(listener)
 
     def remove_listener(self, listener: Callable[[float], None]) -> None:
-        with self._lock:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
+        if listener in self._listeners:
+            self._listeners.remove(listener)
 
     # -- internals ---------------------------------------------------------
 
     def _run_to(self, target_ns: float) -> float:
         """Move to exactly *target_ns*, firing due events in deadline order.
 
-        Caller holds ``self._lock`` (re-entrant): the whole move, event
-        callbacks included, is atomic with respect to other threads, just
-        as the per-layer ``clock_ns += x`` folds it replaces were single
-        statements.  Callbacks may re-enter the clock from this thread.
+        Callbacks may re-enter the clock (schedule, cancel, read now).
         """
         while True:
             self._skim_cancelled()
@@ -275,12 +258,9 @@ class VirtualClock:
         whole run.  asyncio-style: once cancelled entries exceed half of
         a non-trivial queue, rebuild the heap from the live entries.
         """
-        with self._lock:
-            self._cancelled_count += 1
-            if (len(self._events) >= self.COMPACT_MIN_EVENTS
-                    and self._cancelled_count * 2 > len(self._events)):
-                self._events = [
-                    e for e in self._events if not e.cancelled
-                ]
-                heapq.heapify(self._events)
-                self._cancelled_count = 0
+        self._cancelled_count += 1
+        if (len(self._events) >= self.COMPACT_MIN_EVENTS
+                and self._cancelled_count * 2 > len(self._events)):
+            self._events = [e for e in self._events if not e.cancelled]
+            heapq.heapify(self._events)
+            self._cancelled_count = 0

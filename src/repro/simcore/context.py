@@ -13,14 +13,12 @@ simulated timeline the old ``TRACER.sim`` counter provided); inside
 so existing traces keep working while every advance lands on the single
 per-guest time authority.
 
-The stack is thread-local: the experiment harness runs guests on a
-thread pool, and each worker's active guest must not leak into its
-neighbours.
+The process runs one thread, so the scope stack is one module-level
+list.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List
 
 from repro.simcore.clock import VirtualClock
@@ -28,15 +26,8 @@ from repro.simcore.clock import VirtualClock
 #: The ambient timeline used outside any guest scope.
 _DEFAULT_CLOCK = VirtualClock()
 
-_active = threading.local()
-
-
-def _stack() -> List[VirtualClock]:
-    stack = getattr(_active, "stack", None)
-    if stack is None:
-        stack = []
-        _active.stack = stack
-    return stack
+#: The entered clocks, innermost last.
+_STACK: List[VirtualClock] = []
 
 
 def default_clock() -> VirtualClock:
@@ -46,8 +37,7 @@ def default_clock() -> VirtualClock:
 
 def current_clock() -> VirtualClock:
     """The clock time-modelling code should advance *right now*."""
-    stack = _stack()
-    return stack[-1] if stack else _DEFAULT_CLOCK
+    return _STACK[-1] if _STACK else _DEFAULT_CLOCK
 
 
 class _ClockScope:
@@ -59,19 +49,17 @@ class _ClockScope:
     pop, not a generator frame.
     """
 
-    __slots__ = ("_clock", "_stack")
+    __slots__ = ("_clock",)
 
     def __init__(self, clock: VirtualClock) -> None:
         self._clock = clock
 
     def __enter__(self) -> VirtualClock:
-        stack = _stack()
-        stack.append(self._clock)
-        self._stack = stack
+        _STACK.append(self._clock)
         return self._clock
 
     def __exit__(self, *exc_info: object) -> None:
-        self._stack.pop()
+        _STACK.pop()
 
 
 def use_clock(clock: VirtualClock) -> _ClockScope:

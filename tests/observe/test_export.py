@@ -36,6 +36,7 @@ class TestChromeTrace:
         for event in spans:
             assert set(event) >= {"name", "cat", "ph", "ts", "dur", "pid",
                                   "tid", "args"}
+            assert (event["pid"], event["tid"]) == (1, 0)  # one track
             assert event["dur"] >= 0
         assert document["displayTimeUnit"] == "ms"
 
@@ -98,7 +99,7 @@ class TestAnalysis:
 class TestHarnessEmission:
     def test_run_all_emits_valid_artifacts(self, tmp_path):
         run = run_experiments(
-            names=["fig5", "fig7"], jobs=2,
+            names=["fig5", "fig7"],
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         assert run.trace_path is not None and run.trace_path.is_file()
@@ -126,7 +127,7 @@ class TestHarnessEmission:
 
     def test_report_renders_from_disk(self, tmp_path):
         run = run_experiments(
-            names=["fig5"], jobs=1,
+            names=["fig5"],
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         report = render_trace_report(run.trace_path,

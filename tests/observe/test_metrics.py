@@ -1,6 +1,5 @@
 """Tests for the metrics registry (histogram edges pinned exactly)."""
 
-import concurrent.futures
 import json
 
 import pytest
@@ -19,17 +18,6 @@ class TestCounter:
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
             MetricsRegistry().counter("c").inc(-1)
-
-    def test_thread_safety(self):
-        counter = MetricsRegistry().counter("c")
-
-        def bump(_):
-            for _ in range(1000):
-                counter.inc()
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(bump, range(8)))
-        assert counter.value == 8000
 
 
 class TestGauge:

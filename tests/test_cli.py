@@ -104,7 +104,7 @@ class TestExtendedCli:
 class TestRunAll:
     def test_run_all_subset(self, capsys, tmp_path):
         assert main(
-            ["run-all", "--only", "fig5,table3", "--jobs", "2",
+            ["run-all", "--only", "fig5,table3",
              "--output-dir", str(tmp_path)]
         ) == 0
         output = capsys.readouterr().out
@@ -114,6 +114,21 @@ class TestRunAll:
         assert (tmp_path / "run_manifest.json").exists()
         assert (tmp_path / "fig5.txt").exists()
         assert (tmp_path / "fig5.dat").exists()
+
+    def test_run_all_accepts_jobs_1(self, capsys, tmp_path):
+        # The argv perfbench's paper_experiments workload passes.
+        assert main(
+            ["run-all", "--jobs", "1", "--only", "fig5",
+             "--output-dir", str(tmp_path)]
+        ) == 0
+        assert (tmp_path / "fig5.txt").exists()
+
+    def test_run_all_rejects_other_jobs(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-all", "--jobs", "2", "--only", "fig5",
+                  "--output-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "fig5.txt").exists()
 
     def test_run_all_unknown_experiment(self, capsys, tmp_path):
         assert main(
@@ -162,6 +177,12 @@ class TestRunAll:
 
 
 class TestChaosCli:
+    def test_chaos_has_no_jobs_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--jobs", "1"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_chaos_subset_invariants_hold(self, capsys, tmp_path):
         assert main(
             ["chaos", "--seed", "5", "--only", "fig4,fig5,table3",

@@ -1,8 +1,8 @@
-"""Tests for the parallel experiment harness.
+"""Tests for the experiment harness.
 
 Covers the registry protocol, the content-addressed kernel build cache,
-the on-disk result cache (hit fast path, fingerprint invalidation), the
-determinism of concurrent runs, and the emitted run manifest.
+the on-disk result cache (hit fast path, fingerprint invalidation),
+selection-order results, and the emitted run manifest.
 """
 
 import json
@@ -229,7 +229,7 @@ class TestCodec:
 
     def test_encoded_results_are_json_serializable(self):
         run = run_experiments(
-            names=["table5", "ext-security"], jobs=1,
+            names=["table5", "ext-security"],
             write_outputs=False, use_result_cache=False,
         )
         for result in run.results.values():
@@ -250,13 +250,13 @@ class TestResultCache:
     def test_warm_run_hits_everything_and_builds_nothing(self, tmp_path):
         names = FAST_IDS + KERNEL_IDS
         cold = run_experiments(
-            names=names, jobs=1,
+            names=names,
             output_dir=tmp_path / "out1", cache_dir=tmp_path / "cache",
         )
         assert cold.telemetry.result_cache_misses == len(names)
         before = BUILD_CACHE.stats()
         warm = run_experiments(
-            names=names, jobs=1,
+            names=names,
             output_dir=tmp_path / "out2", cache_dir=tmp_path / "cache",
         )
         after = BUILD_CACHE.stats()
@@ -279,7 +279,7 @@ class TestResultCache:
             fingerprint_fn=lambda: "fp",
         )
         kwargs = dict(
-            experiments=[experiment], jobs=1, write_outputs=False,
+            experiments=[experiment], write_outputs=False,
             cache_dir=tmp_path / "cache",
         )
         cold = run_experiments(**kwargs)
@@ -298,7 +298,7 @@ class TestResultCache:
         fingerprint = {"value": "aaaa"}
         experiment = _synthetic("synthetic", calls, fingerprint)
         kwargs = dict(
-            experiments=[experiment], jobs=1, write_outputs=False,
+            experiments=[experiment], write_outputs=False,
             cache_dir=tmp_path / "cache",
         )
         run_experiments(**kwargs)
@@ -317,7 +317,7 @@ class TestResultCache:
         fingerprint = {"value": "aaaa"}
         experiment = _synthetic("synthetic", calls, fingerprint)
         kwargs = dict(
-            experiments=[experiment], jobs=1, write_outputs=False,
+            experiments=[experiment], write_outputs=False,
             cache_dir=tmp_path / "cache",
         )
         run_experiments(**kwargs)
@@ -331,7 +331,7 @@ class TestResultCache:
         fingerprint = {"value": "aaaa"}
         experiment = _synthetic("synthetic", calls, fingerprint)
         kwargs = dict(
-            experiments=[experiment], jobs=1, write_outputs=False,
+            experiments=[experiment], write_outputs=False,
             cache_dir=tmp_path / "cache",
         )
         run_experiments(**kwargs)
@@ -342,28 +342,6 @@ class TestResultCache:
 
 
 class TestDeterminism:
-    def test_jobs_1_and_4_merge_identically(self, tmp_path):
-        names = FAST_IDS + KERNEL_IDS
-        serial = run_experiments(
-            names=names, jobs=1, force=True,
-            output_dir=tmp_path / "serial", cache_dir=tmp_path / "c1",
-        )
-        concurrent = run_experiments(
-            names=names, jobs=4, force=True,
-            output_dir=tmp_path / "concurrent", cache_dir=tmp_path / "c2",
-        )
-        assert list(serial.results) == names == list(concurrent.results)
-        assert serial.artifacts == concurrent.artifacts
-        assert (
-            json.dumps(encode(serial.results), sort_keys=True)
-            == json.dumps(encode(concurrent.results), sort_keys=True)
-        )
-        for name in names:
-            assert (
-                serial.output_paths[name].read_bytes()
-                == concurrent.output_paths[name].read_bytes()
-            )
-
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             run_experiments(names=["fig99"], write_outputs=False)
@@ -372,12 +350,13 @@ class TestDeterminism:
 class TestManifest:
     def test_manifest_written_with_telemetry(self, tmp_path):
         run = run_experiments(
-            names=FAST_IDS, jobs=2,
+            names=FAST_IDS,
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         assert run.manifest_path is not None
         manifest = json.loads(run.manifest_path.read_text())
-        assert manifest["jobs"] == 2
+        assert manifest["schema_version"] == 3
+        assert "jobs" not in manifest and "effective_jobs" not in manifest
         assert [e["name"] for e in manifest["experiments"]] == FAST_IDS
         for entry in manifest["experiments"]:
             assert entry["wall_ms"] >= 0
@@ -388,7 +367,7 @@ class TestManifest:
 
     def test_warm_manifest_reports_full_hit_rate(self, tmp_path):
         kwargs = dict(
-            names=FAST_IDS, jobs=2,
+            names=FAST_IDS,
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         run_experiments(**kwargs)

@@ -2,7 +2,7 @@
 
 Covers the tentpole resilience invariants: one failing experiment never
 aborts the run, transient faults are retried under the RetryPolicy,
-hangs/deadlines become ``timed_out``, the schema-v2 manifest always
+hangs/deadlines become ``timed_out``, the schema-v3 manifest always
 lands with a definite per-experiment status, and fault-free runs remain
 byte-identical to the pre-fault-plane harness.
 """
@@ -50,7 +50,7 @@ def _counter(name):
 
 
 class TestFailureContainment:
-    def test_failing_experiment_isolated_under_jobs_4(self, tmp_path):
+    def test_failing_experiment_isolated(self, tmp_path):
         calls = []
 
         def _boom():
@@ -62,7 +62,7 @@ class TestFailureContainment:
             _synthetic("good-b", calls),
         ]
         run = run_experiments(
-            experiments=experiments, jobs=4,
+            experiments=experiments,
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         # The healthy experiments' results and outputs all landed.
@@ -76,9 +76,10 @@ class TestFailureContainment:
         entry = next(e for e in run.telemetry.experiments if e.name == "bad")
         assert entry.status == "failed"
         assert entry.attempts == 1  # ValueError is persistent: no retry
-        # The manifest still landed, complete and schema-v2.
+        # The manifest still landed, complete and schema-v3.
         manifest = json.loads(run.manifest_path.read_text())
-        assert manifest["schema_version"] == 2
+        assert manifest["schema_version"] == 3
+        assert "jobs" not in manifest and "effective_jobs" not in manifest
         assert manifest["failures"] == 1
         statuses = {e["name"]: e["status"] for e in manifest["experiments"]}
         assert statuses == {"good-a": "ok", "bad": "failed", "good-b": "ok"}
@@ -90,7 +91,7 @@ class TestFailureContainment:
             raise RuntimeError("nope")
 
         run = run_experiments(
-            experiments=[_synthetic("bad", [], body=_boom)], jobs=1,
+            experiments=[_synthetic("bad", [], body=_boom)],
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         assert run.results == {}
@@ -101,7 +102,7 @@ class TestFailureContainment:
     def test_failed_status_span_attrs_only_on_abnormal(self, tmp_path):
         mark = TRACER.mark()
         run_experiments(
-            experiments=[_synthetic("fine", [])], jobs=1,
+            experiments=[_synthetic("fine", [])],
             write_outputs=False, use_result_cache=False,
         )
         spans = [r for r in TRACER.records_since(mark)
@@ -118,7 +119,7 @@ class TestRetries:
         retries_before = _counter("harness.retries")
         with faults.activated(plane):
             run = run_experiments(
-                experiments=[_synthetic("flaky", calls)], jobs=1,
+                experiments=[_synthetic("flaky", calls)],
                 output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
             )
         # The fault fires on entering the site, before the body: the body
@@ -137,7 +138,7 @@ class TestRetries:
         failures_before = _counter("harness.failures")
         with faults.activated(plane):
             run = run_experiments(
-                experiments=[_synthetic("doomed", [])], jobs=1,
+                experiments=[_synthetic("doomed", [])],
                 write_outputs=False, use_result_cache=False,
                 retry_policy=RetryPolicy(max_attempts=3),
             )
@@ -153,7 +154,7 @@ class TestRetries:
         sim_before = TRACER.sim.now_ms
         with faults.activated(plane):
             run_experiments(
-                experiments=[_synthetic("flaky", [])], jobs=1,
+                experiments=[_synthetic("flaky", [])],
                 write_outputs=False, use_result_cache=False,
                 retry_policy=RetryPolicy(max_attempts=3, backoff_ms=50.0),
             )
@@ -168,7 +169,7 @@ class TestTimeouts:
         timeouts_before = _counter("harness.timeouts")
         with faults.activated(plane):
             run = run_experiments(
-                experiments=[_synthetic("hung", [])], jobs=1,
+                experiments=[_synthetic("hung", [])],
                 output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
             )
         entry = run.telemetry.experiments[0]
@@ -186,7 +187,7 @@ class TestTimeouts:
 
         run = run_experiments(
             experiments=[_synthetic("runaway", [], body=_slow_then_crash)],
-            jobs=1, write_outputs=False, use_result_cache=False,
+            write_outputs=False, use_result_cache=False,
             retry_policy=RetryPolicy(deadline_ms=1_000.0),
         )
         assert run.telemetry.experiments[0].status == "timed_out"
@@ -196,7 +197,7 @@ class TestCacheFaults:
     def test_corrupt_load_is_a_miss_and_reruns(self, tmp_path):
         calls = []
         kwargs = dict(
-            jobs=1, write_outputs=False, cache_dir=tmp_path / "cache",
+            write_outputs=False, cache_dir=tmp_path / "cache",
         )
         run_experiments(experiments=[_synthetic("exp", calls)], **kwargs)
         assert calls == ["exp"]
@@ -222,7 +223,7 @@ class TestCacheFaults:
         plane.one_shot("resultcache.store")
         with faults.activated(plane):
             run = run_experiments(
-                experiments=[_synthetic("exp", calls)], jobs=1,
+                experiments=[_synthetic("exp", calls)],
                 write_outputs=False, cache_dir=tmp_path / "cache",
             )
         entry = run.telemetry.experiments[0]
@@ -239,11 +240,11 @@ class TestFaultFreeTransparency:
     def test_no_plane_runs_are_byte_identical(self, tmp_path):
         names = FAST_IDS
         first = run_experiments(
-            names=names, jobs=1, force=True,
+            names=names, force=True,
             output_dir=tmp_path / "a", cache_dir=tmp_path / "ca",
         )
         second = run_experiments(
-            names=names, jobs=1, force=True,
+            names=names, force=True,
             output_dir=tmp_path / "b", cache_dir=tmp_path / "cb",
         )
         for name in names:
@@ -255,7 +256,7 @@ class TestFaultFreeTransparency:
 
     def test_clean_run_reports_zero_resilience_counters(self, tmp_path):
         run = run_experiments(
-            names=["fig4"], jobs=1,
+            names=["fig4"],
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         metrics = json.loads(run.metrics_path.read_text())

@@ -16,7 +16,6 @@ The contracts under test:
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -134,27 +133,3 @@ class TestServingRunFanOut:
         fanned = deltas(2)
         assert fanned == in_process
         assert all(value > 0 for value in in_process.values())
-
-
-class TestRunnerEffectiveJobs:
-    def test_manifest_reports_effective_worker_count(self, tmp_path):
-        from repro.harness.registry import Artifact, Experiment
-        from repro.harness.runner import run_experiments
-
-        experiments = [
-            Experiment(
-                name=f"shardy-{index}",
-                run_fn=lambda: {"v": 1},
-                artifact_fn=lambda: Artifact(text="shardy"),
-                fingerprint_fn=lambda index=index: f"fp-{index}",
-            )
-            for index in range(2)
-        ]
-        run = run_experiments(
-            experiments=experiments, jobs=8, output_dir=tmp_path,
-            cache_dir=tmp_path / "cache",
-        )
-        manifest = json.loads(run.manifest_path.read_text(encoding="utf-8"))
-        assert manifest["jobs"] == 8
-        assert manifest["effective_jobs"] == 2
-        assert run.telemetry.effective_jobs == 2

@@ -1,7 +1,5 @@
 """Tests for the simcore time authority and unified guest runtime."""
 
-import threading
-
 import pytest
 
 from repro.core.variants import Variant
@@ -264,17 +262,6 @@ class TestClockContext:
                 assert entered is mine
                 raise KeyError("body errors propagate")
         assert current_clock() is default_clock()
-
-    def test_use_clock_is_thread_local(self):
-        mine = VirtualClock()
-        observed = []
-        with use_clock(mine):
-            thread = threading.Thread(
-                target=lambda: observed.append(current_clock())
-            )
-            thread.start()
-            thread.join()
-        assert observed[0] is not mine
 
     def test_tracer_sim_is_a_view_over_the_active_clock(self):
         from repro.observe import TRACER

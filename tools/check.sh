@@ -19,7 +19,10 @@
 #
 # The single-time-authority lint (tools/lint_time.py) enforces the
 # simcore invariant: no simulator advances time through the tracer's sim
-# view or keeps a private clock accumulator field.
+# view or keeps a private clock accumulator field.  Its no-threads rule
+# covers all of src/repro: every process runs repro code on one thread
+# (experiments run in order), so the clock, fault plane, tracer and
+# metrics hold no locks; worker processes stay allowed.
 #
 # The counted benchmarks all run through one CLI path (repro.cli.BENCHES):
 # `bench-<name> --check` writes BENCH_<name>.json and enforces that
@@ -73,7 +76,7 @@
 # schedule (repro-lupine chaos) and asserts the resilience invariants:
 # every experiment ends with a definite status, manifest/trace/metrics
 # always land, no stray temp files, and the two sub-runs are
-# byte-identical (see docs/RESILIENCE.md).  The warm run-all + regression
+# byte-identical, every file compared (see docs/RESILIENCE.md).  The warm run-all + regression
 # gate above doubles as the zero-fault invariant: with no fault plane
 # installed, counters (0 failures, 0 retries, 0 injected faults) must
 # match benchmarks/baseline/metrics.json.
@@ -81,7 +84,7 @@ set -eu
 
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 
-echo "==> single-time-authority lint"
+echo "==> single-time-authority + no-threads lint"
 python "$REPO_ROOT/tools/lint_time.py"
 
 echo "==> docs dead-link check"
@@ -99,7 +102,7 @@ echo "==> host-time benchmark self-tests (perfbench/tests)"
 echo "==> EXPERIMENTS.md generator (from a temp cwd, no PYTHONPATH)"
 TMP_DIR=$(mktemp -d)
 trap 'rm -rf "$TMP_DIR"' EXIT
-(cd "$TMP_DIR" && python "$REPO_ROOT/tools/generate_experiments_md.py" --jobs 2)
+(cd "$TMP_DIR" && python "$REPO_ROOT/tools/generate_experiments_md.py")
 diff "$REPO_ROOT/EXPERIMENTS.md" "$TMP_DIR/EXPERIMENTS.md"
 
 echo "==> resolver differential suite (worklist vs sweep oracle)"
@@ -109,9 +112,8 @@ echo "==> resolver differential suite (worklist vs sweep oracle)"
 echo "==> warm run-all + regression gate"
 RUN_DIR=${CHECK_RUN_DIR:-"$TMP_DIR/run"}
 cd "$REPO_ROOT"
-PYTHONPATH=src python -m repro.cli run-all --jobs 2 --output-dir "$RUN_DIR" \
-    > /dev/null
-PYTHONPATH=src python -m repro.cli run-all --jobs 2 --output-dir "$RUN_DIR"
+PYTHONPATH=src python -m repro.cli run-all --output-dir "$RUN_DIR" > /dev/null
+PYTHONPATH=src python -m repro.cli run-all --output-dir "$RUN_DIR"
 test -s "$RUN_DIR/trace.json"
 test -s "$RUN_DIR/metrics.json"
 test -s "$RUN_DIR/run_manifest.json"

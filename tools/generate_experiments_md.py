@@ -3,9 +3,8 @@
 
 Run: ``python tools/generate_experiments_md.py`` (writes EXPERIMENTS.md
 into the current directory).  Experiment execution goes through the
-parallel harness (``repro.harness``), so results come from the shared
-result cache when inputs are unchanged; pass ``--cold`` to force a full
-re-run and ``--jobs N`` to change concurrency.
+harness (``repro.harness``), so results come from the shared result
+cache when inputs are unchanged; pass ``--cold`` to force a full re-run.
 """
 
 from __future__ import annotations
@@ -68,14 +67,12 @@ def _fmt(value, digits=2):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="experiments to run concurrently (default 4)")
     parser.add_argument("--cold", action="store_true",
                         help="ignore the result cache and re-run everything")
     args = parser.parse_args(argv)
 
     harness_run = run_experiments(
-        names=EXPERIMENT_IDS, jobs=args.jobs, force=args.cold,
+        names=EXPERIMENT_IDS, force=args.cold,
         write_outputs=False,
     )
     results = harness_run.results
@@ -93,11 +90,10 @@ def main(argv=None) -> int:
 
     # -- how to run ------------------------------------------------------------
     w("## Running the experiments\n\n")
-    w("All experiments run through the parallel harness "
-      "(`repro.harness`):\n\n")
-    w("```\npython -m repro.cli run-all --jobs 4\n```\n\n")
-    w("- Independent experiments run concurrently (`--jobs N`); results "
-      "merge in registry order, so output is identical for any N.\n")
+    w("All experiments run through the harness (`repro.harness`):\n\n")
+    w("```\npython -m repro.cli run-all\n```\n\n")
+    w("- Experiments run one after another, in registry order, in one "
+      "thread; results and outputs land in that order.\n")
     w("- Kernel builds are shared through a process-wide content-addressed "
       "build cache; the run manifest (`benchmarks/output/run_manifest.json`) "
       "reports builds performed vs. reused.\n")
@@ -117,19 +113,15 @@ def main(argv=None) -> int:
 
     # -- run manifest schema ---------------------------------------------------
     w("## Run manifest schema\n\n")
-    w("`run-all` writes `run_manifest.json` (schema_version 2) describing "
+    w("`run-all` writes `run_manifest.json` (schema_version 3) describing "
       "what the run cost — and how every experiment ended. The manifest "
       "always lands, even when experiments fail: a partial run still "
       "produces a complete record. Top-level fields:\n\n")
     w("| Field | Meaning |\n|---|---|\n")
-    w("| `schema_version` | manifest format version (currently 2; v2 "
+    w("| `schema_version` | manifest format version (currently 3; v2 "
       "added per-experiment `status`/`attempts`/`error` and the "
-      "top-level `failures` count) |\n")
-    w("| `jobs` | thread-pool width the run *requested* (`--jobs N`, "
-      "floored at 1) |\n")
-    w("| `effective_jobs` | workers actually used: `min(jobs, "
-      "experiments selected)` — a 2-experiment run at `--jobs 8` "
-      "occupies 2 pool threads |\n")
+      "top-level `failures` count; v3 dropped `jobs` and "
+      "`effective_jobs`) |\n")
     w("| `total_wall_ms` | wall time of the whole harness run |\n")
     w("| `experiments[]` | per-experiment records (below), in registry "
       "order |\n")

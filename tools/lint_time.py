@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Single-time-authority lint: one virtual clock, no private timelines.
+"""Single-time-authority lint: one virtual clock, no private timelines,
+one thread.
 
 Since the ``repro.simcore`` refactor, simulated time has exactly one
 authority: :class:`repro.simcore.clock.VirtualClock` (reached ambiently
@@ -23,10 +24,14 @@ keeps it that way across ``src/repro``:
   so every fleet timeline is registered with -- and order-visible to --
   the one global event heap.  Standalone layers elsewhere may still
   default-construct private clocks for isolated tests.
+- **no-threads** -- importing or naming a thread API (``threading``,
+  ``_thread``, ``ThreadPoolExecutor``, ``multiprocessing.dummy``,
+  ``ThreadPool``) anywhere under ``src/repro``; see
+  :func:`thread_violation`.
 
-Allowed locations: ``repro/simcore`` (the authority itself) and
-``repro/observe`` (the tracer view).  Run:
-``python tools/lint_time.py`` (exit 1 on violations); wired into
+The first three rules exempt ``repro/simcore`` (the authority itself)
+and ``repro/observe`` (the tracer view); no-threads covers every module.
+Run: ``python tools/lint_time.py`` (exit 1 on violations); wired into
 ``tools/check.sh`` and CI.
 """
 
@@ -36,7 +41,7 @@ import ast
 import pathlib
 import re
 import sys
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -58,6 +63,12 @@ FLEET_PATHS = ("core/orchestrator.py", "traffic/")
 #: parameters and result records (``deadline_ms``, ``elapsed_ns``, ...)
 #: are fine -- the lint targets *accumulating* now-state.
 CLOCK_FIELD = re.compile(r"^_?(clock|now|time)_(ns|us|ms|s)$")
+
+#: Modules whose import starts or manages threads.
+THREAD_MODULES = ("threading", "_thread", "multiprocessing.dummy")
+
+#: Thread-pool names, however they are imported or reached.
+THREAD_NAMES = ("ThreadPoolExecutor", "ThreadPool")
 
 
 def _is_sim_advance(node: ast.Call) -> bool:
@@ -91,21 +102,71 @@ def _is_clock_construction(node: ast.Call) -> bool:
     return isinstance(func, ast.Attribute) and func.attr == "VirtualClock"
 
 
-def lint_file(path: pathlib.Path, fleet_path: bool = False) -> List[str]:
-    relative = path.relative_to(REPO_ROOT)
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(relative))
+def _is_thread_module(name: str) -> bool:
+    return any(name == module or name.startswith(module + ".")
+               for module in THREAD_MODULES)
+
+
+def thread_violation(node: ast.AST) -> Optional[str]:
+    """The no-threads rule: what thread API *node* reaches, or None.
+
+    Every process runs ``repro`` code on one thread.  The virtual clock,
+    the active-clock stack, the fault plane and its experiment scope,
+    the tracer's span stack and the metrics registry hold no locks and
+    no per-thread state, so a second thread running ``repro`` code would
+    interleave their updates.  Worker *processes* share none of that
+    state: ``ProcessPoolExecutor`` and ``multiprocessing`` stay allowed.
+    """
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if _is_thread_module(alias.name):
+                return f"import {alias.name}"
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if _is_thread_module(module):
+            return f"from {module} import ..."
+        for alias in node.names:
+            if (alias.name in THREAD_NAMES
+                    or _is_thread_module(f"{module}.{alias.name}")):
+                return f"from {module} import {alias.name}"
+    elif isinstance(node, ast.Attribute):
+        if node.attr in THREAD_NAMES:
+            return f"attribute {node.attr}"
+        if (node.attr == "dummy" and isinstance(node.value, ast.Name)
+                and node.value.id == "multiprocessing"):
+            return "attribute multiprocessing.dummy"
+    return None
+
+
+def lint_source(source: str, label: str, fleet_path: bool = False,
+                time_rules: bool = True) -> List[str]:
+    """Violations in one module's *source*, reported against *label*.
+
+    ``time_rules=False`` (simcore/observe) runs only the no-threads rule.
+    """
+    tree = ast.parse(source, filename=label)
     violations = []
     for node in ast.walk(tree):
+        reached = thread_violation(node)
+        if reached is not None:
+            violations.append(
+                f"{label}:{node.lineno}: [no-threads] {reached}: every "
+                "process runs repro code on one thread (the clock, fault "
+                "plane, tracer and metrics hold no locks); fan out to "
+                "worker processes instead"
+            )
+        if not time_rules:
+            continue
         if isinstance(node, ast.Call) and _is_sim_advance(node):
             violations.append(
-                f"{relative}:{node.lineno}: [no-sim-advance] advancing "
+                f"{label}:{node.lineno}: [no-sim-advance] advancing "
                 "time through the tracer's sim view; advance "
                 "repro.simcore.context.current_clock() instead"
             )
         elif (fleet_path and isinstance(node, ast.Call)
                 and _is_clock_construction(node)):
             violations.append(
-                f"{relative}:{node.lineno}: [no-direct-clock-in-fleet] "
+                f"{label}:{node.lineno}: [no-direct-clock-in-fleet] "
                 "fleet code constructs a VirtualClock directly; obtain "
                 "guest clocks from EventCore.clock_for(name) so the "
                 "global event heap sees every fleet timeline"
@@ -114,7 +175,7 @@ def lint_file(path: pathlib.Path, fleet_path: bool = False) -> List[str]:
             for name, lineno in _class_field_names(node):
                 if CLOCK_FIELD.match(name):
                     violations.append(
-                        f"{relative}:{lineno}: [no-clock-field] class "
+                        f"{label}:{lineno}: [no-clock-field] class "
                         f"{node.name} declares private timeline field "
                         f"{name!r}; hold a 'clock: VirtualClock' and "
                         "advance that (expose a read-only property if "
@@ -138,10 +199,11 @@ def lint_tree() -> List[str]:
     violations: List[str] = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
         relative = path.relative_to(SRC_ROOT)
-        if relative.parts and relative.parts[0] in ALLOWED:
-            continue
-        violations.extend(lint_file(
-            path, fleet_path=_is_fleet_path(relative.as_posix())
+        violations.extend(lint_source(
+            path.read_text(encoding="utf-8"),
+            str(path.relative_to(REPO_ROOT)),
+            fleet_path=_is_fleet_path(relative.as_posix()),
+            time_rules=relative.parts[0] not in ALLOWED,
         ))
     return violations
 
@@ -153,8 +215,8 @@ def main() -> int:
     if violations:
         print(f"lint_time: {len(violations)} violation(s)", file=sys.stderr)
         return 1
-    print(f"lint_time: ok (single time authority holds across "
-          f"{sum(1 for _ in SRC_ROOT.rglob('*.py'))} files)")
+    print(f"lint_time: ok (single time authority and one thread hold "
+          f"across {sum(1 for _ in SRC_ROOT.rglob('*.py'))} files)")
     return 0
 
 
