@@ -5,21 +5,3 @@ produced: which configuration options it needs beyond ``lupine-base``, which
 system calls it issues, its process model (single- vs multi-process), and a
 success criterion used to judge a boot (Section 4.1).
 """
-
-from repro.apps.app import Application, ProcessModel, SuccessCriterion
-from repro.apps.registry import (
-    TOP20_APPS,
-    get_app,
-    lupine_general_option_union,
-    top20_in_popularity_order,
-)
-
-__all__ = [
-    "Application",
-    "ProcessModel",
-    "SuccessCriterion",
-    "TOP20_APPS",
-    "get_app",
-    "lupine_general_option_union",
-    "top20_in_popularity_order",
-]

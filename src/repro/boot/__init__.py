@@ -7,8 +7,3 @@ device initcalls scale with the configured-in subsystems, and the root
 filesystem mount cost depends on the filesystem (OSv's zfs vs read-only
 rootfs difference, Section 4.3).
 """
-
-from repro.boot.bootsim import BootReport, BootSimulator
-from repro.boot.phases import BootPhase, RootfsKind
-
-__all__ = ["BootPhase", "BootReport", "BootSimulator", "RootfsKind"]

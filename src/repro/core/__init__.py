@@ -12,32 +12,3 @@
   image + manifest -> specialized kernel + ext2 rootfs + startup script,
   and the booted guest with graceful degradation (Section 5).
 """
-
-from repro.core.classification import OptionClassification, classify_microvm_options
-from repro.core.lupine import LupineBuilder, LupineGuest, LupineUnikernel
-from repro.core.manifest import ApplicationManifest, derive_options, generate_manifest
-from repro.core.specialization import (
-    app_config,
-    app_option_requirements,
-    lupine_general_config,
-    lupine_general_names,
-)
-from repro.core.variants import Variant, VariantBuild, build_variant
-
-__all__ = [
-    "ApplicationManifest",
-    "LupineBuilder",
-    "LupineGuest",
-    "LupineUnikernel",
-    "OptionClassification",
-    "Variant",
-    "VariantBuild",
-    "app_config",
-    "app_option_requirements",
-    "build_variant",
-    "classify_microvm_options",
-    "derive_options",
-    "generate_manifest",
-    "lupine_general_config",
-    "lupine_general_names",
-]

@@ -149,61 +149,12 @@ class LupineGuest:
 
         return render_dmesg(self.unikernel.build.image, self.boot_report)
 
-    def exec_address_space(self, memory_mb: int = 128):
-        """Materialize the app's address space: exec the entrypoint binary.
-
-        Loads the real binary from this guest's rootfs through the ELF
-        loader (segments, interpreter, demand paging) against a physical
-        budget of *memory_mb*.  Returns the
-        :class:`~repro.mm.elf.LoadedImage`.
-        """
-        from repro.mm.address_space import AddressSpace, PhysicalMemory
-        from repro.mm.elf import load_elf
-
-        app = self.unikernel.app
-        if app is None:
-            raise RuntimeError("guest has no application")
-        physical = PhysicalMemory(total_bytes=memory_mb * 1024 * 1024)
-        space = AddressSpace(
-            asid=self.app_task.address_space_id, physical=physical
-        )
-        return load_elf(space, self.unikernel.rootfs, app.entrypoint[0])
-
     def tcp_stack(self, backlog: int = 128):
         """A TCP endpoint matching this guest's kernel configuration."""
         from repro.netstack.tcp import stack_for_config
 
         return stack_for_config(
             self.unikernel.build.config.enabled, backlog=backlog
-        )
-
-    def timer_wheel(self):
-        """The kernel's timer wheel, at the configured tick frequency.
-
-        The HZ choice group (``HZ_100``/``HZ_250``/``HZ_1000``) in the
-        resolved configuration selects the tick length.
-        """
-        from repro.sched.timers import TimerWheel
-
-        config = self.unikernel.build.config
-        hz = 250
-        for option_name, value in (("HZ_100", 100), ("HZ_250", 250),
-                                   ("HZ_1000", 1000)):
-            if option_name in config:
-                hz = value
-        return TimerWheel(hz=hz)
-
-    def block_device(self, extra_mb: float = 16.0):
-        """The virtio-blk device backing this guest's rootfs.
-
-        Sized to the rootfs image plus writable slack; paired with a
-        :class:`~repro.block.pagecache.PageCache` it gives the guest a
-        storage path for durability-bound workloads.
-        """
-        from repro.block.device import VirtioBlockDevice
-
-        return VirtioBlockDevice(
-            capacity_mb=self.unikernel.rootfs_size_mb + extra_mb
         )
 
 

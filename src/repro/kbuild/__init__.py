@@ -6,9 +6,3 @@ link, and compress.  The resulting :class:`~repro.kbuild.image.KernelImage`
 carries the sizes the paper measures in Figure 6 and the metadata the boot
 and memory simulators consume.
 """
-
-from repro.kbuild.builder import BuildError, KernelBuilder
-from repro.kbuild.image import KernelImage
-from repro.kbuild.optimizer import OptLevel
-
-__all__ = ["BuildError", "KernelBuilder", "KernelImage", "OptLevel"]

@@ -6,7 +6,7 @@ This subpackage models the parts of Kconfig the paper relies on:
   ``depends on``, ``default`` and friends, with an expression compiler for
   hot evaluation paths.
 - :mod:`repro.kconfig.model` -- configuration options and the option tree.
-- :mod:`repro.kconfig.parser` -- a parser for Kconfig-language source text.
+- :mod:`repro.kconfig.parser` -- ``.config`` fragment rendering and parsing.
 - :mod:`repro.kconfig.resolver` -- ``olddefconfig``-style resolution of a
   requested option set into a complete, dependency-consistent configuration;
   incremental (worklist) by default, with the full-sweep oracle behind
@@ -20,26 +20,3 @@ This subpackage models the parts of Kconfig the paper relies on:
 - :mod:`repro.kconfig.configs` -- named configurations: ``defconfig``,
   ``tinyconfig``, Firecracker's ``microvm`` and the paper's ``lupine-base``.
 """
-
-from repro.kconfig.expr import Tristate, compile_expr, parse_expr
-from repro.kconfig.index import ResolutionIndex
-from repro.kconfig.model import ConfigOption, KconfigTree, OptionType
-from repro.kconfig.parser import KconfigParseError, parse_kconfig
-from repro.kconfig.rescache import RESOLUTION_CACHE, ResolutionCache
-from repro.kconfig.resolver import ResolvedConfig, Resolver
-
-__all__ = [
-    "RESOLUTION_CACHE",
-    "ConfigOption",
-    "KconfigParseError",
-    "KconfigTree",
-    "OptionType",
-    "ResolutionCache",
-    "ResolutionIndex",
-    "ResolvedConfig",
-    "Resolver",
-    "Tristate",
-    "compile_expr",
-    "parse_expr",
-    "parse_kconfig",
-]

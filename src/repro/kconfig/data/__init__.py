@@ -14,9 +14,3 @@ parameters (object size, initcall cost, static memory).  The remaining
 ~15,120 options -- which never appear in any configuration the paper builds
 -- are synthesized deterministically by :mod:`repro.kconfig.database`.
 """
-
-from repro.kconfig.data.base_options import BASE_GROUPS
-from repro.kconfig.data.removed_options import REMOVED_GROUPS
-from repro.kconfig.data.extensions import EXTENSION_GROUPS
-
-__all__ = ["BASE_GROUPS", "REMOVED_GROUPS", "EXTENSION_GROUPS"]

@@ -124,7 +124,6 @@ def _curated_option(
     return ConfigOption(
         name=name,
         option_type=OptionType.BOOL,
-        prompt=name.replace("_", " ").title(),
         directory=directory,
         depends_on=depends_expr,
         selects=selects.get(name, ()),
@@ -212,31 +211,26 @@ def _register_choices(tree: KconfigTree) -> None:
         name="timer-frequency",
         members=("HZ_100", "HZ_250", "HZ_1000"),
         default_member="HZ_250",
-        prompt="Timer frequency",
     ))
     tree.add_choice(ChoiceGroup(
         name="slab-allocator",
         members=("SLUB", "SLOB"),
         default_member="SLUB",
-        prompt="Choose SLAB allocator",
     ))
     tree.add_choice(ChoiceGroup(
         name="kernel-compression",
         members=("KERNEL_GZIP", "KERNEL_XZ", "KERNEL_BZIP2"),
         default_member="KERNEL_GZIP",
-        prompt="Kernel compression mode",
     ))
     tree.add_choice(ChoiceGroup(
         name="cc-optimization",
         members=("CC_OPTIMIZE_FOR_PERFORMANCE", "CC_OPTIMIZE_FOR_SIZE"),
         default_member="CC_OPTIMIZE_FOR_PERFORMANCE",
-        prompt="Compiler optimization level",
     ))
     tree.add_choice(ChoiceGroup(
         name="base-size",
         members=("BASE_FULL", "BASE_SMALL"),
         default_member="BASE_FULL",
-        prompt="Enable full-sized data structures for core",
     ))
 
 
@@ -258,7 +252,6 @@ def _add_filler(tree: KconfigTree) -> None:
                 ConfigOption(
                     name=name,
                     option_type=OptionType.TRISTATE,
-                    prompt=name.replace("_", " ").title(),
                     directory=directory,
                     size_kb=6.0 * _stable_factor(name),
                     boot_cost_us=3.0 * _stable_factor(name),

@@ -1,4 +1,4 @@
-"""Configuration option model: options, menus and the option tree.
+"""Configuration option model: options, choice groups and the option tree.
 
 A :class:`ConfigOption` corresponds to one ``config FOO`` block in a Kconfig
 file.  A :class:`KconfigTree` is the full database for one kernel source tree
@@ -9,7 +9,7 @@ Figure 3 (options per directory) can be computed directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.kconfig.expr import TRUE, Expr, expr_symbols
@@ -56,12 +56,10 @@ class ConfigOption:
 
     name: str
     option_type: OptionType = OptionType.BOOL
-    prompt: str = ""
     directory: str = "kernel"
     depends_on: Expr = TRUE
     selects: Tuple[str, ...] = ()
     default: Optional[Expr] = None
-    help_text: str = ""
     category: str = ""
     size_kb: float = 0.0
     boot_cost_us: float = 0.0
@@ -232,15 +230,6 @@ class KconfigTree:
 
 
 @dataclass
-class Menu:
-    """A (possibly nested) Kconfig menu; retained for parser fidelity."""
-
-    title: str
-    options: List[str] = field(default_factory=list)
-    submenus: List["Menu"] = field(default_factory=list)
-
-
-@dataclass
 class ChoiceGroup:
     """A Kconfig ``choice``/``endchoice`` block: mutually exclusive options.
 
@@ -252,7 +241,6 @@ class ChoiceGroup:
     name: str
     members: Tuple[str, ...]
     default_member: Optional[str] = None
-    prompt: str = ""
 
     def __post_init__(self) -> None:
         if len(self.members) < 2:

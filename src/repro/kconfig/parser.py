@@ -1,320 +1,12 @@
-"""Parser for Kconfig-language source text.
+""".config fragments: the ``CONFIG_X=y`` text the kernel's own tools use.
 
-Supports the subset of the Kconfig language the kernel build actually uses
-for option definitions::
-
-    menu "Networking support"
-
-    config NET
-        bool "Networking support"
-        default y
-        help
-          Networking core.
-
-    config INET
-        bool "TCP/IP networking"
-        depends on NET
-        select CRYPTO_LIB
-
-    endmenu
-
-Recognized keywords: ``config``, ``menuconfig`` (treated as ``config``),
-``menu``/``endmenu``, ``comment`` (ignored), ``if``/``endif`` (folded into
-``depends on``), ``source`` (resolved through a caller-provided loader),
-and inside a config block: ``bool``, ``tristate``, ``int``, ``hex``,
-``string``, ``prompt``, ``default``, ``depends on``, ``select``, ``help``.
+:func:`format_config_fragment` renders a resolved configuration the way
+``config --full`` prints it; :func:`parse_config_fragment` reads such a
+fragment back.  The option database itself is generated in Python
+(:mod:`repro.kconfig.database`), so no Kconfig-language source is parsed.
 """
 
 from __future__ import annotations
-
-from typing import Callable, List, Optional, Tuple
-
-from repro.kconfig.expr import TRUE, And, Expr, parse_expr
-from repro.kconfig.model import ConfigOption, KconfigTree, Menu, OptionType
-
-_TYPE_KEYWORDS = {
-    "bool": OptionType.BOOL,
-    "tristate": OptionType.TRISTATE,
-    "int": OptionType.INT,
-    "hex": OptionType.HEX,
-    "string": OptionType.STRING,
-}
-
-
-class KconfigParseError(ValueError):
-    """Raised with a line number when Kconfig text cannot be parsed."""
-
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-def _split_prompt(rest: str) -> str:
-    rest = rest.strip()
-    if rest.startswith('"') and rest.endswith('"') and len(rest) >= 2:
-        return rest[1:-1]
-    return rest
-
-
-def _and_conditions(conditions: List[Expr]) -> Expr:
-    expr: Expr = TRUE
-    for condition in conditions:
-        expr = condition if expr is TRUE else And(expr, condition)
-    return expr
-
-
-class _Lines:
-    """Line cursor with pushback, tracking line numbers for diagnostics."""
-
-    def __init__(self, text: str):
-        self._lines = text.splitlines()
-        self._index = 0
-
-    def next(self) -> Optional[Tuple[int, str]]:
-        if self._index >= len(self._lines):
-            return None
-        line = self._lines[self._index]
-        self._index += 1
-        return self._index, line
-
-    def push_back(self) -> None:
-        self._index -= 1
-
-
-def parse_kconfig(
-    text: str,
-    directory: str = "kernel",
-    source_loader: Optional[Callable[[str], str]] = None,
-    tree: Optional[KconfigTree] = None,
-) -> KconfigTree:
-    """Parse Kconfig *text* into a :class:`KconfigTree`.
-
-    ``source "path"`` statements are resolved through *source_loader*, which
-    maps a path to Kconfig text; without a loader they raise.  The top-level
-    directory of the path becomes the ``directory`` of options defined in the
-    sourced file, mirroring how the kernel's tree is organized.
-    """
-    if tree is None:
-        tree = KconfigTree()
-    root_menu = Menu(title="<root>")
-    _parse_into(text, tree, directory, source_loader, root_menu)
-    return tree
-
-
-def parse_kconfig_menus(
-    text: str,
-    directory: str = "kernel",
-    source_loader: Optional[Callable[[str], str]] = None,
-) -> Tuple[KconfigTree, Menu]:
-    """Like :func:`parse_kconfig` but also return the root menu structure."""
-    tree = KconfigTree()
-    root_menu = Menu(title="<root>")
-    _parse_into(text, tree, directory, source_loader, root_menu)
-    return tree, root_menu
-
-
-def _parse_into(
-    text: str,
-    tree: KconfigTree,
-    directory: str,
-    source_loader: Optional[Callable[[str], str]],
-    root_menu: Menu,
-) -> None:
-    lines = _Lines(text)
-    menu_stack: List[Menu] = [root_menu]
-    condition_stack: List[Expr] = []
-    choice_state: Optional[dict] = None
-    choice_counter = [0]
-
-    while True:
-        item = lines.next()
-        if item is None:
-            break
-        line_number, raw = item
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-
-        keyword, _, rest = line.partition(" ")
-        if choice_state is not None and keyword in ("prompt", "default") and (
-            raw[:1].isspace()
-        ):
-            # Attribute lines of the choice header itself.
-            if keyword == "prompt":
-                choice_state["prompt"] = _split_prompt(rest)
-            else:
-                choice_state["default"] = rest.strip()
-            continue
-        if keyword in ("config", "menuconfig"):
-            option = _parse_config_block(
-                rest.strip(), lines, directory, line_number, condition_stack
-            )
-            tree.add(option)
-            menu_stack[-1].options.append(option.name)
-            if choice_state is not None:
-                choice_state["members"].append(option.name)
-        elif keyword == "choice":
-            if choice_state is not None:
-                raise KconfigParseError("nested choice", line_number)
-            choice_counter[0] += 1
-            choice_state = {
-                "name": f"{directory}-choice-{choice_counter[0]}",
-                "prompt": "",
-                "default": None,
-                "members": [],
-            }
-        elif keyword == "endchoice":
-            if choice_state is None:
-                raise KconfigParseError("endchoice without choice",
-                                        line_number)
-            from repro.kconfig.model import ChoiceGroup
-
-            tree.add_choice(
-                ChoiceGroup(
-                    name=choice_state["name"],
-                    members=tuple(choice_state["members"]),
-                    default_member=choice_state["default"],
-                    prompt=choice_state["prompt"],
-                )
-            )
-            choice_state = None
-        elif keyword == "menu":
-            submenu = Menu(title=_split_prompt(rest))
-            menu_stack[-1].submenus.append(submenu)
-            menu_stack.append(submenu)
-        elif keyword == "endmenu":
-            if len(menu_stack) == 1:
-                raise KconfigParseError("endmenu without menu", line_number)
-            menu_stack.pop()
-        elif keyword == "if":
-            condition_stack.append(parse_expr(rest))
-        elif keyword == "endif":
-            if not condition_stack:
-                raise KconfigParseError("endif without if", line_number)
-            condition_stack.pop()
-        elif keyword == "comment":
-            continue
-        elif keyword == "source":
-            if source_loader is None:
-                raise KconfigParseError(
-                    f"source statement but no loader: {rest!r}", line_number
-                )
-            path = _split_prompt(rest)
-            sub_directory = path.split("/", 1)[0] if "/" in path else directory
-            _parse_into(
-                source_loader(path), tree, sub_directory, source_loader, menu_stack[-1]
-            )
-        elif keyword == "mainmenu":
-            root_menu.title = _split_prompt(rest)
-        else:
-            raise KconfigParseError(f"unknown keyword {keyword!r}", line_number)
-
-    if len(menu_stack) != 1:
-        raise KconfigParseError(f"unclosed menu {menu_stack[-1].title!r}", 0)
-    if condition_stack:
-        raise KconfigParseError("unclosed if block", 0)
-    if choice_state is not None:
-        raise KconfigParseError("unclosed choice block", 0)
-
-
-def _parse_config_block(
-    name: str,
-    lines: _Lines,
-    directory: str,
-    start_line: int,
-    condition_stack: List[Expr],
-) -> ConfigOption:
-    if not name:
-        raise KconfigParseError("config without a name", start_line)
-
-    option_type = OptionType.BOOL
-    prompt = ""
-    depends: List[Expr] = list(condition_stack)
-    selects: List[str] = []
-    default: Optional[Expr] = None
-    help_lines: List[str] = []
-
-    while True:
-        item = lines.next()
-        if item is None:
-            break
-        line_number, raw = item
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if not raw[:1].isspace():
-            # A new top-level statement ends the block.
-            lines.push_back()
-            break
-
-        keyword, _, rest = stripped.partition(" ")
-        rest = rest.strip()
-        if keyword in _TYPE_KEYWORDS:
-            option_type = _TYPE_KEYWORDS[keyword]
-            if rest:
-                prompt = _split_prompt(rest)
-        elif keyword == "prompt":
-            prompt = _split_prompt(rest)
-        elif keyword == "depends":
-            if not rest.startswith("on "):
-                raise KconfigParseError("expected 'depends on'", line_number)
-            depends.append(parse_expr(rest[3:]))
-        elif keyword == "select":
-            symbol, _, condition = rest.partition(" if ")
-            # Conditional selects are recorded unconditionally; the resolver
-            # re-checks the selecting option's own visibility anyway.
-            selects.append(symbol.strip())
-        elif keyword == "default":
-            value, _, condition = rest.partition(" if ")
-            default_expr = parse_expr(value.strip())
-            if condition.strip():
-                default_expr = And(default_expr, parse_expr(condition.strip()))
-            if default is None:
-                default = default_expr
-        elif keyword == "help" or stripped == "---help---":
-            help_lines.extend(_consume_help(lines))
-        elif keyword in ("range", "imply", "visible", "option", "modules"):
-            continue  # accepted but not modelled
-        else:
-            raise KconfigParseError(
-                f"unknown config attribute {keyword!r}", line_number
-            )
-
-    return ConfigOption(
-        name=name,
-        option_type=option_type,
-        prompt=prompt,
-        directory=directory,
-        depends_on=_and_conditions(depends),
-        selects=tuple(selects),
-        default=default,
-        help_text="\n".join(help_lines),
-    )
-
-
-def _consume_help(lines: _Lines) -> List[str]:
-    """Consume an indented help body; stops at the first dedented line."""
-    body: List[str] = []
-    base_indent: Optional[int] = None
-    while True:
-        item = lines.next()
-        if item is None:
-            break
-        _, raw = item
-        if not raw.strip():
-            if body:
-                body.append("")
-            continue
-        indent = len(raw) - len(raw.lstrip())
-        if base_indent is None:
-            base_indent = indent
-        if indent < base_indent:
-            lines.push_back()
-            break
-        body.append(raw.strip())
-    while body and not body[-1]:
-        body.pop()
-    return body
 
 
 def format_config_fragment(values: dict) -> str:

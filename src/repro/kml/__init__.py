@@ -6,8 +6,3 @@ and runs processes in ring 0) and the patched musl libc (which replaces
 ``syscall`` instructions with same-privilege ``call``s through the
 vsyscall-exported entry point).
 """
-
-from repro.kml.libc import LibcVariant, MuslLibc
-from repro.kml.patch import KmlPatch, PatchError
-
-__all__ = ["KmlPatch", "LibcVariant", "MuslLibc", "PatchError"]

@@ -1,13 +1,1 @@
 """Measurement helpers, table/figure renderers, and run telemetry."""
-
-from repro.metrics.reporting import Figure, Table, render_figure, render_table
-from repro.metrics.telemetry import ExperimentTelemetry, RunTelemetry
-
-__all__ = [
-    "ExperimentTelemetry",
-    "Figure",
-    "RunTelemetry",
-    "Table",
-    "render_figure",
-    "render_table",
-]

@@ -1,18 +1,7 @@
-"""Memory substrate: address spaces, demand paging, footprint measurement.
+"""Memory substrate: demand-paged address spaces and footprint measurement.
 
 Implements the mechanisms behind Figure 8: Linux loads binaries lazily, so
 the minimum memory needed by a guest tracks the kernel's resident code and
 static allocations, not application binary size -- which is why microVM and
 Lupine show no variation across hello/nginx/redis while unikernels do.
 """
-
-from repro.mm.address_space import AddressSpace, OutOfMemoryError, Page
-from repro.mm.footprint import FootprintModel, measure_min_memory_mb
-
-__all__ = [
-    "AddressSpace",
-    "FootprintModel",
-    "OutOfMemoryError",
-    "Page",
-    "measure_min_memory_mb",
-]

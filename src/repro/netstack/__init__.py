@@ -6,7 +6,3 @@ hooks, connection tracking, qdisc scheduling, LSM socket hooks and cgroup
 accounting on every packet, none of which a specialized Lupine kernel
 compiles in.
 """
-
-from repro.netstack.path import NetworkPath, PACKET_HOOK_NS
-
-__all__ = ["NetworkPath", "PACKET_HOOK_NS"]

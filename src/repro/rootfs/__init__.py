@@ -6,17 +6,3 @@ containing the unmodified application binary, a (possibly KML-patched) libc,
 and a generated application-specific startup script that replaces a
 general-purpose init system.
 """
-
-from repro.rootfs.container import ContainerImage, FileEntry, container_for_app
-from repro.rootfs.ext2 import Ext2Error, Ext2Image, build_ext2
-from repro.rootfs.init import generate_init_script
-
-__all__ = [
-    "ContainerImage",
-    "Ext2Error",
-    "Ext2Image",
-    "FileEntry",
-    "build_ext2",
-    "container_for_app",
-    "generate_init_script",
-]

@@ -4,8 +4,7 @@ Lays out a flattened container filesystem into ext2-style structures
 (superblock, inode table, block bitmap, data blocks with indirect blocks for
 large files) and computes the resulting image size.  The structure is real
 enough to round-trip: files can be listed and read back out of the image
-model, which the Lupine guest uses to locate the startup script and the
-application binary.
+model, which the Lupine guest uses to locate its startup script.
 """
 
 from __future__ import annotations
@@ -115,15 +114,6 @@ class Ext2Image:
                 remainder = candidate[len(prefix):]
                 names.add(remainder.split("/", 1)[0])
         return sorted(names)
-
-    def resolve(self, path: str, _depth: int = 0) -> Inode:
-        """Follow symlinks (bounded, like the kernel's ELOOP limit)."""
-        if _depth > 8:
-            raise Ext2Error(f"too many levels of symbolic links: {path}")
-        inode = self.lookup(path)
-        if inode.symlink_target is not None:
-            return self.resolve(inode.symlink_target, _depth + 1)
-        return inode
 
 
 def _parent_directories(path: str) -> Iterable[str]:

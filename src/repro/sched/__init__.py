@@ -6,19 +6,3 @@ switch cost accounting (threads vs processes, Figure 12), SMP lock overhead
 (Section 5), and futex/POSIX-semaphore wait queues used by the stress
 workloads.
 """
-
-from repro.sched.futex import FutexTable, PosixSemaphore
-from repro.sched.scheduler import Scheduler, SchedulerError
-from repro.sched.smp import SmpModel
-from repro.sched.task import Task, TaskKind, TaskState
-
-__all__ = [
-    "FutexTable",
-    "PosixSemaphore",
-    "Scheduler",
-    "SchedulerError",
-    "SmpModel",
-    "Task",
-    "TaskKind",
-    "TaskState",
-]

@@ -1,16 +1,16 @@
 """The per-guest virtual clock: one time authority for every layer.
 
-Before this module the repository kept four disconnected time domains --
-``TRACER.sim`` (milliseconds), ``SyscallEngine.clock_ns``, the scheduler's
-nanosecond accumulator and the timer wheel's tick counter -- so a boot, a
-syscall burst and a TCP teardown on the *same guest* advanced unrelated
-counters and cross-layer causality (a 2MSL timer expiring because the
-workload ran long enough) was unrepresentable.
+Before this module the repository kept disconnected time domains --
+``TRACER.sim`` (milliseconds), ``SyscallEngine.clock_ns`` and the
+scheduler's nanosecond accumulator -- so a boot, a syscall burst and a
+TCP teardown on the *same guest* advanced unrelated counters and
+cross-layer causality (a 2MSL timer expiring because the workload ran
+long enough) was unrepresentable.
 
 :class:`VirtualClock` is the single authority: a nanosecond-resolution
-monotonic accumulator with a deadline/event queue and listeners.  The
-boot simulator, syscall engine, scheduler, timer wheel and TCP stack of
-one guest all advance the same instance (see
+monotonic accumulator with a deadline/event queue.  The boot simulator,
+syscall engine, scheduler and TCP stack of one guest all advance the
+same instance (see
 :mod:`repro.simcore.guest`); ``observe.TRACER.sim`` is a millisecond view
 over the *active* clock (:mod:`repro.simcore.context`).
 
@@ -77,9 +77,9 @@ class ScheduledEvent:
 class VirtualClock:
     """Monotonic simulated time in nanoseconds, with deadlines.
 
-    Single-threaded, like every simulator in the process: callbacks and
-    listeners run at the moment the clock sits exactly on the event's
-    deadline, and may re-enter the clock.
+    Single-threaded, like every simulator in the process: callbacks run
+    at the moment the clock sits exactly on the event's deadline, and may
+    re-enter the clock.
     """
 
     #: Heap-compaction floor: cancelled entries are swept out only once the
@@ -91,7 +91,6 @@ class VirtualClock:
         self._now_ns = float(start_ns)
         self._events: List[ScheduledEvent] = []
         self._seq = itertools.count()
-        self._listeners: List[Callable[[float], None]] = []
         self._cancelled_count = 0
 
     # -- reading -----------------------------------------------------------
@@ -152,27 +151,25 @@ class VirtualClock:
         Forward jumps behave like :meth:`advance_to` (due events fire);
         backward jumps rebase the accumulator administratively -- the
         legacy ``engine.clock_ns = 0.0`` reset idiom -- leaving pending
-        events armed at their absolute deadlines.  Listeners are notified
-        of the rebase (with the new now) exactly as they are of forward
-        moves, so a bound :class:`~repro.sched.timers.TimerWheel`
-        re-anchors its tick base instead of keeping a stale one.
+        events armed at their absolute deadlines.
         """
         if value_ns < self._now_ns:
             self._now_ns = float(value_ns)
-            self._notify(self._now_ns)
             return self._now_ns
         return self._run_to(value_ns)
 
     def reset(self) -> None:
         """Rewind to zero and drop all pending events (test isolation).
 
-        Listeners stay registered and observe the rebase to 0.0 -- the
-        same rebase semantics as a backward :meth:`jump_to`.
+        Dropped events are marked cancelled: a holder's later ``cancel()``
+        returns False and leaves :attr:`pending_events` alone, since the
+        heap no longer holds the entry it would account for.
         """
+        for event in self._events:
+            event.cancelled = True
         self._now_ns = 0.0
         self._events.clear()
         self._cancelled_count = 0
-        self._notify(0.0)
 
     # -- deadlines ---------------------------------------------------------
 
@@ -199,21 +196,6 @@ class VirtualClock:
             raise ClockError(f"cannot schedule {delay_ns} ns in the past")
         return self.call_at(self._now_ns + delay_ns, callback)
 
-    # -- listeners ---------------------------------------------------------
-
-    def add_listener(self, listener: Callable[[float], None]) -> None:
-        """Register *listener(now_ns)*, called after every forward move.
-
-        The timer wheel binds through this: each advance syncs the wheel
-        by the number of whole ticks elapsed (see
-        :meth:`repro.sched.timers.TimerWheel.bind_clock`).
-        """
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Callable[[float], None]) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     # -- internals ---------------------------------------------------------
 
     def _run_to(self, target_ns: float) -> float:
@@ -236,13 +218,7 @@ class VirtualClock:
             else:
                 self._now_ns = target_ns
                 break
-        self._notify(target_ns)
         return target_ns
-
-    def _notify(self, now_ns: float) -> None:
-        """Tell every listener the clock now reads *now_ns*."""
-        for listener in list(self._listeners):
-            listener(now_ns)
 
     def _skim_cancelled(self) -> None:
         """Drop cancelled events sitting at the top of the heap."""

@@ -217,18 +217,6 @@ class Guest:
     def requests_per_second(self, profile) -> float:
         return self.server_stack.requests_per_second(profile)
 
-    def timer_wheel(self):
-        """The kernel timer wheel, HZ from config, driven by the clock."""
-        from repro.sched.timers import TimerWheel
-
-        self._require_built("timer_wheel")
-        hz = 250
-        for option_name, value in (("HZ_100", 100), ("HZ_250", 250),
-                                   ("HZ_1000", 1000)):
-            if option_name in self.kernel.config:
-                hz = value
-        return TimerWheel(hz=hz).bind_clock(self.clock)
-
     @property
     def uptime_ns(self) -> float:
         return self.clock.now_ns

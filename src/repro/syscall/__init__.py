@@ -13,26 +13,3 @@ Models the pieces of the Linux syscall machinery the paper measures:
   write latency, context switch, select, etc.) used for Figures 9-11 and
   Table 5.
 """
-
-from repro.syscall.cpu import CpuCostModel, EntryMechanism
-from repro.syscall.dispatch import SyscallEngine, SyscallError, SyscallNotImplemented
-from repro.syscall.table import (
-    OPTION_SYSCALLS,
-    SYSCALLS,
-    Syscall,
-    option_for_syscall,
-    syscalls_for_option,
-)
-
-__all__ = [
-    "CpuCostModel",
-    "EntryMechanism",
-    "OPTION_SYSCALLS",
-    "SYSCALLS",
-    "Syscall",
-    "SyscallEngine",
-    "SyscallError",
-    "SyscallNotImplemented",
-    "option_for_syscall",
-    "syscalls_for_option",
-]

@@ -5,8 +5,7 @@ individual system calls in or out of the kernel.  Syscalls without a gating
 option are always present.  Handler costs are simulated nanoseconds of
 in-kernel *CPU* work, excluding entry/exit (charged by the CPU model),
 config-dependent overheads (charged by the dispatch engine), and time
-blocked on devices (charged by :mod:`repro.block` for storage and
-:mod:`repro.netstack` for the wire).
+on the wire (charged by :mod:`repro.netstack`).
 """
 
 from __future__ import annotations

@@ -6,23 +6,3 @@ solo5-hvt (Rumprun) and uhyve (HermiTux), descendants of ukvm.  QEMU is
 included as the traditional heavyweight baseline the paper contrasts in
 Section 2.2.
 """
-
-from repro.vmm.monitor import (
-    DeviceKind,
-    Monitor,
-    MonitorError,
-    firecracker,
-    qemu,
-    solo5_hvt,
-    uhyve,
-)
-
-__all__ = [
-    "DeviceKind",
-    "Monitor",
-    "MonitorError",
-    "firecracker",
-    "qemu",
-    "solo5_hvt",
-    "uhyve",
-]

@@ -11,25 +11,3 @@
 - :mod:`repro.workloads.control_procs` -- background control processes
   (Figure 11).
 """
-
-from repro.workloads.coldstart import ColdStartResult, run_cold_starts
-from repro.workloads.memcached import MemtierBenchmark
-from repro.workloads.nginx import ApacheBench, NGINX_CONN, NGINX_SESS
-from repro.workloads.pgbench import PgBench
-from repro.workloads.redis import RedisBenchmark, REDIS_GET, REDIS_SET
-from repro.workloads.server import LinuxServerStack, RequestProfile
-
-__all__ = [
-    "ApacheBench",
-    "ColdStartResult",
-    "LinuxServerStack",
-    "MemtierBenchmark",
-    "NGINX_CONN",
-    "NGINX_SESS",
-    "PgBench",
-    "REDIS_GET",
-    "REDIS_SET",
-    "RedisBenchmark",
-    "RequestProfile",
-    "run_cold_starts",
-]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kconfig.expr import Tristate
-from repro.kconfig.export import export_kconfig, import_kconfig
 from repro.kconfig.model import (
     ChoiceGroup,
     ConfigOption,
@@ -11,28 +10,7 @@ from repro.kconfig.model import (
     KconfigTree,
     UnknownOptionError,
 )
-from repro.kconfig.parser import KconfigParseError, parse_kconfig
 from repro.kconfig.resolver import Resolver
-
-CHOICE_TEXT = """\
-config NET
-\tbool
-
-choice
-\tprompt "Timer frequency"
-\tdefault HZ_250
-
-config HZ_100
-\tbool "100 HZ"
-
-config HZ_250
-\tbool "250 HZ"
-
-config HZ_1000
-\tbool "1000 HZ"
-
-endchoice
-"""
 
 
 def _tree_with_choice():
@@ -149,43 +127,3 @@ class TestChoiceResolution:
         hz_enabled = [n for n in ("HZ_100", "HZ_250", "HZ_1000")
                       if n in microvm]
         assert hz_enabled == ["HZ_250"]
-
-
-class TestChoiceParsing:
-    def test_parse_choice_block(self):
-        tree = parse_kconfig(CHOICE_TEXT)
-        assert len(tree.choices()) == 1
-        choice = tree.choices()[0]
-        assert choice.members == ("HZ_100", "HZ_250", "HZ_1000")
-        assert choice.default_member == "HZ_250"
-        assert choice.prompt == "Timer frequency"
-        assert tree.choice_of("NET") is None
-
-    def test_parsed_choice_resolves(self):
-        tree = parse_kconfig(CHOICE_TEXT)
-        config = Resolver(tree).resolve_names(["NET"])
-        assert "HZ_250" in config
-
-    def test_unclosed_choice_rejected(self):
-        with pytest.raises(KconfigParseError, match="unclosed choice"):
-            parse_kconfig("choice\nconfig A\n\tbool\nconfig B\n\tbool\n")
-
-    def test_stray_endchoice_rejected(self):
-        with pytest.raises(KconfigParseError, match="endchoice"):
-            parse_kconfig("endchoice\n")
-
-    def test_nested_choice_rejected(self):
-        with pytest.raises(KconfigParseError, match="nested"):
-            parse_kconfig("choice\nchoice\n")
-
-
-class TestChoiceExport:
-    def test_export_roundtrips_choices(self, tree):
-        parsed = import_kconfig(export_kconfig(tree))
-        assert len(parsed.choices()) == len(tree.choices())
-        originals = {tuple(sorted(c.members)) for c in tree.choices()}
-        round_tripped = {tuple(sorted(c.members))
-                         for c in parsed.choices()}
-        assert originals == round_tripped
-        hz = parsed.choice_of("HZ_250")
-        assert hz is not None and hz.default_member == "HZ_250"

@@ -1,56 +1,13 @@
-"""Tests for Kconfig export/import round-tripping and minimization."""
+"""Tests for ``savedefconfig``-style request minimization."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kconfig.configs import lupine_base_config, microvm_config
-from repro.kconfig.export import export_kconfig, import_kconfig
 from repro.kconfig.expr import parse_expr
 from repro.kconfig.minimize import defconfig_lines, minimize_config
 from repro.kconfig.model import ConfigOption, KconfigTree
 from repro.kconfig.resolver import Resolver
-
-
-class TestExportRoundTrip:
-    def test_small_tree_roundtrip(self):
-        tree = KconfigTree()
-        tree.add(ConfigOption(name="NET", prompt="Networking",
-                              directory="net", help_text="core\nnetworking"))
-        tree.add(ConfigOption(name="INET", directory="net",
-                              depends_on=parse_expr("NET"),
-                              selects=("CRC32",),
-                              default=parse_expr("NET")))
-        tree.add(ConfigOption(name="CRC32", directory="lib"))
-        files = export_kconfig(tree)
-        assert set(files) == {"Kconfig", "net/Kconfig", "lib/Kconfig"}
-        parsed = import_kconfig(files)
-        assert set(parsed.names()) == set(tree.names())
-        assert parsed["INET"].dependency_symbols() == {"NET"}
-        assert parsed["INET"].selects == ("CRC32",)
-        assert parsed["NET"].prompt == "Networking"
-        assert "networking" in parsed["NET"].help_text
-
-    def test_full_database_roundtrip(self, tree):
-        """Push all 15,953 options through export -> parse."""
-        parsed = import_kconfig(export_kconfig(tree))
-        assert len(parsed) == len(tree)
-        for name in ("INET", "EPOLL", "VIRTIO_NET", "SECURITY_SELINUX"):
-            original, round_tripped = tree[name], parsed[name]
-            assert round_tripped.option_type is original.option_type
-            assert round_tripped.selects == original.selects
-            assert (round_tripped.dependency_symbols()
-                    == original.dependency_symbols())
-
-    def test_roundtripped_tree_resolves_identically(self, tree, microvm):
-        from repro.kconfig.database import microvm_option_names
-
-        parsed = import_kconfig(export_kconfig(tree))
-        resolved = Resolver(parsed).resolve_names(microvm_option_names())
-        assert resolved.enabled == microvm.enabled
-
-    def test_directory_structure_preserved(self, tree):
-        parsed = import_kconfig(export_kconfig(tree))
-        assert parsed.count_by_directory() == tree.count_by_directory()
 
 
 class TestMinimize:

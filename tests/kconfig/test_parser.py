@@ -1,134 +1,9 @@
-"""Tests for the Kconfig-language parser and .config fragment handling."""
+"""Tests for .config fragment rendering and parsing."""
 
 import pytest
 
 from repro.kconfig.expr import Tristate
-from repro.kconfig.model import OptionType
-from repro.kconfig.parser import (
-    KconfigParseError,
-    format_config_fragment,
-    parse_config_fragment,
-    parse_kconfig,
-    parse_kconfig_menus,
-)
-
-SAMPLE = """\
-mainmenu "Linux Kernel Configuration"
-
-menu "Networking support"
-
-config NET
-\tbool "Networking support"
-\tdefault y
-\thelp
-\t  The networking core.
-
-config INET
-\tbool "TCP/IP networking"
-\tdepends on NET
-\tselect CRC32
-
-menuconfig NETFILTER
-\tbool "Network packet filtering"
-\tdepends on NET && INET
-
-endmenu
-
-config CRC32
-\ttristate "CRC32 functions"
-"""
-
-
-class TestParseKconfig:
-    def test_parses_all_options(self):
-        tree = parse_kconfig(SAMPLE)
-        assert set(tree.names()) == {"NET", "INET", "NETFILTER", "CRC32"}
-
-    def test_types(self):
-        tree = parse_kconfig(SAMPLE)
-        assert tree["NET"].option_type is OptionType.BOOL
-        assert tree["CRC32"].option_type is OptionType.TRISTATE
-
-    def test_prompt(self):
-        tree = parse_kconfig(SAMPLE)
-        assert tree["NET"].prompt == "Networking support"
-
-    def test_depends(self):
-        tree = parse_kconfig(SAMPLE)
-        assert tree["INET"].dependency_symbols() == {"NET"}
-        assert tree["NETFILTER"].dependency_symbols() == {"NET", "INET"}
-
-    def test_select(self):
-        tree = parse_kconfig(SAMPLE)
-        assert tree["INET"].selects == ("CRC32",)
-
-    def test_default(self):
-        tree = parse_kconfig(SAMPLE)
-        assert tree["NET"].default is not None
-        assert tree["NET"].default.evaluate({}) is Tristate.YES
-
-    def test_help_text(self):
-        tree = parse_kconfig(SAMPLE)
-        assert "networking core" in tree["NET"].help_text.lower()
-
-    def test_directory_assignment(self):
-        tree = parse_kconfig(SAMPLE, directory="net")
-        assert tree["NET"].directory == "net"
-
-    def test_menus(self):
-        tree, root = parse_kconfig_menus(SAMPLE)
-        assert root.title == "Linux Kernel Configuration"
-        assert root.submenus[0].title == "Networking support"
-        assert "NET" in root.submenus[0].options
-        assert "CRC32" in root.options
-
-    def test_comments_and_blanks_ignored(self):
-        tree = parse_kconfig("# a comment\n\nconfig FOO\n\tbool\n")
-        assert "FOO" in tree
-
-    def test_if_blocks_fold_into_depends(self):
-        text = "config A\n\tbool\n\nif A\nconfig B\n\tbool\nendif\n"
-        tree = parse_kconfig(text)
-        assert tree["B"].dependency_symbols() == {"A"}
-
-    def test_conditional_default(self):
-        text = "config A\n\tbool\n\tdefault y if B\nconfig B\n\tbool\n"
-        tree = parse_kconfig(text)
-        assert tree["A"].default.evaluate({"B": Tristate.YES}) is Tristate.YES
-        assert tree["A"].default.evaluate({}) is Tristate.NO
-
-    def test_source_with_loader(self):
-        files = {"drivers/Kconfig": "config VIRTIO\n\tbool\n"}
-        tree = parse_kconfig(
-            'source "drivers/Kconfig"\n', source_loader=files.__getitem__
-        )
-        assert tree["VIRTIO"].directory == "drivers"
-
-    def test_source_without_loader_fails(self):
-        with pytest.raises(KconfigParseError):
-            parse_kconfig('source "drivers/Kconfig"\n')
-
-    @pytest.mark.parametrize("bad,message", [
-        ("endmenu\n", "endmenu"),
-        ("endif\n", "endif"),
-        ("menu \"x\"\n", "unclosed"),
-        ("if A\nconfig B\n\tbool\n", "unclosed"),
-        ("config\n", "config without a name"),
-        ("bogus FOO\n", "unknown keyword"),
-        ("config A\n\tfrobnicate\n", "unknown config attribute"),
-        ("config A\n\tdepends B\n", "depends on"),
-    ])
-    def test_errors(self, bad, message):
-        with pytest.raises(KconfigParseError, match=message):
-            parse_kconfig(bad)
-
-    def test_error_carries_line_number(self):
-        try:
-            parse_kconfig("config A\n\tbool\nbogus X\n")
-        except KconfigParseError as error:
-            assert error.line_number == 3
-        else:
-            pytest.fail("expected a parse error")
+from repro.kconfig.parser import format_config_fragment, parse_config_fragment
 
 
 class TestConfigFragments:

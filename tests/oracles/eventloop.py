@@ -7,7 +7,8 @@ implements them as working objects: pollable files with readiness state, a
 level-triggered epoll instance that really blocks and wakes tasks through
 the scheduler, and the syscall-engine charging (so a kernel without the
 corresponding option fails with ENOSYS, exactly as the derivation loop
-expects).
+expects).  The executed server in :mod:`tests.oracles.eventserver` runs on
+it; no shipped code does.
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@
 
 Where :class:`~repro.workloads.server.LinuxServerStack` computes request
 costs analytically, this server *executes* them: a single task blocks in a
-real :class:`~repro.sched.eventloop.EpollInstance`, connections arrive
+real :class:`~tests.oracles.eventloop.EpollInstance`, connections arrive
 through the :class:`~repro.netstack.tcp.TcpStack`, requests are read off
-:class:`~repro.sched.eventloop.SimSocket` queues, and every syscall flows
-through the engine.  It exists to validate the analytic model: both paths
-must agree on throughput to within a modest factor (they share the same
-cost constants but differ in wakeup/bookkeeping detail).
+:class:`~tests.oracles.eventloop.SimSocket` queues, and every syscall flows
+through the engine.  It is the reference model for the analytic one:
+both paths must agree on throughput to within a modest factor (they share
+the same cost constants but differ in wakeup/bookkeeping detail), which
+``tests/test_eventserver.py`` checks.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.netstack.tcp import TcpStack
-from repro.sched.eventloop import EpollInstance, EventMask, SimSocket
 from repro.sched.scheduler import Scheduler
 from repro.sched.smp import SmpModel
 from repro.syscall.dispatch import SyscallEngine
+from tests.oracles.eventloop import EpollInstance, EventMask, SimSocket
 
 
 @dataclass

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.sched.eventloop import (
+from repro.sched.scheduler import Scheduler
+from repro.sched.smp import SmpModel
+from repro.sched.task import TaskState
+from repro.syscall.dispatch import SyscallEngine, SyscallNotImplemented
+from tests.oracles.eventloop import (
     EpollInstance,
     EventLoopError,
     EventMask,
@@ -10,10 +14,6 @@ from repro.sched.eventloop import (
     SimSocket,
     SimTimerFd,
 )
-from repro.sched.scheduler import Scheduler
-from repro.sched.smp import SmpModel
-from repro.sched.task import TaskState
-from repro.syscall.dispatch import SyscallEngine, SyscallNotImplemented
 
 
 def _setup(options=("EPOLL", "EVENTFD", "TIMERFD")):

@@ -1,13 +1,17 @@
-"""Tests for the executed event-loop server, including model validation."""
+"""Tests for the executed event-loop server, including model validation.
+
+The server (``tests/oracles/eventserver.py``) is the reference model
+that ``LinuxServerStack``'s analytic request costs are checked against.
+"""
 
 import pytest
 
 from repro.apps.registry import get_app
 from repro.core.variants import Variant, build_microvm, build_variant
 from repro.netstack.tcp import stack_for_config
-from repro.workloads.eventserver import EventLoopServer
 from repro.workloads.redis import REDIS_GET
 from repro.workloads.server import LinuxServerStack
+from tests.oracles.eventserver import EventLoopServer
 
 
 def _server(build, app_ns=4000.0):

@@ -50,6 +50,11 @@ class TestMemcached:
         baseline = bench.get_rps(_stack(microvm_build))
         assert 1.1 <= lupine / baseline <= 1.35
 
+    def test_set_beats_microvm(self, memcached_build, microvm_build):
+        bench = MemtierBenchmark(500)
+        assert (bench.set_rps(_stack(memcached_build))
+                > bench.set_rps(_stack(microvm_build)))
+
 
 class TestPgBench:
     def test_runs_on_postgres_kernel(self, postgres_build):
@@ -71,6 +76,11 @@ class TestPgBench:
         """TPC-B transactions are fdatasync-bound, orders below redis GET."""
         tps = PgBench(transactions=200).tps(_stack(postgres_build))
         assert tps < 50_000
+
+    def test_beats_microvm(self, postgres_build, microvm_build):
+        pgbench = PgBench(transactions=200)
+        assert (pgbench.tps(_stack(postgres_build))
+                > pgbench.tps(_stack(microvm_build)))
 
     def test_connection_churn_charged(self, postgres_build):
         stack = _stack(postgres_build)

@@ -1,4 +1,4 @@
-"""Integration: booted guests driving the real TCP stack and ELF loader."""
+"""Integration: booted guests driving the real TCP stack."""
 
 import pytest
 
@@ -51,46 +51,3 @@ class TestGuestTcp:
         stack = nginx_guest.tcp_stack()
         _serve_connections(stack, 10)
         assert stack.connection_count() == 0
-
-
-class TestGuestExec:
-    def test_exec_materializes_address_space(self, nginx_guest):
-        loaded = nginx_guest.exec_address_space(memory_mb=64)
-        assert loaded.binary.path == "/usr/sbin/nginx"
-        assert loaded.interpreter_mapping is not None
-
-    def test_resident_set_is_modest(self, nginx_guest):
-        loaded = nginx_guest.exec_address_space(memory_mb=64)
-        space_mapping = loaded.mapping("text")
-        assert space_mapping.page_count > 0
-
-    def test_bare_guest_cannot_exec(self):
-        from repro.core.lupine import LupineGuest  # noqa: F401
-
-        hello = LupineBuilder(variant=Variant.LUPINE).build_for_app(
-            get_app("hello-world")
-        ).boot()
-        loaded = hello.exec_address_space(memory_mb=16)
-        assert loaded.binary.file_kb < 100
-
-
-class TestGuestBlockDevice:
-    def test_block_device_sized_to_rootfs(self, nginx_guest):
-        device = nginx_guest.block_device()
-        assert device.capacity_mb > nginx_guest.unikernel.rootfs_size_mb
-
-    def test_wal_pattern_is_fsync_bound(self, nginx_guest):
-        from repro.block.pagecache import PageCache
-
-        cache = PageCache(nginx_guest.block_device())
-        write_total = sum(cache.write(index * 8.0, 8.0) for index in range(8))
-        sync_total = cache.fsync()
-        assert sync_total > write_total
-
-
-class TestGuestTimers:
-    def test_timer_wheel_uses_configured_hz(self, nginx_guest):
-        wheel = nginx_guest.timer_wheel()
-        assert wheel.hz == 250  # lupine-base selects HZ_250
-        timer = wheel.arm_after_ns(8e6)  # 8 ms = 2 ticks at 250 Hz
-        assert timer.expires_tick == 2

@@ -82,21 +82,6 @@ class TestExt2Builder:
         assert image.list_directory("/bin") == ["ls", "sh"]
         assert set(image.list_directory("/")) == {"bin", "etc"}
 
-    def test_symlink_resolution(self):
-        image = build_ext2([
-            FileEntry("/bin/busybox", 800, executable=True),
-            FileEntry("/bin/sh", 0, symlink_to="/bin/busybox"),
-        ])
-        assert image.resolve("/bin/sh").path == "/bin/busybox"
-
-    def test_symlink_loop_detected(self):
-        image = build_ext2([
-            FileEntry("/a", 0, symlink_to="/b"),
-            FileEntry("/b", 0, symlink_to="/a"),
-        ])
-        with pytest.raises(Ext2Error, match="symbolic links"):
-            image.resolve("/a")
-
     def test_fast_symlinks_use_no_data_blocks(self):
         image = build_ext2([FileEntry("/sh", 0, symlink_to="/bin/busybox")])
         assert image.lookup("/sh").data_blocks == 0

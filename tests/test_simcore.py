@@ -175,70 +175,16 @@ class TestVirtualClock:
         clock.advance(20.0)
         assert not fired
 
-    def test_listeners_observe_targets(self):
+    def test_cancel_after_reset_leaves_the_count_alone(self):
+        # An event reset() dropped is no longer in the heap: cancelling it
+        # must neither succeed nor change pending_events.
         clock = VirtualClock()
-        seen = []
-        clock.add_listener(seen.append)
-        clock.advance(10.0)
-        clock.advance(5.0)
-        assert seen == [10.0, 15.0]
-        clock.remove_listener(seen.append)
-        clock.advance(1.0)
-        assert len(seen) == 2
-
-    def test_listeners_notified_on_backward_jump(self):
-        # The desync bug: backward jump_to mutated _now_ns silently, so a
-        # bound TimerWheel kept a stale tick base after the legacy
-        # `clock_ns = 0.0` reset idiom.
-        clock = VirtualClock()
-        seen = []
-        clock.add_listener(seen.append)
-        clock.advance(10.0)
-        clock.jump_to(3.0)
-        assert seen == [10.0, 3.0]
-
-    def test_listeners_notified_on_reset(self):
-        clock = VirtualClock()
-        seen = []
-        clock.add_listener(seen.append)
-        clock.advance(10.0)
+        event = clock.call_at(100.0)
         clock.reset()
-        assert seen == [10.0, 0.0]
-
-    def test_listener_notification_across_all_moves(self):
-        clock = VirtualClock()
-        seen = []
-        clock.add_listener(seen.append)
-        clock.advance(5.0)          # forward
-        clock.advance_to(9.0)       # forward absolute
-        clock.jump_to(12.0)         # forward jump
-        clock.jump_to(4.0)          # backward rebase
-        clock.reset()               # rebase to zero
-        assert seen == [5.0, 9.0, 12.0, 4.0, 0.0]
-
-    def test_timer_wheel_rebases_after_backward_jump(self):
-        from repro.sched.timers import TimerWheel
-
-        clock = VirtualClock()
-        wheel = TimerWheel(hz=250).bind_clock(clock)  # 4 ms ticks
-        clock.advance(10 * wheel.tick_ns)
-        assert wheel.current_tick == 10
-        clock.jump_to(0.0)  # legacy engine.clock_ns = 0.0 reset idiom
-        assert wheel.current_tick == 10  # ticks cannot un-fire
-        # The wheel must tick again immediately, not only after the
-        # clock re-crosses its old high-water mark.
-        clock.advance(3 * wheel.tick_ns)
-        assert wheel.current_tick == 13
-
-    def test_timer_wheel_rebases_after_reset(self):
-        from repro.sched.timers import TimerWheel
-
-        clock = VirtualClock()
-        wheel = TimerWheel(hz=250).bind_clock(clock)
-        clock.advance(5 * wheel.tick_ns)
-        clock.reset()
-        clock.advance(2 * wheel.tick_ns)
-        assert wheel.current_tick == 7
+        assert event.cancel() is False
+        assert clock.pending_events == 0
+        clock.call_at(50.0)
+        assert clock.pending_events == 1
 
 
 class TestClockContext:
@@ -348,13 +294,6 @@ class TestGuestLifecycle:
         first.serve(REDIS_GET, 10)
         assert first.clock.now_ns > 0
         assert second.clock.now_ns == 0.0
-
-    def test_timer_wheel_follows_the_guest_clock(self):
-        guest = variant_guest(Variant.LUPINE_NOKML, app="redis")
-        wheel = guest.timer_wheel()
-        baseline = wheel.current_tick
-        guest.clock.advance_ms(3 * wheel.tick_ns / 1e6)
-        assert wheel.current_tick == baseline + 3
 
 
 class TestFleetSimulate:

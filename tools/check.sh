@@ -70,7 +70,14 @@
 #
 # The docs-link check (tools/check_docs_links.py) fails on any relative
 # markdown link in README.md/DESIGN.md/EXPERIMENTS.md/ROADMAP.md/docs/
-# that no longer resolves to a file in the repository.
+# that no longer resolves to a file in the repository, and on any
+# backticked repository path in the same docs (ROADMAP.md excepted) that
+# names a file which does not exist.
+#
+# The reachability gate (tools/check_reachability.py) walks repro.*
+# imports statically from the shipped entry points (src/repro/cli.py,
+# perfbench/, tools/, examples/) and fails naming every src/repro module
+# it never reaches: code only tests use belongs in tests/.
 #
 # The chaos gate runs the full suite twice under the same seeded fault
 # schedule (repro-lupine chaos) and asserts the resilience invariants:
@@ -89,6 +96,9 @@ python "$REPO_ROOT/tools/lint_time.py"
 
 echo "==> docs dead-link check"
 python "$REPO_ROOT/tools/check_docs_links.py"
+
+echo "==> reachability gate (every src/repro module reached from an entry point)"
+python "$REPO_ROOT/tools/check_reachability.py"
 
 echo "==> fault-site registry drift check"
 python "$REPO_ROOT/tools/check_fault_sites.py"

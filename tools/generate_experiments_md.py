@@ -85,8 +85,9 @@ def main(argv=None) -> int:
     w("the goal is matching the paper's *shape* — who wins, by roughly what "
       "factor — not its absolute testbed numbers.\n\n")
     w("Regenerate any row's raw data with "
-      "`repro-lupine experiment <id>` or `pytest benchmarks/ "
-      "--benchmark-only` (rendered copies land in `benchmarks/output/`).\n\n")
+      "`repro-lupine experiment <id>`, or every row with "
+      "`repro-lupine run-all` (rendered copies land in "
+      "`benchmarks/output/`).\n\n")
 
     # -- how to run ------------------------------------------------------------
     w("## Running the experiments\n\n")
