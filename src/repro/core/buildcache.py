@@ -74,14 +74,6 @@ class BuildCacheStats:
     misses: int
     entries: int
 
-    @property
-    def builds_performed(self) -> int:
-        return self.misses
-
-    @property
-    def builds_reused(self) -> int:
-        return self.hits
-
 
 class KernelBuildCache:
     """Content-addressed cache of built kernel artifacts."""

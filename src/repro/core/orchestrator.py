@@ -78,7 +78,6 @@ class Fleet:
         seed: int = 0,
         requests_per_guest: int = 32,
         kml: bool = True,
-        cohort: bool = False,
     ) -> "FleetSimulation":
         """Boot and drive *count* guests under *policy*; fully deterministic.
 
@@ -92,12 +91,9 @@ class Fleet:
         manifest.  The same *seed* always yields a byte-identical
         manifest.
 
-        ``cohort=True`` runs the cohort-vectorized fold: guests with the
-        same application (hence identical spec, kernel and request
-        profile) simulate one *representative* whose per-guest costs are
-        replayed across the cohort.  Bit-identical to the sequential
-        per-guest loop, its differential oracle -- see
-        :meth:`_simulate_cohort`.
+        Guests with the same application (hence identical spec, kernel
+        and request profile) simulate one *representative* whose entry is
+        replayed across the cohort -- see :meth:`_simulate_cohort`.
         """
         from repro.apps.registry import top20_in_popularity_order
 
@@ -106,8 +102,7 @@ class Fleet:
         orchestrator = KernelOrchestrator(policy=policy, kml=kml)
         if count == 0:
             # Empty-but-well-formed: the manifest (and its digest) is
-            # defined for a zero-guest fleet, identically under either
-            # execution strategy, instead of raising.
+            # defined for a zero-guest fleet instead of raising.
             return FleetSimulation(
                 policy=policy, seed=seed, count=0, entries=[],
                 build_count=orchestrator.build_count,
@@ -122,14 +117,9 @@ class Fleet:
             for index, app in enumerate(drawn)
         ]
         cls._validate_specs(specs)
-        if cohort:
-            entries = cls._simulate_cohort(
-                orchestrator, drawn, specs, requests_per_guest
-            )
-        else:
-            entries = cls._simulate_sequential(
-                orchestrator, drawn, specs, requests_per_guest
-            )
+        entries = cls._simulate_cohort(
+            orchestrator, drawn, specs, requests_per_guest
+        )
         return FleetSimulation(
             policy=policy, seed=seed, count=count, entries=entries,
             build_count=orchestrator.build_count,
@@ -182,25 +172,6 @@ class Fleet:
         )
 
     @classmethod
-    def _simulate_sequential(
-        cls,
-        orchestrator: "KernelOrchestrator",
-        drawn: List[Application],
-        specs,
-        requests_per_guest: int,
-    ) -> List["GuestManifestEntry"]:
-        """The sequential differential oracle: one guest at a time."""
-        from repro.simcore.guest import Guest
-
-        return [
-            cls._run_guest(
-                Guest(spec, unikernel=orchestrator.unikernel_for(app)),
-                app, requests_per_guest,
-            )
-            for app, spec in zip(drawn, specs)
-        ]
-
-    @classmethod
     def _simulate_cohort(
         cls,
         orchestrator: "KernelOrchestrator",
@@ -219,9 +190,9 @@ class Fleet:
         uptime_ns, requests and rps replay bit-identically.  The fold
         therefore simulates the cohort's *first* guest and replays its
         entry -- name swapped -- for every later member, instead of
-        re-simulating guest by guest.  Byte-identical to
-        :meth:`_simulate_sequential` (the differential oracle; asserted
-        by tests and the ``bench-guests`` cohort gate).
+        re-simulating guest by guest.  Byte-identical to running every
+        guest in turn: the test oracle ``tests/oracles/fleet.py`` does
+        that, and ``tests/test_shard_fleet.py`` compares the two.
 
         Representative clocks come from a fold-local
         :class:`~repro.simcore.eventcore.EventCore` (``clock_for``), so
@@ -308,12 +279,7 @@ class GuestManifestEntry:
 
 @dataclass
 class FleetSimulation:
-    """The deterministic outcome of one :meth:`Fleet.simulate` run.
-
-    The manifest is execution-strategy-independent: a cohort-fold run and
-    a sequential run of the same (seed, policy, count) serialize to the
-    same bytes.
-    """
+    """The deterministic outcome of one :meth:`Fleet.simulate` run."""
 
     policy: KernelPolicy
     seed: int
@@ -331,10 +297,6 @@ class FleetSimulation:
     @property
     def total_requests(self) -> int:
         return sum(entry.requests for entry in self.entries)
-
-    @property
-    def total_boot_ms(self) -> float:
-        return sum(entry.boot_ms for entry in self.entries)
 
     def manifest(self) -> Dict[str, object]:
         """The canonical JSON-able manifest (digest input)."""
@@ -406,9 +368,6 @@ class KernelOrchestrator:
             return Variant.LUPINE if self.kml else Variant.LUPINE_NOKML
         return (Variant.LUPINE_GENERAL if self.kml
                 else Variant.LUPINE_GENERAL_NOKML)
-
-    #: Backward-compatible alias (pre-fleet callers used the private name).
-    _variant_for = variant_for
 
     def _cache_key(self, app: Application) -> str:
         """The kernel cache key for *app*: its resolved config fingerprint."""

@@ -118,7 +118,6 @@ class FaultPlane:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)   # reserved for schedule gen
         self._specs: Dict[str, List[FaultSpec]] = {}
         self._calls: Dict[Tuple[str, str], int] = {}
         self._fired: Dict[int, int] = {}       # spec id -> injections so far

@@ -56,10 +56,6 @@ class KernelImage:
         return self.compressed_kb / 1024.0
 
     @property
-    def uncompressed_mb(self) -> float:
-        return self.uncompressed_kb / 1024.0
-
-    @property
     def resident_kernel_kb(self) -> float:
         """Post-boot resident kernel code+rodata estimate (KiB)."""
         option_kb = max(0.0, self.uncompressed_kb - CORE_TEXT_KB)

@@ -9,8 +9,7 @@ This subpackage models the parts of Kconfig the paper relies on:
 - :mod:`repro.kconfig.parser` -- ``.config`` fragment rendering and parsing.
 - :mod:`repro.kconfig.resolver` -- ``olddefconfig``-style resolution of a
   requested option set into a complete, dependency-consistent configuration;
-  incremental (worklist) by default, with the full-sweep oracle behind
-  ``strategy="sweep"`` and warm-start derivation via ``resolve_from``.
+  incremental (worklist), with warm-start derivation via ``resolve_from``.
 - :mod:`repro.kconfig.index` -- the per-tree resolution index (reverse
   dependencies + compiled expressions) backing the worklist engine.
 - :mod:`repro.kconfig.rescache` -- the process-wide resolution cache.

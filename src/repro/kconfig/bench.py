@@ -1,11 +1,10 @@
 """The ``bench-resolve`` microbenchmark: resolver work, counted.
 
-Measures the deterministic *work counters* of the resolution engines over
-the paper's 20 application configurations, in four scenarios plus the
+Measures the deterministic *work counters* of the resolver over the
+paper's 20 application configurations, in three scenarios plus the
 shared base cost:
 
-- ``cold_sweep``     -- 20 cold resolutions through the full-sweep oracle;
-- ``cold_worklist``  -- the same 20, cold, through the worklist engine;
+- ``cold_worklist``  -- 20 cold resolutions, bypassing the cache;
 - ``warm_base``      -- one cold worklist resolution of ``lupine-base``
   (the fixpoint all warm derivations share);
 - ``warm_delta``     -- the 20 app configs derived warm from that base
@@ -23,8 +22,8 @@ checked-in snapshot lives at ``benchmarks/baseline/BENCH_resolve.json``.
 
 ``check_result`` enforces the headline acceptance claim: warm-start
 derivation of all 20 variants must visit at least
-:data:`MIN_SWEEP_OVER_WARM_RATIO` times fewer options than 20 cold
-sweeps, and cache hits must visit none at all.  A document missing any
+:data:`MIN_COLD_OVER_WARM_RATIO` times fewer options than the 20 cold
+resolutions, and cache hits must visit none at all.  A document missing any
 scenario's counters, or the ``bench_apps`` gauge, fails outright.
 """
 
@@ -34,9 +33,9 @@ from typing import Any, Dict, List, Tuple
 
 from repro.observe import METRICS
 
-#: The acceptance floor: cold sweeps must visit at least this many times
-#: more options than the warm per-app derivations.
-MIN_SWEEP_OVER_WARM_RATIO = 10.0
+#: The acceptance floor: cold resolutions must visit at least this many
+#: times more options than the warm per-app derivations.
+MIN_COLD_OVER_WARM_RATIO = 10.0
 
 _WORK_COUNTERS = (
     "kconfig.resolutions",
@@ -47,8 +46,7 @@ _WORK_COUNTERS = (
 )
 
 #: Scenario sections, in run order.
-SCENARIOS = ("cold_sweep", "cold_worklist", "warm_base", "warm_delta",
-             "cache_hit")
+SCENARIOS = ("cold_worklist", "warm_base", "warm_delta", "cache_hit")
 
 
 def run_bench() -> Dict[str, Any]:
@@ -63,14 +61,9 @@ def run_bench() -> Dict[str, Any]:
     request_sets: List[Tuple[str, List[str]]] = [
         (app.name, app_config_names(app)) for app in TOP20_APPS
     ]
-    sweep = Resolver(tree, strategy="sweep")
     worklist = Resolver(tree)
     sections: Dict[str, Dict[str, int]] = {}
 
-    _, sections["cold_sweep"] = METRICS.measure(lambda: [
-        sweep.resolve_names(names, name=f"bench-sweep-{app}")
-        for app, names in request_sets
-    ], _WORK_COUNTERS)
     _, sections["cold_worklist"] = METRICS.measure(lambda: [
         worklist.resolve_names(
             names, name=f"bench-cold-{app}", use_cache=False
@@ -107,13 +100,13 @@ def run_bench() -> Dict[str, Any]:
         for metric, value in deltas.items()
     }
     warm = counters["kconfig.resolve.visited_options.warm_delta"]
-    cold = counters["kconfig.resolve.visited_options.cold_sweep"]
+    cold = counters["kconfig.resolve.visited_options.cold_worklist"]
     ratio = cold / warm if warm else float("inf")
     return {
         "counters": counters,
         "gauges": {
             "kconfig.resolve.bench_apps": float(len(request_sets)),
-            "kconfig.resolve.sweep_over_warm_visited_ratio": round(ratio, 2),
+            "kconfig.resolve.cold_over_warm_visited_ratio": round(ratio, 2),
         },
         "histograms": {},
     }
@@ -135,17 +128,17 @@ def check_result(result: Dict[str, Any]) -> List[str]:
                 f"{missing[0]}; every scenario must report"]
     failures: List[str] = []
     warm = counters["kconfig.resolve.visited_options.warm_delta"]
-    cold = counters["kconfig.resolve.visited_options.cold_sweep"]
+    cold = counters["kconfig.resolve.visited_options.cold_worklist"]
     if warm <= 0:
         failures.append(
             f"warm-start derivation visited {warm} options; the warm_delta "
             "scenario did no resolution work"
         )
-    elif cold / warm < MIN_SWEEP_OVER_WARM_RATIO:
+    elif cold / warm < MIN_COLD_OVER_WARM_RATIO:
         failures.append(
             f"warm-start derivation visited only {cold / warm:.1f}x fewer "
-            f"options than cold sweeps ({cold} vs {warm}); "
-            f"need >= {MIN_SWEEP_OVER_WARM_RATIO:.0f}x"
+            f"options than cold resolutions ({cold} vs {warm}); "
+            f"need >= {MIN_COLD_OVER_WARM_RATIO:.0f}x"
         )
     hit_visited = counters["kconfig.resolve.visited_options.cache_hit"]
     if hit_visited != 0:
@@ -174,6 +167,6 @@ def render_summary(result: Dict[str, Any]) -> str:
             f"{counters[f'kconfig.resolve.visited_options.{section}']:>9} "
             f"{counters[f'kconfig.expr.evals.{section}']:>9}"
         )
-    ratio = result["gauges"]["kconfig.resolve.sweep_over_warm_visited_ratio"]
-    lines.append(f"sweep/warm visited ratio: x{ratio:g}")
+    ratio = result["gauges"]["kconfig.resolve.cold_over_warm_visited_ratio"]
+    lines.append(f"cold/warm visited ratio: x{ratio:g}")
     return "\n".join(lines)

@@ -282,11 +282,6 @@ def expr_symbols(expr: Expr) -> set[str]:
     return set(expr.symbols())
 
 
-def make_evaluator(expr: Expr) -> Callable[[Env], Tristate]:
-    """Return a callable evaluating *expr*; convenient for hot paths."""
-    return expr.evaluate
-
-
 #: ``~value`` lookup table indexed by ``int(value)`` (``!n=y, !m=m, !y=n``).
 _NOT_TABLE = (Tristate.YES, Tristate.MODULE, Tristate.NO)
 

@@ -7,12 +7,11 @@ resolves the same handful of configurations again and again (every
 variant build starts with a resolution), so — exactly like the kernel
 build cache one layer up — resolutions are memoized process-wide.
 
-Keys are built by the resolver: ``(tree fingerprint, sorted pinned
-requests, mode)`` where *mode* distinguishes cold resolutions from
+Keys are built by the resolver: ``(tree fingerprint, pinned requests in
+request order, mode)`` where *mode* distinguishes cold resolutions from
 warm-start derivations (see ``Resolver.resolve_from``); the two are kept
-in separate namespaces so a warm derivation can never masquerade as the
-cold oracle result.  The ``strategy="sweep"`` differential oracle never
-touches this cache.
+in separate namespaces so a warm derivation can never masquerade as a
+cold result.
 
 The cache is bounded (LRU): callers like ``minimize_config`` probe many
 throwaway request sets, and each cached entry pins a full ~16k-entry

@@ -15,46 +15,37 @@ Resolution iterates to a fixpoint; Kconfig guarantees termination because
 values only move monotonically once requests are pinned, and we additionally
 cap the iteration count defensively.
 
-Two engines implement the fixpoint:
+The engine is incremental, over the per-tree
+:class:`~repro.kconfig.index.ResolutionIndex`.  After the seed pass it
+only revisits options whose *inputs* changed -- per-phase dirty sets
+driven by the reverse dependency indices -- and evaluates compiled
+expression programs instead of re-walking ASTs.  It supports
+**warm-start derivation** (:meth:`Resolver.resolve_from`): seeding from
+an already-resolved base configuration and dirtying only the cone
+reachable from the request delta, which is how the per-application
+variants derive from the shared ``lupine-base`` fixpoint.  Results are
+memoized process-wide in :data:`~repro.kconfig.rescache.RESOLUTION_CACHE`.
+Each resolution publishes ``kconfig.resolve.visited_options`` (phase-loop
+bodies executed) and ``kconfig.expr.evals`` (top-level dependency/default
+evaluations), which is what the ``bench-resolve`` benchmark and the
+``regress`` gate compare.
 
-``strategy="worklist"`` (the default)
-    An incremental engine over the per-tree
-    :class:`~repro.kconfig.index.ResolutionIndex`.  After the seed pass it
-    only revisits options whose *inputs* changed — per-phase dirty sets
-    driven by the reverse dependency indices — and evaluates compiled
-    expression programs instead of re-walking ASTs.  It supports
-    **warm-start derivation** (:meth:`Resolver.resolve_from`): seeding from
-    an already-resolved base configuration and dirtying only the cone
-    reachable from the request delta, which is how the per-application
-    variants derive from the shared ``lupine-base`` fixpoint.  Worklist
-    results are memoized process-wide in
-    :data:`~repro.kconfig.rescache.RESOLUTION_CACHE`.
-
-``strategy="sweep"``
-    The original four full-tree passes per iteration, evaluating option
-    ASTs directly.  It shares no acceleration structures with the worklist
-    engine, which makes it the independent oracle for differential testing
-    (``tests/kconfig/test_resolver_differential.py``); it never consults
-    the resolution cache.
-
-Both engines emit the same observable result and publish
-``kconfig.resolve.visited_options`` (phase-loop bodies executed) and
-``kconfig.expr.evals`` (top-level dependency/default evaluations), which is
-what the ``bench-resolve`` benchmark and the ``regress`` gate compare.
-
-**Worklist scheduling & sweep parity.**  A sweep pass walks positions in
-tree order and *sees its own earlier mutations*: a change made while
-processing position 5 is visible when the same pass reaches position 9,
-but a change affecting position 3 waits for the next iteration.  The
-worklist engine reproduces that trajectory exactly — each pass drains its
-dirty set in ascending position order; a position dirtied mid-pass is
-processed in the *same* pass if it lies ahead of the cursor and deferred
-to the next iteration otherwise.  The select-forced set is likewise
-snapshotted at iteration start (as ``_forced_targets`` does in the sweep)
-by buffering enable/disable transitions and applying them as counted
-deltas between iterations.  This makes the two engines agree not only on
-the fixpoint but on the demotion *reasons*, which record which rule fired
-last.
+**Worklist scheduling & sweep parity.**  The reference semantics are
+four full-tree sweeps per iteration (the test oracle
+``tests/oracles/sweep.py``, which the differential tests in
+``tests/kconfig/test_resolver_differential.py`` compare against).  A
+sweep pass walks positions in tree order and *sees its own earlier
+mutations*: a change made while processing position 5 is visible when
+the same pass reaches position 9, but a change affecting position 3
+waits for the next iteration.  The worklist engine reproduces that
+trajectory exactly -- each pass drains its dirty set in ascending
+position order; a position dirtied mid-pass is processed in the *same*
+pass if it lies ahead of the cursor and deferred to the next iteration
+otherwise.  The select-forced set is likewise snapshotted at iteration
+start by buffering enable/disable transitions and applying them as
+counted deltas between iterations.  This makes the engine agree with
+the sweep not only on the fixpoint but on the demotion *reasons*, which
+record which rule fired last.
 """
 
 from __future__ import annotations
@@ -89,9 +80,6 @@ _MAX_ITERATIONS = 64
 
 #: Fixed buckets for the per-resolution iteration-count histogram.
 _ITERATION_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-_STRATEGIES = ("worklist", "sweep")
-
 
 class ResolutionError(RuntimeError):
     """Raised when resolution cannot reach a fixpoint (should not happen)."""
@@ -181,220 +169,6 @@ class ResolvedConfig:
     def diff(self, other: "ResolvedConfig") -> Tuple[FrozenSet[str], FrozenSet[str]]:
         """Return ``(only_in_self, only_in_other)`` enabled-option sets."""
         return self.enabled - other.enabled, other.enabled - self.enabled
-
-
-class _SweepEngine:
-    """The original full-tree fixpoint: four sweeps per iteration.
-
-    Kept verbatim (modulo instrumentation) as the differential-testing
-    oracle; it deliberately evaluates option ASTs and walks the tree
-    rather than using the resolution index, so an index bug cannot hide
-    from the differential test.
-    """
-
-    def __init__(self, tree: KconfigTree, pinned: Mapping[str, Tristate]):
-        self.tree = tree
-        self.pinned = pinned
-        self.values: Dict[str, Tristate] = {
-            option.name: Tristate.NO
-            for option in tree
-            if option.option_type.is_symbolic
-        }
-        self.values.update(pinned)
-        self.demoted: Dict[str, str] = {}
-        self.violations: Set[Tuple[str, str]] = set()
-        self.churned: Set[str] = set()
-        self.visited = 0
-        self.evals = 0
-
-    def run(self) -> int:
-        values, pinned = self.values, self.pinned
-        demoted, violations = self.demoted, self.violations
-        iterations = 0
-        for _ in range(_MAX_ITERATIONS):
-            iterations += 1
-            changed = False
-            # select overrides depends-on in kconfig, so compute the set
-            # of select-forced targets first and exempt them from
-            # demotion.
-            forced = self._forced_targets(values)
-            changed |= self._apply_dependencies(values, demoted, forced)
-            changed |= self._apply_selects(values, demoted, violations)
-            changed |= self._apply_defaults(values, pinned)
-            changed |= self._apply_choices(values, pinned, demoted)
-            if not changed:
-                break
-        else:
-            raise ResolutionError("configuration did not converge")
-
-        # Re-check select-forced options against their dependencies one last
-        # time so violations caused by late demotions are recorded.
-        for source_name, target_name in self._select_edges(values):
-            target = self.tree[target_name]
-            self.evals += 1
-            if target.depends_on.evaluate(values) is Tristate.NO:
-                violations.add((source_name, target_name))
-
-        # A demotion record can go stale: selects pop their target's entry
-        # when re-forcing it, but an option re-enabled by its *default*
-        # (after the blocking dependency itself got enabled) kept its old
-        # record.  Resolution rules only ever record reasons for options
-        # that end up off, so drop records for enabled options.
-        self.demoted = {
-            name: reason
-            for name, reason in demoted.items()
-            if values[name] is Tristate.NO
-        }
-        return iterations
-
-    def _forced_targets(self, values: Dict[str, Tristate]) -> Set[str]:
-        """Names currently forced on by an enabled option's select."""
-        return {target for _, target in self._select_edges(values)}
-
-    def _select_edges(
-        self, values: Dict[str, Tristate]
-    ) -> Iterator[Tuple[str, str]]:
-        """(source, target) select edges whose source is enabled."""
-        for option in self.tree:
-            if values.get(option.name, Tristate.NO) is Tristate.NO:
-                continue
-            for target_name in option.selects:
-                target = self.tree.get(target_name)
-                if target is not None and target.option_type.is_symbolic:
-                    yield option.name, target_name
-
-    def _apply_dependencies(
-        self,
-        values: Dict[str, Tristate],
-        demoted: Dict[str, str],
-        forced: Set[str],
-    ) -> bool:
-        changed = False
-        for option in self.tree:
-            if not option.option_type.is_symbolic:
-                continue
-            self.visited += 1
-            current = values[option.name]
-            if current is Tristate.NO:
-                continue
-            if option.name in forced:
-                continue
-            self.evals += 1
-            visible = option.depends_on.evaluate(values)
-            if visible is Tristate.NO:
-                values[option.name] = Tristate.NO
-                demoted[option.name] = str(option.depends_on)
-                self.churned.add(option.name)
-                changed = True
-            elif visible is Tristate.MODULE and current is Tristate.YES:
-                if option.option_type is OptionType.TRISTATE:
-                    values[option.name] = Tristate.MODULE
-                    self.churned.add(option.name)
-                    changed = True
-        return changed
-
-    def _apply_selects(
-        self,
-        values: Dict[str, Tristate],
-        demoted: Dict[str, str],
-        select_violations: Set[Tuple[str, str]],
-    ) -> bool:
-        changed = False
-        for option in self.tree:
-            if not option.option_type.is_symbolic:
-                continue
-            self.visited += 1
-            source_value = values.get(option.name, Tristate.NO)
-            if source_value is Tristate.NO:
-                continue
-            for target_name in option.selects:
-                target = self.tree.get(target_name)
-                if target is None or not target.option_type.is_symbolic:
-                    continue
-                forced = source_value
-                if target.option_type is OptionType.BOOL:
-                    forced = Tristate.YES
-                if values[target_name] < forced:
-                    values[target_name] = forced
-                    demoted.pop(target_name, None)
-                    self.churned.add(target_name)
-                    changed = True
-                    self.evals += 1
-                    if target.depends_on.evaluate(values) is Tristate.NO:
-                        select_violations.add((option.name, target_name))
-        return changed
-
-    def _apply_defaults(
-        self,
-        values: Dict[str, Tristate],
-        pinned: Mapping[str, Tristate],
-    ) -> bool:
-        changed = False
-        for option in self.tree:
-            if not option.option_type.is_symbolic or option.default is None:
-                continue
-            self.visited += 1
-            if option.name in pinned or values[option.name] is not Tristate.NO:
-                continue
-            self.evals += 1
-            if option.depends_on.evaluate(values) is Tristate.NO:
-                continue
-            self.evals += 1
-            value = option.default.evaluate(values)
-            if option.option_type is OptionType.BOOL and value is Tristate.MODULE:
-                value = Tristate.YES
-            if value is not Tristate.NO:
-                values[option.name] = value
-                self.churned.add(option.name)
-                changed = True
-        return changed
-
-    def _apply_choices(
-        self,
-        values: Dict[str, Tristate],
-        pinned: Mapping[str, Tristate],
-        demoted: Dict[str, str],
-    ) -> bool:
-        """Enforce choice-group exclusivity and defaults.
-
-        Among enabled members the winner is the first *requested* one —
-        request mappings preserve insertion order, so ties between
-        several requested members go to whichever the caller asked for
-        first — else the first enabled member in declaration order;
-        everyone else is demoted.  An all-off choice takes its default
-        member.
-        """
-        changed = False
-        for choice in self.tree.choices():
-            self.visited += 1
-            enabled_members = [
-                m for m in choice.members
-                if values.get(m, Tristate.NO) is not Tristate.NO
-            ]
-            if not enabled_members:
-                default = choice.default_member
-                if default is not None and default not in pinned:
-                    option = self.tree[default]
-                    self.evals += 1
-                    if option.depends_on.evaluate(values) is not Tristate.NO:
-                        values[default] = Tristate.YES
-                        self.churned.add(default)
-                        changed = True
-                continue
-            requested_members = [
-                m for m in pinned
-                if m in choice.members
-                and pinned[m] is not Tristate.NO
-                and values.get(m, Tristate.NO) is not Tristate.NO
-            ]
-            winner = (requested_members or enabled_members)[0]
-            for member in enabled_members:
-                if member != winner:
-                    values[member] = Tristate.NO
-                    demoted[member] = f"choice {choice.name}: {winner} wins"
-                    self.churned.add(member)
-                    changed = True
-        return changed
 
 
 class _Worklist:
@@ -628,8 +402,8 @@ class _WorklistEngine:
     def _apply_forced_deltas(self) -> None:
         """Fold buffered source enable/disable flips into the snapshot.
 
-        Runs only between iterations, mirroring the sweep's
-        ``_forced_targets`` recomputation at the top of each loop.  A
+        Runs only between iterations, mirroring the sweep's recomputation
+        of the select-forced set at the top of each loop.  A
         target whose forced status flips gets its dependency rule
         re-checked.
         """
@@ -803,7 +577,10 @@ class _WorklistEngine:
                 if dep(values) is Tristate.NO:
                     self.violations.add((names[source], names[target]))
 
-        # Same stale-record cleanup as the sweep engine.
+        # A demotion record can go stale: selects pop their target's
+        # entry when re-forcing it, but an option re-enabled by its
+        # *default* keeps its old record.  Rules only record reasons for
+        # options that end up off, so drop records for enabled options.
         self.demoted = {
             name: reason
             for name, reason in self.demoted.items()
@@ -813,27 +590,11 @@ class _WorklistEngine:
 
 
 class Resolver:
-    """Resolves requested option sets against a :class:`KconfigTree`.
+    """Resolves requested option sets against a :class:`KconfigTree`."""
 
-    ``strategy`` selects the fixpoint engine: ``"worklist"`` (incremental,
-    cached, warm-startable — the default) or ``"sweep"`` (the full-tree
-    oracle).  Both produce identical :class:`ResolvedConfig` results.
-    """
-
-    def __init__(
-        self,
-        tree: KconfigTree,
-        strict: bool = True,
-        strategy: str = "worklist",
-    ):
-        if strategy not in _STRATEGIES:
-            raise ValueError(
-                f"unknown resolution strategy {strategy!r}; "
-                f"expected one of {_STRATEGIES}"
-            )
+    def __init__(self, tree: KconfigTree, strict: bool = True):
         self.tree = tree
         self.strict = strict
-        self.strategy = strategy
 
     def resolve(
         self,
@@ -845,29 +606,24 @@ class Resolver:
 
         In strict mode, requesting an option the tree does not define raises
         :class:`UnknownOptionError`; otherwise unknown requests are dropped.
-        Worklist resolutions are memoized process-wide unless *use_cache*
+        Resolutions are memoized process-wide unless *use_cache*
         is false (callers probing many throwaway request sets, e.g. config
         minimization, should opt out).
         """
         from repro.observe import span
 
         with span("kconfig.resolve", category="kconfig",
-                  config=name, requested=len(requested),
-                  strategy=self.strategy) as record:
+                  config=name, requested=len(requested)) as record:
             pinned = self._validate_requests(requested)
             cache_key = None
-            if self.strategy == "worklist" and use_cache:
+            if use_cache:
                 cache_key = self._cache_key(pinned, "cold")
                 cached = RESOLUTION_CACHE.lookup(cache_key)
                 if cached is not None:
                     record.set_attr("cache_hit", True)
                     return self._rebind(cached, name)
-            if self.strategy == "worklist":
-                engine = _WorklistEngine(self.tree, pinned)
-                iterations = engine.run_cold()
-            else:
-                engine = _SweepEngine(self.tree, pinned)
-                iterations = engine.run()
+            engine = _WorklistEngine(self.tree, pinned)
+            iterations = engine.run_cold()
             config = self._finish(engine, pinned, iterations, name, record)
             if cache_key is not None:
                 config = RESOLUTION_CACHE.store(cache_key, config)
@@ -903,10 +659,6 @@ class Resolver:
         """
         from repro.observe import span
 
-        if self.strategy != "worklist":
-            raise ValueError(
-                "warm-start resolution requires the worklist strategy"
-            )
         # Content equality is what matters: a rebuilt tree with the same
         # fingerprint resolves identically, so a base carried across
         # (e.g.) an lru_cache clear of build_linux_tree stays usable.
@@ -917,8 +669,7 @@ class Resolver:
                 "base configuration was resolved against a different tree"
             )
         with span("kconfig.resolve", category="kconfig",
-                  config=name, requested=len(requested),
-                  strategy=self.strategy, warm=True,
+                  config=name, requested=len(requested), warm=True,
                   base=base.name) as record:
             pinned = self._validate_requests(requested)
             cache_key = None

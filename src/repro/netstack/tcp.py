@@ -134,10 +134,6 @@ class TcpStack:
         """Simulated nanoseconds accumulated on this stack's clock."""
         return self.clock.now_ns
 
-    @clock_ns.setter
-    def clock_ns(self, value: float) -> None:
-        self.clock.jump_to(value)
-
     # -- server side --------------------------------------------------------
 
     def listen(self, port: int, backlog: Optional[int] = None) -> None:

@@ -3,8 +3,8 @@
 The paper's whole evaluation is measurement; this package is how the
 reproduction measures *itself*.  Four pieces:
 
-- :mod:`repro.observe.tracer` -- a deterministic span tracer (context
-  manager / decorator, nested spans, host + simulated clocks);
+- :mod:`repro.observe.tracer` -- a deterministic span tracer (nested
+  spans, host + simulated clocks);
 - :mod:`repro.observe.metrics` -- counters, gauges and fixed-bucket
   histograms the caches, resolver and runner publish into;
 - :mod:`repro.observe.export` -- per-run ``trace.json`` (Chrome
@@ -25,32 +25,18 @@ Span-name conventions and the full API are documented in
 ``docs/OBSERVABILITY.md``.
 """
 
-from typing import Any, Callable, Iterator, Optional
-
 from contextlib import contextmanager
+from typing import Any, Iterator
 
-from repro.observe.metrics import (
-    DEFAULT_KB_BUCKETS,
-    DEFAULT_MS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.observe.tracer import (
-    ActiveSimClock,
-    HostClock,
-    SimClock,
-    SpanRecord,
-    TickClock,
-    Tracer,
-)
+from repro.observe.metrics import MetricsRegistry
+from repro.observe.tracer import SpanRecord, Tracer
+from repro.simcore.context import default_clock
 
 #: The process-wide tracer every instrumented layer records into.  Its
-#: simulated-time axis is a view over the *active* virtual clock
+#: simulated-time axis is the *active* virtual clock
 #: (:func:`repro.simcore.context.current_clock`): the process default
 #: clock outside guest scopes, a guest's own clock inside its lifecycle.
-TRACER = Tracer(sim=ActiveSimClock())
+TRACER = Tracer()
 
 #: The process-wide metrics registry (counters/gauges/histograms).
 METRICS = MetricsRegistry()
@@ -64,33 +50,12 @@ def span(name: str, category: str = "repro",
         yield record
 
 
-def traced(name: Optional[str] = None, category: str = "repro") -> Callable:
-    """``TRACER.traced(...)`` -- decorator convenience."""
-    return TRACER.traced(name, category=category)
-
-
 def reset_observability() -> None:
-    """Reset the global tracer and metrics registry (test isolation)."""
+    """Reset the global tracer and metrics registry and rewind the
+    process default clock (test isolation)."""
     TRACER.reset()
     METRICS.reset()
+    default_clock().reset()
 
 
-__all__ = [
-    "ActiveSimClock",
-    "Counter",
-    "DEFAULT_KB_BUCKETS",
-    "DEFAULT_MS_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "HostClock",
-    "METRICS",
-    "MetricsRegistry",
-    "SimClock",
-    "SpanRecord",
-    "TRACER",
-    "TickClock",
-    "Tracer",
-    "reset_observability",
-    "span",
-    "traced",
-]
+__all__ = ["METRICS", "TRACER", "reset_observability", "span"]

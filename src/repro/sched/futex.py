@@ -39,7 +39,7 @@ class FutexTable:
         self._values[address] = value
 
     def _charge(self, base_ns: float) -> None:
-        self.scheduler.clock_ns += (
+        self.scheduler.clock.advance(
             base_ns + self.scheduler.smp.futex_overhead_ns()
         )
 
@@ -93,7 +93,7 @@ class PosixSemaphore:
         return self.futexes.value(self.address)
 
     def post(self) -> None:
-        self.futexes.scheduler.clock_ns += (
+        self.futexes.scheduler.clock.advance(
             SEM_OP_NS + self.futexes.scheduler.smp.futex_overhead_ns()
         )
         self.futexes.store(self.address, self.value + 1)
@@ -102,7 +102,7 @@ class PosixSemaphore:
 
     def wait(self, task: Task) -> bool:
         """sem_wait: returns True if acquired immediately, False if slept."""
-        self.futexes.scheduler.clock_ns += (
+        self.futexes.scheduler.clock.advance(
             SEM_OP_NS + self.futexes.scheduler.smp.futex_overhead_ns()
         )
         if self.value > 0:

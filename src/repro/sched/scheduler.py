@@ -46,12 +46,6 @@ class Scheduler:
         """Simulated nanoseconds accumulated on this scheduler's clock."""
         return self.clock.now_ns
 
-    @clock_ns.setter
-    def clock_ns(self, value: float) -> None:
-        # Exact-set semantics for legacy ``scheduler.clock_ns += x`` /
-        # ``= 0.0`` call sites (futex charges, perf-messaging rebase).
-        self.clock.jump_to(value)
-
     # -- task lifecycle ----------------------------------------------------
 
     def spawn(self, name: str, working_set_kb: int = 0,
@@ -196,13 +190,6 @@ class Scheduler:
         return sum(
             1 for t in self._tasks.values() if t.state is TaskState.SLEEPING
         )
-
-    def runnable_in_space(self, address_space_id: int) -> List[Task]:
-        return [
-            t
-            for t in self._tasks.values()
-            if t.address_space_id == address_space_id and t.alive
-        ]
 
     # -- internals ----------------------------------------------------------------
 

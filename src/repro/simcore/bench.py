@@ -1,21 +1,17 @@
 """The ``bench-guests`` microbenchmark: fleet simulation cost, counted.
 
 Boots and serves whole fleets through :meth:`Fleet.simulate
-<repro.core.orchestrator.Fleet.simulate>` and reports the deterministic
-*work counters* the run caused, per kernel policy and execution
-strategy:
+<repro.core.orchestrator.Fleet.simulate>` -- the cohort fold: one
+simulated representative per app cohort, its entry replayed for every
+other member -- and reports the deterministic *work counters* the run
+caused, per kernel policy and fleet size:
 
 - ``fleet_general`` -- :data:`GENERAL_GUESTS` guests sharing one
-  ``lupine-general`` kernel (the paper's recommended deployment), run
-  guest by guest: the sequential differential oracle;
+  ``lupine-general`` kernel (the paper's recommended deployment);
 - ``fleet_per_app`` -- :data:`PER_APP_GUESTS` guests on per-app
   specialized kernels (maximum specialization, maximum builds);
-- ``fleet_general_cohort`` -- the general fleet again, through the
-  cohort-vectorized fold (one simulated representative per app cohort,
-  entries replayed per guest).  Its manifest digest must equal
-  ``fleet_general``'s;
-- ``fleet_general_tenk`` -- :data:`TENK_GUESTS` guests through the
-  cohort fold, an order of magnitude past the sequential oracle.
+- ``fleet_general_tenk`` -- :data:`TENK_GUESTS` guests on the general
+  kernel, an order of magnitude larger.
 
 Nothing reported is wall-clock: boot and resolver work are counter
 deltas (``boot.boots``, ``kconfig.resolve.*``, ``vmm.guest_checks``).
@@ -24,7 +20,9 @@ Host time is what ``perfbench/`` measures.
 Manifest digests land in the result's dedicated ``digests`` section
 (they are identities, not monotonic counts -- the regress gate compares
 them for exact equality), so the gate pins bit-identical fleet
-behaviour under both execution strategies.  Digests are hash-seed
+behaviour; ``tests/test_shard_fleet.py`` checks that the sequential
+per-guest loop (the test oracle) reproduces the pinned general and
+per-app digests.  Digests are hash-seed
 independent: every float fold over set-ordered config options iterates
 in sorted order, so no ``PYTHONHASHSEED`` pin is needed.  The
 checked-in snapshot lives at ``benchmarks/baseline/BENCH_guests.json``.
@@ -38,8 +36,7 @@ from repro.observe import METRICS
 
 #: Fleet sizes per scenario.  The general fleet is the acceptance-scale
 #: run (>= 1000 guests on one shared kernel); the per-app fleet is
-#: smaller -- its point is kernel diversity, not scale.  The ten-thousand
-#: guest scenario runs an order of magnitude past the sequential oracle.
+#: smaller -- its point is kernel diversity, not scale.
 GENERAL_GUESTS = 1000
 PER_APP_GUESTS = 200
 TENK_GUESTS = 10_000
@@ -56,6 +53,18 @@ _WORK_COUNTERS = (
     "kconfig.resolve.cache_misses",
 )
 
+#: Per-scenario gauges and digest, each published as ``<name>.<section>``.
+_GAUGES = ("fleet.guests", "fleet.distinct_kernels", "fleet.build_count",
+           "fleet.requests")
+_DIGEST = "fleet.manifest_digest48"
+
+#: (section, kernel policy, guests), in run order.
+SCENARIOS = (
+    ("fleet_general", "GENERAL", GENERAL_GUESTS),
+    ("fleet_per_app", "PER_APP", PER_APP_GUESTS),
+    ("fleet_general_tenk", "GENERAL", TENK_GUESTS),
+)
+
 
 def run_bench() -> Dict[str, Any]:
     """Run every scenario and return the metrics-shaped result document."""
@@ -68,38 +77,23 @@ def run_bench() -> Dict[str, Any]:
     BUILD_CACHE.reset()
     RESOLUTION_CACHE.reset()
 
-    # (section, policy, count, cohort)
-    scenarios = [
-        ("fleet_general", KernelPolicy.GENERAL, GENERAL_GUESTS, False),
-        ("fleet_per_app", KernelPolicy.PER_APP, PER_APP_GUESTS, False),
-        ("fleet_general_cohort", KernelPolicy.GENERAL, GENERAL_GUESTS, True),
-        ("fleet_general_tenk", KernelPolicy.GENERAL, TENK_GUESTS, True),
-    ]
     sections: Dict[str, Dict[str, int]] = {}
     gauges: Dict[str, float] = {}
     digests: Dict[str, str] = {}
-    for section, policy, count, cohort in scenarios:
+    for section, policy, count in SCENARIOS:
         simulation, sections[section] = METRICS.measure(
-            lambda: Fleet.simulate(count, policy=policy, seed=FLEET_SEED,
-                                   cohort=cohort),
+            lambda: Fleet.simulate(count, policy=KernelPolicy[policy],
+                                   seed=FLEET_SEED),
             _WORK_COUNTERS,
         )
         # Digest as an identity in the dedicated digests section: the
         # regress gate then pins bit-identical manifests, not just equal
         # work totals.
-        digests[f"fleet.manifest_digest48.{section}"] = (
-            simulation.manifest_digest[:12]
-        )
-        gauges[f"fleet.guests.{section}"] = float(simulation.count)
-        gauges[f"fleet.distinct_kernels.{section}"] = float(
-            simulation.distinct_kernels
-        )
-        gauges[f"fleet.build_count.{section}"] = float(
-            simulation.build_count
-        )
-        gauges[f"fleet.requests.{section}"] = float(
-            simulation.total_requests
-        )
+        digests[f"{_DIGEST}.{section}"] = simulation.manifest_digest[:12]
+        published = (simulation.count, simulation.distinct_kernels,
+                     simulation.build_count, simulation.total_requests)
+        for gauge, value in zip(_GAUGES, published):
+            gauges[f"{gauge}.{section}"] = float(value)
 
     counters = {
         f"{metric}.{section}": value
@@ -111,52 +105,60 @@ def run_bench() -> Dict[str, Any]:
 
 
 def check_result(result: Dict[str, Any]) -> List[str]:
-    """Return acceptance-criterion violations ([] when the result passes)."""
+    """Return acceptance-criterion violations ([] when the result passes).
+
+    A document missing any scenario's counters, gauges or digest fails
+    outright, naming the first missing entry.
+    """
     counters = result.get("counters", {})
     gauges = result.get("gauges", {})
     digests = result.get("digests", {})
+    missing = [
+        f"{name}.{section}"
+        for section, _, _ in SCENARIOS
+        for document, names in ((counters, _WORK_COUNTERS),
+                                (gauges, _GAUGES), (digests, (_DIGEST,)))
+        for name in names
+        if f"{name}.{section}" not in document
+    ]
+    if missing:
+        return [f"result is missing {len(missing)} entries, e.g. "
+                f"{missing[0]}; every scenario must report"]
     failures: List[str] = []
-    boots = counters.get("boot.boots.fleet_general", 0)
-    if boots < 1000:
+    guests = gauges["fleet.guests.fleet_general"]
+    if guests < 1000:
         failures.append(
-            f"general fleet booted only {boots} guests; need >= 1000"
+            f"general fleet has only {guests:g} guests in its manifest; "
+            "need >= 1000"
         )
-    checks = counters.get("vmm.guest_checks.fleet_general", 0)
+    boots = counters["boot.boots.fleet_general"]
+    checks = counters["vmm.guest_checks.fleet_general"]
     if checks != boots:
         failures.append(
             f"general fleet ran {checks} guest checks for {boots} boots; "
-            "every full-image guest must be monitor-checked"
+            "every cohort representative must be monitor-checked"
         )
-    shared = gauges.get("fleet.distinct_kernels.fleet_general", 0.0)
+    shared = gauges["fleet.distinct_kernels.fleet_general"]
     if shared != 1.0:
         failures.append(
             f"general fleet materialized {shared:g} distinct kernels; "
             "the general policy must share exactly one"
         )
-    diverse = gauges.get("fleet.distinct_kernels.fleet_per_app", 0.0)
+    diverse = gauges["fleet.distinct_kernels.fleet_per_app"]
     if diverse <= 1.0:
         failures.append(
             f"per-app fleet materialized {diverse:g} distinct kernels; "
             "specialization must produce several"
         )
-    oracle = digests.get("fleet.manifest_digest48.fleet_general", "")
-    if not oracle:
-        failures.append("general fleet manifest digest missing")
-    for section in ("fleet_general", "fleet_per_app", "fleet_general_tenk"):
-        builds = gauges.get(f"fleet.build_count.{section}")
-        kernels = gauges.get(f"fleet.distinct_kernels.{section}")
+    for section, _, _ in SCENARIOS:
+        builds = gauges[f"fleet.build_count.{section}"]
+        kernels = gauges[f"fleet.distinct_kernels.{section}"]
         if builds != kernels:
             failures.append(
                 f"{section} reported build_count {builds:g} != "
                 f"distinct_kernels {kernels:g}; the fleet must build "
                 "through the orchestrator's kernel memo"
             )
-    cohort = digests.get("fleet.manifest_digest48.fleet_general_cohort", "")
-    if cohort != oracle:
-        failures.append(
-            "cohort-vectorized fold diverged from the sequential oracle: "
-            f"manifest digest48 {cohort or '?'} != {oracle or '?'}"
-        )
     return failures
 
 
@@ -178,12 +180,6 @@ def render_summary(result: Dict[str, Any]) -> str:
             f"{int(gauges[f'fleet.distinct_kernels.{section}']):>8} "
             f"{counters[f'kconfig.resolutions.{section}']:>11}"
         )
-    oracle = digests.get("fleet.manifest_digest48.fleet_general", "?")
-    lines.append(f"general-fleet manifest digest48: {oracle}")
-    cohort = digests.get("fleet.manifest_digest48.fleet_general_cohort")
-    if cohort is not None:
-        lines.append(
-            "fleet_general_cohort: digest matches fleet_general: "
-            f"{cohort == oracle}"
-        )
+    digest = digests.get("fleet.manifest_digest48.fleet_general", "?")
+    lines.append(f"general-fleet manifest digest48: {digest}")
     return "\n".join(lines)

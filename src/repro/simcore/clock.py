@@ -11,8 +11,8 @@ long enough) was unrepresentable.
 monotonic accumulator with a deadline/event queue.  The boot simulator,
 syscall engine, scheduler and TCP stack of one guest all advance the
 same instance (see
-:mod:`repro.simcore.guest`); ``observe.TRACER.sim`` is a millisecond view
-over the *active* clock (:mod:`repro.simcore.context`).
+:mod:`repro.simcore.guest`); the tracer's spans read the *active* clock
+(:mod:`repro.simcore.context`) in milliseconds.
 
 Float-fold exactness
 --------------------
@@ -149,9 +149,9 @@ class VirtualClock:
         """Set the clock to exactly *value_ns*, forwards or backwards.
 
         Forward jumps behave like :meth:`advance_to` (due events fire);
-        backward jumps rebase the accumulator administratively -- the
-        legacy ``engine.clock_ns = 0.0`` reset idiom -- leaving pending
-        events armed at their absolute deadlines.
+        backward jumps rebase the accumulator administratively -- what
+        ``SyscallEngine.reset_clock`` does -- leaving pending events
+        armed at their absolute deadlines.
         """
         if value_ns < self._now_ns:
             self._now_ns = float(value_ns)

@@ -4,13 +4,12 @@ Layers that model time but do not own a guest object -- the boot
 simulator advancing phase durations, the harness charging retry backoff,
 the fault plane simulating a hang -- advance :func:`current_clock`.
 Outside any guest that is the **process default clock** (the ambient
-simulated timeline the old ``TRACER.sim`` counter provided); inside
-``Guest`` lifecycle operations it is that guest's own
-:class:`~repro.simcore.clock.VirtualClock`, entered via
+simulated timeline); inside ``Guest`` lifecycle operations it is that
+guest's own :class:`~repro.simcore.clock.VirtualClock`, entered via
 :func:`use_clock`.
 
-``observe.TRACER.sim`` is a millisecond view over exactly this function,
-so existing traces keep working while every advance lands on the single
+The tracer (:mod:`repro.observe.tracer`) stamps every span's simulated
+time from exactly this function, so traces line up with the single
 per-guest time authority.
 
 The process runs one thread, so the scope stack is one module-level

@@ -100,13 +100,6 @@ class SyscallEngine:
         """Simulated nanoseconds accumulated on this engine's clock."""
         return self.clock.now_ns
 
-    @clock_ns.setter
-    def clock_ns(self, value: float) -> None:
-        # Exact-set semantics: legacy call sites do ``engine.clock_ns = 0.0``
-        # and ``engine.clock_ns += x``; ``jump_to`` lands on the exact
-        # value (no ``now + (value - now)`` rounding detour).
-        self.clock.jump_to(value)
-
     @classmethod
     def for_config(
         cls,

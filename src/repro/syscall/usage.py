@@ -15,9 +15,8 @@ families, mounts, kernel crypto) are recorded by the workload layer via
 :meth:`UsageTrace.record_facility`, since the engine itself only sees
 syscall names.
 
-Traces interchange through the strace format (:mod:`repro.syscall.strace`)
-and feed :mod:`repro.kconfig.derive`, which turns an observed usage set
-into a concrete kernel configuration.
+Traces feed :mod:`repro.kconfig.derive`, which turns an observed usage
+set into a concrete kernel configuration.
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from repro.syscall.strace import format_trace, parse_trace_events
-from repro.syscall.table import SYSCALLS, option_for_syscall
-
-#: Return value recorded for an ENOSYS miss in strace interchange text
-#: (``-38`` is the Linux ENOSYS errno; successful calls render ``= 0``).
-ENOSYS_RETURN = -38
+from repro.syscall.table import SYSCALLS
 
 
 @dataclass
@@ -150,36 +144,6 @@ class UsageTrace:
             self.as_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-    def to_strace(self) -> str:
-        """Render the usage *set* as strace interchange text.
-
-        One line per distinct successful syscall (``= 0``) in sorted
-        order, then one per miss (``= -38``, ENOSYS).  Counts are not
-        preserved -- the interchange format carries the exercise set,
-        which is all derivation needs.
-        """
-        events: list = [(name, 0) for name in sorted(self.syscall_counts)]
-        events.extend(
-            (name, ENOSYS_RETURN) for name in sorted(self.misses)
-        )
-        return format_trace(events)
-
-    @classmethod
-    def from_strace(cls, text: str, owner: str = "") -> "UsageTrace":
-        """Rebuild a usage set from strace text captured elsewhere.
-
-        Negative returns are recorded as misses; options are attributed
-        through the Table 1 gating.  Unknown syscall names are skipped
-        (the parser's non-strict behaviour).
-        """
-        trace = cls(owner=owner)
-        for name, ret in parse_trace_events(text):
-            if ret is not None and ret < 0:
-                trace.record_miss(name, option_for_syscall(name))
-            else:
-                trace.record(name, option_for_syscall(name))
-        return trace
 
     def to_manifest(self, entrypoint: Tuple[str, ...] = ()):
         """Export as an :class:`~repro.core.manifest.ApplicationManifest`."""

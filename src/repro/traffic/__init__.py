@@ -35,73 +35,8 @@ disposition, ``arrivals == completed + failed + shed + dropped``.
 See ``docs/SERVING.md`` and ``docs/RESILIENCE.md``.
 """
 
-from repro.traffic.arrivals import (
-    Arrival,
-    ArrivalSource,
-    TraceSpec,
-    bursty_trace,
-    curated_apps,
-    diurnal_trace,
-    poisson_trace,
-    zipf_app_mix,
-)
-from repro.traffic.chaos import SERVE_CHAOS_SEED, default_serving_schedule
-from repro.traffic.policy import (
-    FIXED_POOL,
-    SCALE_TO_ZERO,
-    WarmPoolPolicy,
-    named_policy,
-    policy_names,
-)
-from repro.traffic.router import (
-    GuestWorker,
-    LatencySample,
-    Request,
-    Router,
-    ServingInvariantError,
-)
-from repro.traffic.serve import (
-    SERVE_SCHEMA_VERSION,
-    ServeSpec,
-    ServingReport,
-    run_serving,
-    run_serving_many,
-)
-from repro.traffic.supervisor import (
-    DEFAULT_RESILIENCE,
-    CircuitBreaker,
-    ResiliencePolicy,
-    Supervisor,
-)
+from repro.traffic.arrivals import curated_apps
+from repro.traffic.policy import named_policy
+from repro.traffic.serve import ServeSpec, run_serving
 
-__all__ = [
-    "Arrival",
-    "ArrivalSource",
-    "TraceSpec",
-    "bursty_trace",
-    "curated_apps",
-    "diurnal_trace",
-    "poisson_trace",
-    "zipf_app_mix",
-    "SERVE_CHAOS_SEED",
-    "default_serving_schedule",
-    "FIXED_POOL",
-    "SCALE_TO_ZERO",
-    "WarmPoolPolicy",
-    "named_policy",
-    "policy_names",
-    "GuestWorker",
-    "LatencySample",
-    "Request",
-    "Router",
-    "ServingInvariantError",
-    "SERVE_SCHEMA_VERSION",
-    "ServeSpec",
-    "ServingReport",
-    "run_serving",
-    "run_serving_many",
-    "DEFAULT_RESILIENCE",
-    "CircuitBreaker",
-    "ResiliencePolicy",
-    "Supervisor",
-]
+__all__ = ["ServeSpec", "curated_apps", "named_policy", "run_serving"]

@@ -166,10 +166,6 @@ class Router:
         self.arrivals += 1
         self.dropped += 1
 
-    def next_arrival_hint(self, source) -> Optional[float]:
-        """The router's idea of the next arrival: what the source armed."""
-        return source.next_arrival_ns
-
     def pre_warm(self) -> None:
         """Spawn the policy's pre-warmed workers per app at virtual zero."""
         for app in self.apps:

@@ -79,7 +79,7 @@ def run_messaging(
             make(f"rcv{group}.{i}") for i in range(RECEIVERS_PER_GROUP)
         )
 
-    scheduler.clock_ns = 0.0  # setup cost excluded, as perf does
+    scheduler.clock.reset()  # setup cost excluded, as perf does
     start_engine_ns = engine.clock_ns
     messages = 0
     for _ in range(loops):

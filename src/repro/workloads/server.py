@@ -28,10 +28,6 @@ class RequestProfile:
     handshake_packets: int = 0
     payload_bytes: int = 256
 
-    @property
-    def total_packets(self) -> int:
-        return self.packets_in + self.packets_out + self.handshake_packets
-
 
 @dataclass
 class LinuxServerStack:

@@ -50,7 +50,7 @@ def run_futex_stress(
         for _ in range(ops_per_worker):
             waiter, waker = tasks[0], tasks[1]
             futexes.wait(waiter, address, 0)
-            scheduler.clock_ns += 600.0  # userspace work holding the lock
+            scheduler.clock.advance(600.0)  # userspace work holding the lock
             futexes.wake(address, 1)
             scheduler.schedule()
     return StressResult(
@@ -78,7 +78,7 @@ def run_sem_posix_stress(
         for op in range(ops_per_worker):
             task = tasks[op % 4]
             acquired = semaphore.wait(task)
-            scheduler.clock_ns += 1800.0  # critical-section userspace work
+            scheduler.clock.advance(1800.0)  # critical-section userspace work
             semaphore.post()
             if not acquired:
                 scheduler.schedule()  # only contended ops context switch

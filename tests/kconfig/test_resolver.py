@@ -11,6 +11,7 @@ from repro.kconfig.model import (
     UnknownOptionError,
 )
 from repro.kconfig.resolver import Resolver, enabled_closure
+from tests.oracles.sweep import resolve_sweep
 
 Y, M, N = Tristate.YES, Tristate.MODULE, Tristate.NO
 
@@ -30,6 +31,13 @@ def _opt(name, depends=None, selects=(), default=None,
         selects=tuple(selects),
         default=parse_expr(default) if default else None,
     )
+
+
+def _both_engines(tree, names):
+    """``(engine, config)`` for the shipped resolver and the sweep oracle."""
+    requested = {name: Y for name in names}
+    return [("worklist", Resolver(tree).resolve(requested)),
+            ("sweep", resolve_sweep(tree, requested))]
 
 
 class TestBasicResolution:
@@ -168,12 +176,11 @@ class TestDemotionRecords:
             _opt("V", default="y"),
             _opt("S", default="W", selects=["D"]),
         )
-        for strategy in ("worklist", "sweep"):
-            config = Resolver(tree, strategy=strategy).resolve_names(["D"])
-            assert "T" in config, strategy
+        for engine, config in _both_engines(tree, ["D"]):
+            assert "T" in config, engine
             # Everything ends up enabled (D via S's select, T via its
             # default), so no demotion record may survive.
-            assert config.demoted == {}, strategy
+            assert config.demoted == {}, engine
             assert ("S", "D") in config.select_violations
 
     def test_select_source_demoted_later_rerecords_target(self):
@@ -186,11 +193,10 @@ class TestDemotionRecords:
             _opt("C"),
             _opt("X", default="y"),
         )
-        for strategy in ("worklist", "sweep"):
-            config = Resolver(tree, strategy=strategy).resolve_names(["A"])
-            assert "A" not in config, strategy
-            assert "B" not in config, strategy
-            assert config.demoted.get("B") == "C", strategy
+        for engine, config in _both_engines(tree, ["A"]):
+            assert "A" not in config, engine
+            assert "B" not in config, engine
+            assert config.demoted.get("B") == "C", engine
 
     def test_demoted_names_only_disabled_options(self):
         tree = _tree(_opt("A"), _opt("B", depends="A"))

@@ -1,8 +1,9 @@
 """Differential tests: the worklist engine against the full-sweep oracle.
 
 The worklist resolver earns its keep only if it is *indistinguishable*
-from the original sweep.  These tests resolve the same request sets
-through both engines and require identical ``values``, ``demoted``,
+from the original sweep (``tests/oracles/sweep.py``).  These tests
+resolve the same request sets through both and require identical
+``values``, ``demoted``,
 ``select_violations`` and ``requested`` -- on every curated configuration
 the paper uses, on warm-start derivations, and on several hundred
 seeded-random trees exercising tristates, expression operators, selects,
@@ -16,6 +17,7 @@ import pytest
 from repro.kconfig.expr import Tristate, parse_expr
 from repro.kconfig.model import ChoiceGroup, ConfigOption, KconfigTree, OptionType
 from repro.kconfig.resolver import ResolutionError, Resolver
+from tests.oracles.sweep import resolve_sweep
 
 Y, M, N = Tristate.YES, Tristate.MODULE, Tristate.NO
 
@@ -27,10 +29,9 @@ REQUESTS_PER_TREE = 6
 
 def _assert_identical(tree, requested, label):
     """Resolve *requested* through both engines and compare everything."""
-    worklist = Resolver(tree, strategy="worklist")
-    sweep = Resolver(tree, strategy="sweep")
+    worklist = Resolver(tree)
     try:
-        expected = sweep.resolve(requested, name=label)
+        expected = resolve_sweep(tree, requested, name=label)
     except ResolutionError:
         with pytest.raises(ResolutionError):
             worklist.resolve(requested, name=label, use_cache=False)

@@ -244,26 +244,13 @@ class TestWarmStart:
         assert warm.enabled == {"A", "B", "C"}  # C's default tracks B
 
 
-class TestStrategySelection:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown resolution strategy"):
-            Resolver(_tree(_opt("A")), strategy="bogus")
-
-    def test_sweep_has_no_warm_start(self):
-        tree = _tree(_opt("A"), _opt("B"))
-        resolver = Resolver(tree, strategy="sweep")
-        base = resolver.resolve_names(["A"])
-        with pytest.raises(ValueError, match="worklist"):
-            resolver.resolve_names_from(base, ["A", "B"])
-
-
 class TestBenchCheck:
     def _result(self, **overrides):
         # Every entry of the committed document, with small headline
         # numbers the cases below perturb.
         result = json.loads(BENCH_RESOLVE_BASELINE.read_text("utf-8"))
         result["counters"].update({
-            "kconfig.resolve.visited_options.cold_sweep": 1000,
+            "kconfig.resolve.visited_options.cold_worklist": 1000,
             "kconfig.resolve.visited_options.warm_delta": 50,
             "kconfig.resolve.visited_options.cache_hit": 0,
             "kconfig.resolve.cache_hits.cache_hit": 20,

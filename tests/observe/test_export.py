@@ -14,17 +14,20 @@ from repro.observe.export import (
 )
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import TickClock, Tracer
+from repro.simcore.clock import VirtualClock
+from repro.simcore.context import use_clock
 
 
 def _sample_tracer():
     tracer = Tracer(clock=TickClock(step_us=1000.0))  # 1 ms per reading
-    with tracer.span("experiment:fig7", category="harness",
-                     experiment="fig7"):
-        with tracer.span("execute", category="harness"):
-            with tracer.span("kbuild.build", category="kbuild"):
-                tracer.sim.advance(3.0)
-        with tracer.span("encode", category="harness"):
-            pass
+    with use_clock(VirtualClock()) as clock:
+        with tracer.span("experiment:fig7", category="harness",
+                         experiment="fig7"):
+            with tracer.span("execute", category="harness"):
+                with tracer.span("kbuild.build", category="kbuild"):
+                    clock.advance_ms(3.0)
+            with tracer.span("encode", category="harness"):
+                pass
     return tracer
 
 

@@ -1,15 +1,7 @@
-"""Tests for the cold-start workload and strace formatting."""
+"""Tests for the cold-start workload."""
 
 import pytest
 
-from repro.apps.registry import get_app
-from repro.core.tracing import trace_app_run
-from repro.syscall.strace import (
-    format_summary,
-    format_trace,
-    parse_trace,
-    roundtrip,
-)
 from repro.workloads.coldstart import run_cold_starts
 
 
@@ -42,40 +34,3 @@ class TestColdStart:
             results[name].total_ms for name in ("hermitux", "osv", "rump")
         )
         assert results["lupine-nokml"].total_ms < 2.5 * unikernel_best
-
-
-class TestStrace:
-    def test_format_and_parse_roundtrip(self):
-        events = ["execve", "brk", "openat", "read", "close", "epoll_wait"]
-        parsed, lossless = roundtrip(events)
-        assert lossless
-        assert parsed == events
-
-    def test_parse_skips_noise(self):
-        text = (
-            "execve(\"/bin/app\", ...) = 0\n"
-            "--- SIGCHLD {si_signo=SIGCHLD} ---\n"
-            "+++ exited with 0 +++\n"
-            "read(3, \"x\", 1) = 1\n"
-        )
-        assert parse_trace(text) == ["execve", "read"]
-
-    def test_parse_skips_unknown_syscalls(self):
-        assert parse_trace("frobnicate() = 0\nread() = 0\n") == ["read"]
-
-    def test_strict_parse_raises_on_unknown(self):
-        with pytest.raises(ValueError, match="frobnicate"):
-            parse_trace("frobnicate() = 0\n", strict=True)
-
-    def test_summary_table(self):
-        trace = trace_app_run(get_app("redis"))
-        summary = format_summary(trace.counts)
-        assert "total" in summary
-        assert "read" in summary
-        assert "%" in summary
-
-    def test_real_trace_roundtrips(self):
-        trace = trace_app_run(get_app("nginx"))
-        parsed, lossless = roundtrip(trace.events)
-        assert lossless
-        assert len(parsed) == len(trace)

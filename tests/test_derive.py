@@ -32,12 +32,6 @@ from repro.kconfig.derive import (
 from repro.kconfig.minimize import minimize_config
 from repro.kconfig.resolver import Resolver
 from repro.syscall.dispatch import SyscallEngine, SyscallNotImplemented
-from repro.syscall.strace import (
-    format_trace,
-    parse_trace,
-    parse_trace_events,
-    roundtrip,
-)
 from repro.syscall.table import SYSCALLS, option_for_syscall
 from repro.syscall.usage import UsageTrace
 
@@ -118,40 +112,6 @@ class TestUsageRecording:
         assert ab.as_dict() == ba.as_dict()
         assert ab.digest() == ba.digest()
         assert ab.syscall_counts["read"] == 4
-
-
-class TestStraceRoundTrip:
-    def test_format_parse_format_with_misses(self):
-        trace = UsageTrace(owner="t")
-        trace.record("read", None, 2)
-        trace.record("epoll_wait", "EPOLL", 1)
-        trace.record_miss("timerfd_create", "TIMERFD")
-        text = trace.to_strace()
-        back = UsageTrace.from_strace(text, owner="t")
-        assert back.syscalls == trace.syscalls
-        assert back.missing_options == trace.missing_options
-        # format -> parse -> format is a fixpoint.
-        assert back.to_strace() == text
-
-    def test_format_trace_emits_question_mark_for_unknown_return(self):
-        line = format_trace([("read", None)]).strip()
-        assert line.endswith("= ?")
-        assert parse_trace_events(line) == [("read", None)]
-
-    def test_format_trace_rejects_unknown_syscall(self):
-        with pytest.raises(ValueError):
-            format_trace(["not_a_syscall"])
-
-    def test_parse_trace_events_preserves_negative_returns(self):
-        text = format_trace([("openat", 3), ("timerfd_create", -38)])
-        events = parse_trace_events(text)
-        assert events == [("openat", 3), ("timerfd_create", -38)]
-        # The legacy name-only view stays available.
-        assert parse_trace(text) == ["openat", "timerfd_create"]
-
-    def test_roundtrip_accepts_both_shapes(self):
-        assert roundtrip(["read", "write"])
-        assert roundtrip([("read", 0), ("timerfd_create", -38)])
 
 
 @st.composite

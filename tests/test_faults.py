@@ -12,6 +12,7 @@ from repro.faults import (
     fault_site,
 )
 from repro.observe import TRACER
+from repro.simcore.context import current_clock
 
 
 @pytest.fixture(autouse=True)
@@ -184,12 +185,12 @@ class TestInjection:
     def test_hang_advances_sim_clock(self):
         plane = FaultPlane(seed=0)
         plane.one_shot("site", kind="hang", hang_ms=500.0)
-        before = TRACER.sim.now_ms
+        before = current_clock().now_ms
         with faults.activated(plane):
             with pytest.raises(FaultHang) as excinfo:
                 with fault_site("site"):
                     pass
-        assert TRACER.sim.now_ms == pytest.approx(before + 500.0)
+        assert current_clock().now_ms == pytest.approx(before + 500.0)
         assert excinfo.value.transient is False
         assert excinfo.value.hang_ms == 500.0
 

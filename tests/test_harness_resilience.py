@@ -16,6 +16,7 @@ from repro.faults import FaultPlane
 from repro.harness import Artifact, Experiment, run_experiments
 from repro.harness.runner import RetryPolicy
 from repro.observe import METRICS, TRACER
+from repro.simcore.context import current_clock
 
 #: Cheap real experiments to run alongside synthetic failing ones.
 FAST_IDS = ["fig4", "fig5", "table3"]
@@ -151,7 +152,7 @@ class TestRetries:
     def test_backoff_advances_simulated_clock(self, tmp_path):
         plane = FaultPlane(seed=0)
         plane.configure("experiment.run", nth_calls=(1, 2))
-        sim_before = TRACER.sim.now_ms
+        sim_before = current_clock().now_ms
         with faults.activated(plane):
             run_experiments(
                 experiments=[_synthetic("flaky", [])],
@@ -159,7 +160,7 @@ class TestRetries:
                 retry_policy=RetryPolicy(max_attempts=3, backoff_ms=50.0),
             )
         # Two retries: 50 * 1 + 50 * 2 = 150 simulated ms, no host sleep.
-        assert TRACER.sim.now_ms - sim_before == pytest.approx(150.0)
+        assert current_clock().now_ms - sim_before == pytest.approx(150.0)
 
 
 class TestTimeouts:
@@ -182,7 +183,7 @@ class TestTimeouts:
 
     def test_sim_deadline_marks_timed_out(self):
         def _slow_then_crash():
-            TRACER.sim.advance(5_000.0)
+            current_clock().advance_ms(5_000.0)
             raise ValueError("ran too long")
 
         run = run_experiments(

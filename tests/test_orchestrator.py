@@ -59,7 +59,7 @@ class TestPolicies:
 
         orchestrator = KernelOrchestrator(policy=KernelPolicy.PER_APP)
         redis = get_app("redis")
-        expected = variant_fingerprint(orchestrator._variant_for(redis), redis)
+        expected = variant_fingerprint(orchestrator.variant_for(redis), redis)
         assert orchestrator._cache_key(redis) == expected
 
     def test_nokml_flag_respected(self):

@@ -215,7 +215,10 @@ class TestClockContext:
         mine = VirtualClock()
         with use_clock(mine):
             mine.advance_ms(7.0)
-            assert TRACER.sim.now_ms == pytest.approx(7.0)
+            with TRACER.span("test.sim_view") as record:
+                mine.advance_ms(2.0)
+        assert record.sim_start_ms == pytest.approx(7.0)
+        assert record.sim_duration_ms == pytest.approx(2.0)
 
 
 class TestGuestLifecycle:

@@ -21,18 +21,14 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.faults import FaultPlane, activated
 from repro.faults.plane import FaultInjected
-from repro.traffic import (
+from repro.traffic.arrivals import diurnal_trace, poisson_trace
+from repro.traffic.chaos import default_serving_schedule
+from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO
+from repro.traffic.serve import ServeSpec, run_serving, run_serving_many
+from repro.traffic.supervisor import (
     DEFAULT_RESILIENCE,
-    FIXED_POOL,
-    SCALE_TO_ZERO,
     CircuitBreaker,
     ResiliencePolicy,
-    ServeSpec,
-    default_serving_schedule,
-    diurnal_trace,
-    poisson_trace,
-    run_serving,
-    run_serving_many,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent

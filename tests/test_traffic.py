@@ -16,23 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic import (
-    FIXED_POOL,
-    SCALE_TO_ZERO,
+from repro.traffic.arrivals import (
     ArrivalSource,
-    ServeSpec,
-    WarmPoolPolicy,
+    arrival_times_ns,
     bursty_trace,
     curated_apps,
     diurnal_trace,
-    named_policy,
     poisson_trace,
-    policy_names,
-    run_serving,
     zipf_app_mix,
 )
-from repro.traffic.arrivals import arrival_times_ns
-from repro.traffic.serve import percentile_ns
+from repro.traffic.policy import (
+    FIXED_POOL,
+    SCALE_TO_ZERO,
+    WarmPoolPolicy,
+    named_policy,
+    policy_names,
+)
+from repro.traffic.serve import ServeSpec, percentile_ns, run_serving
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 

@@ -30,13 +30,14 @@
 # pins every digest against benchmarks/baseline/BENCH_<name>.json (a
 # pinned digest the run no longer emits fails too).
 #
-# - bench-resolve: warm-start must beat 20 cold sweeps by >= 10x on
-#   visited options, cache hits do zero resolution work, and every
+# - bench-resolve: warm-start must beat 20 cold resolutions by >= 10x
+#   on visited options, cache hits do zero resolution work, and every
 #   scenario must report.  The differential suite (worklist engine vs
-#   the full-sweep oracle) runs just before it.
-# - bench-guests: fleet scale/kernel-sharing criteria, and the
-#   cohort-vectorized fold reproduces the sequential oracle's manifest
-#   digest.
+#   the full-sweep oracle in tests/oracles/sweep.py) runs just before it.
+# - bench-guests: every scenario reports, and the fleet scale and
+#   kernel-sharing criteria hold for the cohort fold.  regress pins its
+#   manifest digests; tier-1 (tests/test_shard_fleet.py) checks that the
+#   sequential oracle in tests/oracles/fleet.py reproduces them.
 # - bench-serve: the canonical 100k-request diurnal trace per warm-pool
 #   policy, clean and under the stock guest-fault schedule (seed 77),
 #   each run twice.  Every rerun must reproduce its digest: the clean
@@ -115,7 +116,7 @@ trap 'rm -rf "$TMP_DIR"' EXIT
 (cd "$TMP_DIR" && python "$REPO_ROOT/tools/generate_experiments_md.py")
 diff "$REPO_ROOT/EXPERIMENTS.md" "$TMP_DIR/EXPERIMENTS.md"
 
-echo "==> resolver differential suite (worklist vs sweep oracle)"
+echo "==> resolver differential suite (worklist vs full-sweep oracle)"
 (cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q \
     tests/kconfig/test_resolver_differential.py)
 
@@ -141,7 +142,7 @@ PYTHONPATH=src python -m repro.observe.regress \
     benchmarks/baseline/BENCH_resolve.json "$RUN_DIR/BENCH_resolve.json" \
     --no-timings
 
-echo "==> fleet-simulation microbenchmark + cohort + counter gate"
+echo "==> fleet-simulation microbenchmark + counter gate"
 PYTHONPATH=src python -m repro.cli bench-guests --check \
     --output-dir "$RUN_DIR"
 PYTHONPATH=src python -m repro.observe.regress \

@@ -230,14 +230,16 @@ def main(argv=None) -> int:
       "`PYTHONHASHSEED` pin appears in `tools/check.sh`.\n\n")
     w("`bench-guests` sections (`BENCH_guests.json`):\n\n")
     w("| Section | Fleet |\n|---|---|\n")
-    w("| `fleet_general` | 1000 guests, shared general kernel, "
-      "sequential per-guest fold (the digest oracle) |\n")
+    w("| `fleet_general` | 1000 guests, shared general kernel |\n")
     w("| `fleet_per_app` | 200 guests, one kernel per app |\n")
-    w("| `fleet_general_cohort` | the 1000-guest general fleet, "
-      "cohort-vectorized (one representative per app, members "
-      "replayed); digest must equal `fleet_general`'s |\n")
-    w("| `fleet_general_tenk` | 10,000 guests through the cohort fold; "
-      "`build_count` must equal `distinct_kernels` |\n\n")
+    w("| `fleet_general_tenk` | 10,000 guests, shared general kernel |"
+      "\n\n")
+    w("Every fleet runs through the cohort fold (one simulated "
+      "representative per app, members replayed), and each must report "
+      "`build_count` equal to `distinct_kernels`. Tier-1 "
+      "(`tests/test_shard_fleet.py`) checks that the sequential "
+      "per-guest loop reproduces the pinned `fleet_general` and "
+      "`fleet_per_app` digests.\n\n")
     w("`tools/check.sh` runs `bench-guests --check` and regresses it "
       "against the pinned baseline (see docs/GUEST_RUNTIME.md \"Fleet "
       "simulation\").\n\n")
