@@ -20,14 +20,16 @@ from repro.metrics.reporting import render_figure, render_table
 
 
 def main() -> None:
+    results = {}
     for module in (fig6_image_size, fig7_boot_time, fig8_memory,
                    fig9_syscalls):
-        print(render_figure(module.figure()))
+        results[module] = module.run()
+        print(render_figure(module.figure(results[module])))
         print()
-    print(render_table(table4_apps.table()))
+    print(render_table(table4_apps.table(table4_apps.run())))
 
-    results = fig6_image_size.run()
-    lupine_fraction = results["lupine"] / results["microvm"]
+    image_mb = results[fig6_image_size]
+    lupine_fraction = image_mb["lupine"] / image_mb["microvm"]
     print(f"\nheadline: lupine kernel is {lupine_fraction:.0%} of microVM's "
           "image and beats at least one reference unikernel on every "
           "dimension above.")

@@ -412,7 +412,7 @@ def _cmd_lmbench(args: argparse.Namespace) -> int:
     from repro.experiments import table5_lmbench
     from repro.metrics.reporting import render_table
 
-    print(render_table(table5_lmbench.table()))
+    print(render_table(table5_lmbench.table(table5_lmbench.run())))
     return 0
 
 
@@ -439,7 +439,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"unknown experiment {name!r}; known: "
                   f"{', '.join(registry)} or 'all'", file=sys.stderr)
             return 2
-        print(experiment.artifact().text)
+        print(experiment.artifact(experiment.run()).text)
         print()
     return 0
 

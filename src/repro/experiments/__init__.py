@@ -1,9 +1,11 @@
 """Experiment drivers: one module per paper table/figure.
 
 Each module exposes a ``run()`` returning structured results plus a
-``figure()``/``table()`` renderer producing the same rows/series the paper
-reports.  The benchmark harness, the CLI and EXPERIMENTS.md all consume
-these, so there is exactly one implementation of every experiment.
+``figure(results)``/``table(results)`` renderer that turns that result into
+the rows/series the paper reports without simulating anything again.  The
+benchmark harness, the CLI and EXPERIMENTS.md all consume these, so there
+is exactly one implementation of every experiment and each use of it runs
+the simulation once.
 """
 
 from repro.experiments import (  # noqa: F401

@@ -12,13 +12,13 @@ def run() -> Dict[str, ColdStartResult]:
     return run_cold_starts()
 
 
-def table() -> Table:
+def table(results: Dict[str, ColdStartResult]) -> Table:
     output = Table(
         title="Extension: serverless cold start (redis function)",
         headers=["system", "boot ms", "app init ms", "first req ms",
                  "total ms"],
     )
-    for result in sorted(run().values(), key=lambda r: r.total_ms):
+    for result in sorted(results.values(), key=lambda r: r.total_ms):
         output.add_row(result.system, result.boot_ms, result.app_init_ms,
                        result.first_request_ms, result.total_ms)
     return output

@@ -97,8 +97,7 @@ def run() -> Dict[str, Dict[str, DerivedComparison]]:
     }
 
 
-def table() -> Table:
-    results = run()
+def table(results: Dict[str, Dict[str, DerivedComparison]]) -> Table:
     output = Table(
         title="Extension: trace-derived vs curated vs general configs",
         headers=["app", "family", "image MB", "boot ms", "kreq/s",

@@ -18,8 +18,7 @@ def run() -> Dict[str, AttackSurfaceReport]:
     }
 
 
-def table() -> Table:
-    reports = run()
+def table(reports: Dict[str, AttackSurfaceReport]) -> Table:
     output = Table(
         title="Extension: attack surface & CVE nullification",
         headers=["config", "surface MB", "reachable syscalls",

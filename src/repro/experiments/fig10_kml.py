@@ -29,11 +29,11 @@ def run() -> List[Tuple[int, float]]:
     return points
 
 
-def figure() -> Figure:
+def figure(points: List[Tuple[int, float]]) -> Figure:
     output = Figure(
         title="Figure 10: KML syscall latency improvement vs busy-wait",
         x_label="iterations between system calls",
         y_label="KML improvement (fraction)",
     )
-    output.add_series("improvement", run())
+    output.add_series("improvement", points)
     return output

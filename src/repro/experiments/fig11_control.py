@@ -36,12 +36,12 @@ def run() -> Dict[str, List[tuple]]:
     return series
 
 
-def figure() -> Figure:
+def figure(series: Dict[str, List[tuple]]) -> Figure:
     output = Figure(
         title="Figure 11: syscall latency vs background control processes",
         x_label="# control processes",
         y_label="microseconds",
     )
-    for name, points in run().items():
+    for name, points in series.items():
         output.add_series(name, points)
     return output

@@ -34,9 +34,9 @@ def run() -> Dict[str, List[tuple]]:
     return series
 
 
-def max_process_penalty() -> float:
-    """Worst-case slowdown of processes vs threads across the sweep."""
-    results = run()
+def max_process_penalty(results: Dict[str, List[tuple]]) -> float:
+    """Worst-case slowdown of processes vs threads across the sweep of a
+    :func:`run` result."""
     worst = 0.0
     for label in ("KML", "NOKML"):
         threads = dict(results[f"{label} Thread"])
@@ -46,12 +46,12 @@ def max_process_penalty() -> float:
     return worst
 
 
-def figure() -> Figure:
+def figure(series: Dict[str, List[tuple]]) -> Figure:
     output = Figure(
         title="Figure 12: perf messaging, threads vs processes",
         x_label="# groups (10 senders + 10 receivers each)",
         y_label="ms per 100-message batch",
     )
-    for name, points in run().items():
+    for name, points in series.items():
         output.add_series(name, points)
     return output

@@ -23,8 +23,7 @@ def run() -> Dict[str, Dict[str, int]]:
     return {"total": total, "microvm": microvm, "lupine-base": lupine}
 
 
-def table() -> Table:
-    results = run()
+def table(results: Dict[str, Dict[str, int]]) -> Table:
     directories = sorted(
         results["total"], key=lambda d: -results["total"][d]
     )
@@ -48,8 +47,7 @@ def table() -> Table:
     return output
 
 
-def figure() -> Figure:
-    results = run()
+def figure(results: Dict[str, Dict[str, int]]) -> Figure:
     directories = sorted(results["total"], key=lambda d: -results["total"][d])
     output = Figure(
         title="Figure 3: config options (log scale in paper)",

@@ -31,8 +31,7 @@ def subcategories() -> Dict[str, int]:
     }
 
 
-def table() -> Table:
-    results = run()
+def table(results: Dict[str, int]) -> Table:
     output = Table(
         title="Figure 4: kernel configuration option breakdown",
         headers=["category", "options"],

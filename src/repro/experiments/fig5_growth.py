@@ -12,8 +12,7 @@ def run() -> List[int]:
     return cumulative_option_growth()
 
 
-def figure() -> Figure:
-    growth = run()
+def figure(growth: List[int]) -> Figure:
     output = Figure(
         title="Figure 5: unique config options vs apps supported",
         x_label="support for top x apps",

@@ -37,8 +37,7 @@ def app_specific_range() -> Dict[str, float]:
     return fractions
 
 
-def figure() -> Figure:
-    results = run()
+def figure(results: Dict[str, float]) -> Figure:
     output = Figure(
         title="Figure 6: image size for hello world",
         x_label="system",

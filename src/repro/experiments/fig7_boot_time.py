@@ -38,8 +38,7 @@ def run() -> Dict[str, float]:
     return results
 
 
-def figure() -> Figure:
-    results = run()
+def figure(results: Dict[str, float]) -> Figure:
     output = Figure(
         title="Figure 7: boot time for hello world",
         x_label="system",

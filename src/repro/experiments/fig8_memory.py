@@ -55,8 +55,7 @@ def run() -> Dict[str, Dict[str, Optional[int]]]:
     return results
 
 
-def figure() -> Figure:
-    results = run()
+def figure(results: Dict[str, Dict[str, Optional[int]]]) -> Figure:
     output = Figure(
         title="Figure 8: memory footprint",
         x_label="system",

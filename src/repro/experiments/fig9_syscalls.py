@@ -45,20 +45,19 @@ def run() -> Dict[str, Dict[str, float]]:
     return results
 
 
-def specialization_improvement() -> float:
-    """Best-case latency improvement of lupine-nokml over microVM (write)."""
-    results = run()
+def specialization_improvement(results: Dict[str, Dict[str, float]]) -> float:
+    """Best-case latency improvement of lupine-nokml over microVM (write),
+    from a :func:`run` result."""
     return 1.0 - results["lupine-nokml"]["write"] / results["microvm"]["write"]
 
 
-def kml_improvement() -> float:
-    """KML improvement over lupine-nokml on the null test."""
-    results = run()
+def kml_improvement(results: Dict[str, Dict[str, float]]) -> float:
+    """KML improvement over lupine-nokml on the null test, from a
+    :func:`run` result."""
     return 1.0 - results["lupine"]["null"] / results["lupine-nokml"]["null"]
 
 
-def figure() -> Figure:
-    results = run()
+def figure(results: Dict[str, Dict[str, float]]) -> Figure:
     output = Figure(
         title="Figure 9: system call latency via lmbench",
         x_label="system",

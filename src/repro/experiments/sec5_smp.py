@@ -31,12 +31,12 @@ def dual_cpu_build_speedup() -> float:
     return one / two
 
 
-def table() -> Table:
+def table(results: Dict[str, List[Tuple[int, float]]]) -> Table:
     output = Table(
         title="Section 5: SMP overhead on one processor",
         headers=["workload", "workers", "overhead %"],
     )
-    for workload, points in run().items():
+    for workload, points in results.items():
         for workers, overhead in points:
             output.add_row(workload, workers, overhead * 100.0)
     return output

@@ -31,11 +31,11 @@ def run() -> Dict[str, Tuple[str, ...]]:
     }
 
 
-def table() -> Table:
+def table(rows: Dict[str, Tuple[str, ...]]) -> Table:
     output = Table(
         title="Table 1: config options that enable/disable system calls",
         headers=["Option", "Enabled system call(s)"],
     )
-    for option, syscalls in run().items():
+    for option, syscalls in rows.items():
         output.add_row(option, ", ".join(syscalls))
     return output

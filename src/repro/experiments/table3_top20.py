@@ -17,13 +17,12 @@ def run() -> Dict[str, int]:
     }
 
 
-def table() -> Table:
+def table(counts: Dict[str, int]) -> Table:
     output = Table(
         title="Table 3: top-20 Docker Hub applications",
         headers=["Name", "Downloads (B)", "Description",
                  "# options atop lupine-base"],
     )
-    counts = run()
     for app in top20_in_popularity_order():
         output.add_row(
             app.name, app.downloads_billions, app.description,

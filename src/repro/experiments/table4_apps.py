@@ -88,8 +88,7 @@ def run() -> Dict[str, Dict[str, Optional[float]]]:
     return results
 
 
-def table() -> Table:
-    results = run()
+def table(results: Dict[str, Dict[str, Optional[float]]]) -> Table:
     output = Table(
         title="Table 4: application performance normalized to microVM "
               "(higher is better)",

@@ -29,8 +29,7 @@ def run() -> Dict[str, LmbenchReport]:
     }
 
 
-def table() -> Table:
-    reports = run()
+def table(reports: Dict[str, LmbenchReport]) -> Table:
     microvm, general = reports["microvm"], reports["lupine-general"]
     output = Table(
         title="Table 5: lmbench, microVM vs lupine-general",

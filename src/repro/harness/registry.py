@@ -1,11 +1,12 @@
 """The experiment registry: a uniform protocol over the experiment modules.
 
 Each module under :mod:`repro.experiments` exposes ``run()`` plus a
-``table()``/``figure()`` renderer.  The registry wraps every one of them in
-an :class:`Experiment` -- name, inputs fingerprint, ``run()``, rendered
-artifact -- so the runner, the CLI, the benchmark drivers and the
+``table(results)``/``figure(results)`` renderer that formats what ``run()``
+returned.  The registry wraps every one of them in an :class:`Experiment`
+-- name, inputs fingerprint, ``run()``, artifact rendered from that run's
+result -- so the runner, the CLI, the benchmark drivers and the
 EXPERIMENTS.md generator all go through one interface instead of importing
-modules ad hoc.
+modules ad hoc, and an experiment's simulation executes once per use.
 
 The inputs fingerprint is a content hash of the experiment's source *and
 the source of every repro module it (transitively) imports*, salted with
@@ -167,7 +168,7 @@ class Experiment:
 
     name: str
     run_fn: Callable[[], Any]
-    artifact_fn: Callable[[], Artifact]
+    artifact_fn: Callable[[Any], Artifact]
     fingerprint_fn: Callable[[], str]
     module: Optional[ModuleType] = field(default=None, compare=False)
 
@@ -175,9 +176,10 @@ class Experiment:
         """Execute the experiment, returning its structured result."""
         return self.run_fn()
 
-    def artifact(self) -> Artifact:
-        """Render the experiment's paper table/figure."""
-        return self.artifact_fn()
+    def artifact(self, result: Any) -> Artifact:
+        """Render the paper table/figure from *result*, what ``run()``
+        returned; rendering executes no simulation."""
+        return self.artifact_fn(result)
 
     def fingerprint(self) -> str:
         """The inputs fingerprint keying this experiment's cached result."""
@@ -192,16 +194,16 @@ class Experiment:
     @classmethod
     def from_module(cls, name: str, module: ModuleType) -> "Experiment":
         if hasattr(module, "table"):
-            def _artifact() -> Artifact:
-                return Artifact(text=render_table(module.table()))
+            def _artifact(result: Any) -> Artifact:
+                return Artifact(text=render_table(module.table(result)))
         elif hasattr(module, "figure"):
-            def _artifact() -> Artifact:
-                figure = module.figure()
+            def _artifact(result: Any) -> Artifact:
+                figure = module.figure(result)
                 return Artifact(text=render_figure(figure), figure=figure)
         else:
             raise TypeError(
-                f"experiment module {module.__name__} has neither table() "
-                "nor figure()"
+                f"experiment module {module.__name__} has neither "
+                "table(results) nor figure(results)"
             )
         return cls(
             name=name,

@@ -194,8 +194,10 @@ def _attempt_one(
     with span("execute", category="harness"):
         with faults.fault_site("experiment.run"):
             result = experiment.run()
+    # Render from the result in hand, before the codec normalizes it:
+    # the renderers see exactly what run() returned.
     with span("render-artifact", category="harness"):
-        artifact = experiment.artifact()
+        artifact = experiment.artifact(result)
         dat_text: Optional[str] = None
         if artifact.figure is not None:
             from repro.metrics.dataexport import figure_to_dat

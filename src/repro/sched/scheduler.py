@@ -5,13 +5,21 @@ round-robin over ready tasks, sleep/wake, fork/thread-create/exec/exit, and
 context-switch cost accounting that distinguishes same-address-space
 (thread) switches from cross-address-space (process) switches and charges
 SMP lock overhead when the kernel is built with CONFIG_SMP.
+
+The ready queue is an insertion-ordered ``OrderedDict`` keyed by pid:
+append, pop-front and removal of a sleeping or exiting task are all O(1)
+(the Section 5 stresses park thousands of tasks).  A pid is queued at most
+once -- only sleeping, new or descheduled tasks are enqueued, and each
+leaves the queue before it runs, sleeps or exits -- so the keyed queue
+picks exactly the order a FIFO deque would.  A plain dict would not do:
+``next(iter(d))`` rescans the deleted slots at its front.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sched.smp import SmpModel
 from repro.sched.task import Task, TaskKind, TaskState
@@ -36,7 +44,7 @@ class Scheduler:
     clock: VirtualClock = field(default_factory=VirtualClock)
     switch_count: int = 0
     _tasks: Dict[int, Task] = field(default_factory=dict)
-    _ready: Deque[int] = field(default_factory=deque)
+    _ready: "OrderedDict[int, None]" = field(default_factory=OrderedDict)
     _next_pid: int = 1
     _next_asid: int = 1
     current: Optional[Task] = None
@@ -106,8 +114,7 @@ class Scheduler:
         self._check_alive(task)
         task.state = TaskState.ZOMBIE
         task.exit_code = code
-        if task.pid in self._ready:
-            self._ready.remove(task.pid)
+        self._ready.pop(task.pid, None)
         if self.current is task:
             self.current = None
         self.clock.advance(300.0)
@@ -119,8 +126,7 @@ class Scheduler:
         self._check_alive(task)
         if task.state is TaskState.SLEEPING:
             return
-        if task.pid in self._ready:
-            self._ready.remove(task.pid)
+        self._ready.pop(task.pid, None)
         if self.current is task:
             self.current = None
         task.state = TaskState.SLEEPING
@@ -130,7 +136,7 @@ class Scheduler:
         if task.state is not TaskState.SLEEPING:
             return
         task.state = TaskState.READY
-        self._ready.append(task.pid)
+        self._ready[task.pid] = None
         self.clock.advance(350.0 + self.smp.lock_pair_ns())
 
     # -- scheduling -----------------------------------------------------------
@@ -146,11 +152,11 @@ class Scheduler:
         previous = self.current
         if previous is not None and previous.state is TaskState.RUNNING:
             previous.state = TaskState.READY
-            self._ready.append(previous.pid)
+            self._ready[previous.pid] = None
         if not self._ready:
             self.current = None
             return None
-        next_task = self._tasks[self._ready.popleft()]
+        next_task = self._tasks[self._ready.popitem(last=False)[0]]
         next_task.state = TaskState.RUNNING
         if previous is not None and previous is not next_task:
             same_space = previous.address_space_id == next_task.address_space_id
@@ -209,7 +215,7 @@ class Scheduler:
 
     def _admit(self, task: Task) -> None:
         self._tasks[task.pid] = task
-        self._ready.append(task.pid)
+        self._ready[task.pid] = None
 
     @staticmethod
     def _check_alive(task: Task) -> None:

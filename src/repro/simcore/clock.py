@@ -25,7 +25,10 @@ therefore guarantees that ``advance(ns)`` computes **exactly**
 folds it replaces), and ``advance_to``/``jump_to`` set the target value
 **exactly** (no ``now + (target - now)`` rounding detour).  Event
 dispatch never perturbs the accumulator: due events observe their
-deadline, then the clock lands on the exact target.
+deadline, then the clock lands on the exact target.  ``advance`` on a
+clock with an empty event queue (a scheduler's or a benchmark engine's
+private clock) skips dispatch and stores ``now + ns`` directly: the same
+single addition, so both branches land on bit-identical values.
 """
 
 from __future__ import annotations
@@ -124,10 +127,15 @@ class VirtualClock:
         """Advance by *ns* >= 0 nanoseconds; returns the new now.
 
         Exactness: the final value is exactly ``now + ns`` (one double
-        addition), regardless of how many events fire on the way.
+        addition), regardless of how many events fire on the way -- or
+        whether any is armed: with an empty queue there is nothing to
+        dispatch, so the addition is stored without the dispatch loop.
         """
         if ns < 0:
             raise ClockError(f"virtual time cannot go backwards ({ns} ns)")
+        if not self._events:
+            self._now_ns += ns
+            return self._now_ns
         return self._run_to(self._now_ns + ns)
 
     def advance_ms(self, ms: float) -> float:

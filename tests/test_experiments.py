@@ -48,7 +48,9 @@ class TestFig3:
     def test_table_renders(self):
         from repro.metrics.reporting import render_table
 
-        text = render_table(fig3_config_options.table())
+        text = render_table(
+            fig3_config_options.table(fig3_config_options.run())
+        )
         assert "drivers" in text and "TOTAL" in text
 
 
@@ -186,29 +188,30 @@ class TestFig8:
 
 
 class TestFig9:
-    def test_specialization_up_to_56_percent(self):
-        improvement = fig9_syscalls.specialization_improvement()
+    @pytest.fixture(scope="class")
+    def results(self):
+        return fig9_syscalls.run()
+
+    def test_specialization_up_to_56_percent(self, results):
+        improvement = fig9_syscalls.specialization_improvement(results)
         assert 0.50 <= improvement <= 0.60
 
-    def test_kml_adds_about_40_percent_on_null(self):
-        improvement = fig9_syscalls.kml_improvement()
+    def test_kml_adds_about_40_percent_on_null(self, results):
+        improvement = fig9_syscalls.kml_improvement(results)
         assert 0.35 <= improvement <= 0.45
 
-    def test_general_equals_app_specific(self):
+    def test_general_equals_app_specific(self, results):
         """Section 4.5: no latency difference between lupine and general."""
-        results = fig9_syscalls.run()
         for test in ("null", "read", "write"):
             assert results["lupine"][test] == pytest.approx(
                 results["lupine-general"][test], rel=0.02
             )
 
-    def test_osv_quirks(self):
-        results = fig9_syscalls.run()
+    def test_osv_quirks(self, results):
         assert results["osv"]["null"] < results["lupine"]["null"]
         assert results["osv"]["read"] > results["microvm"]["read"]
 
-    def test_lupine_competitive_with_unikernels(self):
-        results = fig9_syscalls.run()
+    def test_lupine_competitive_with_unikernels(self, results):
         assert results["lupine"]["null"] <= 2.0 * results["hermitux"]["null"]
 
 
@@ -285,24 +288,31 @@ class TestFig11:
 
 
 class TestFig12:
-    def test_processes_not_slower_than_threads(self):
-        assert fig12_ctxsw.max_process_penalty() <= 0.03  # paper: max 3%
+    @pytest.fixture(scope="class")
+    def results(self):
+        return fig12_ctxsw.run()
 
-    def test_four_series_present(self):
-        assert set(fig12_ctxsw.run()) == {
+    def test_processes_not_slower_than_threads(self, results):
+        # paper: max 3%
+        assert fig12_ctxsw.max_process_penalty(results) <= 0.03
+
+    def test_four_series_present(self, results):
+        assert set(results) == {
             "KML Thread", "KML Process", "NOKML Thread", "NOKML Process"
         }
 
 
 class TestSec5:
-    def test_overheads_within_paper_bounds(self):
-        results = sec5_smp.run()
+    @pytest.fixture(scope="class")
+    def results(self):
+        return sec5_smp.run()
+
+    def test_overheads_within_paper_bounds(self, results):
         assert all(o <= 0.03 for _, o in results["sem_posix"])
         assert all(o <= 0.08 for _, o in results["futex"])
         assert all(o <= 0.03 for _, o in results["make-j"])
 
-    def test_overheads_are_real(self):
-        results = sec5_smp.run()
+    def test_overheads_are_real(self, results):
         assert any(o > 0.005 for _, o in results["futex"])
 
     def test_two_cpu_build_nearly_halves(self):
@@ -346,8 +356,9 @@ class TestRenderers:
         from repro.metrics.reporting import render_figure, render_table
 
         for name, module in ALL_EXPERIMENTS.items():
+            results = module.run()
             if hasattr(module, "table"):
-                text = render_table(module.table())
+                text = render_table(module.table(results))
             else:
-                text = render_figure(module.figure())
+                text = render_figure(module.figure(results))
             assert len(text.splitlines()) > 3, name

@@ -35,9 +35,20 @@ def _synthetic(name, calls, fingerprint):
     return Experiment(
         name=name,
         run_fn=_run,
-        artifact_fn=lambda: Artifact(text=f"{name}: ran {len(calls)} times"),
+        artifact_fn=lambda result: Artifact(
+            text=f"{name}: ran {len(calls)} times"),
         fingerprint_fn=lambda: fingerprint["value"],
     )
+
+
+def _counting(function, counts, key):
+    """*function*, counting each call in ``counts[key]``."""
+
+    def _counted(*args, **kwargs):
+        counts[key] += 1
+        return function(*args, **kwargs)
+
+    return _counted
 
 
 class TestBuildCache:
@@ -148,10 +159,11 @@ class TestRegistry:
         assert len(set(fingerprints.values())) > len(fingerprints) // 2
 
     def test_artifact_renders_table_or_figure(self):
-        assert "Table 3" in get_experiment("table3").artifact().text
-        fig5 = get_experiment("fig5").artifact()
-        assert "Figure 5" in fig5.text
-        assert fig5.figure is not None
+        table3, fig5 = get_experiment("table3"), get_experiment("fig5")
+        assert "Table 3" in table3.artifact(table3.run()).text
+        artifact = fig5.artifact(fig5.run())
+        assert "Figure 5" in artifact.text
+        assert artifact.figure is not None
 
     def test_unreadable_module_counted_not_swallowed(self):
         from repro.harness.registry import (
@@ -275,7 +287,7 @@ class TestResultCache:
             name="unsorted",
             run_fn=lambda: {"microvm": {"z": 1, "a": (2, 3)},
                             "lupine": [{"b": 1, "a": 0}]},
-            artifact_fn=lambda: Artifact(text="unsorted"),
+            artifact_fn=lambda result: Artifact(text="unsorted"),
             fingerprint_fn=lambda: "fp",
         )
         kwargs = dict(
@@ -375,3 +387,39 @@ class TestManifest:
         manifest = json.loads(warm.manifest_path.read_text())
         assert manifest["result_cache"]["hit_rate"] == 1.0
         assert manifest["kernel_builds"]["performed"] == 0
+
+
+class TestPaperRunWork:
+    """A cold run computes each experiment once and renders from it."""
+
+    def test_each_experiment_runs_exactly_once(self, tmp_path, monkeypatch):
+        from repro.experiments import ALL_EXPERIMENTS
+
+        runs = dict.fromkeys(ALL_EXPERIMENTS, 0)
+        for name, module in ALL_EXPERIMENTS.items():
+            monkeypatch.setattr(module, "run",
+                                _counting(module.run, runs, name))
+        run = run_experiments(
+            output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
+        )
+        assert run.ok
+        assert runs == dict.fromkeys(ALL_EXPERIMENTS, 1)
+
+    def test_cold_fig12_invocation_counts_are_pinned(self, tmp_path,
+                                                      monkeypatch):
+        from repro.sched.scheduler import Scheduler
+        from repro.syscall.dispatch import SyscallEngine
+
+        counts = {"invoke": 0, "schedule": 0}
+        monkeypatch.setattr(SyscallEngine, "invoke",
+                            _counting(SyscallEngine.invoke, counts, "invoke"))
+        monkeypatch.setattr(Scheduler, "schedule",
+                            _counting(Scheduler.schedule, counts, "schedule"))
+        run = run_experiments(
+            names=["fig12"],
+            output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
+        )
+        assert run.ok
+        # Each of the sweep's 49,600 messages is one sendto/recvfrom pair
+        # and one schedule() round; rendering the figure adds none.
+        assert counts == {"invoke": 99_200, "schedule": 49_600}

@@ -41,7 +41,8 @@ def _synthetic(name, calls, body=None):
     return Experiment(
         name=name,
         run_fn=_run,
-        artifact_fn=lambda: Artifact(text=f"{name}: ran {len(calls)} times"),
+        artifact_fn=lambda result: Artifact(
+            text=f"{name}: ran {len(calls)} times"),
         fingerprint_fn=lambda: "ffff",
     )
 

@@ -1,5 +1,7 @@
 """Tests for the scheduler substrate."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,38 @@ def _scheduler(smp=False):
         cost_model=CpuCostModel.for_options([]),
         smp=SmpModel(smp_enabled=smp, cpus=1),
     )
+
+
+class _DequeReadyQueue:
+    """The ready queue the scheduler kept before it was keyed by pid.
+
+    A FIFO deque of pids behind the ``OrderedDict`` calls the scheduler
+    makes, each one the deque call it replaced: ``d[pid] = None`` is
+    ``append``, ``popitem(last=False)`` is ``popleft`` and
+    ``pop(pid, None)`` is ``in`` + ``remove``.  Unlike the keyed queue it
+    can hold a pid twice.
+    """
+
+    def __init__(self):
+        self.pids = deque()
+
+    def __setitem__(self, pid, _value):
+        self.pids.append(pid)
+
+    def popitem(self, last=True):
+        assert last is False
+        return self.pids.popleft(), None
+
+    def pop(self, pid, default=None):
+        if pid in self.pids:
+            self.pids.remove(pid)
+        return default
+
+    def __len__(self):
+        return len(self.pids)
+
+    def __iter__(self):
+        return iter(self.pids)
 
 
 class TestLifecycle:
@@ -205,3 +239,49 @@ class TestSchedulerProperties:
             for task in sched.tasks():
                 if task.state is TaskState.SLEEPING:
                     assert task.pid not in ready_pids
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(),
+           st.lists(st.tuples(st.sampled_from(["spawn", "fork", "thread",
+                                               "sleep", "wake", "schedule",
+                                               "exit", "run"]),
+                              st.integers(min_value=0, max_value=96)),
+                    min_size=1, max_size=80))
+    def test_keyed_queue_matches_deque_reference(self, smp, operations):
+        """The keyed ready queue replays the deque's schedule exactly:
+        same picks, same switch count, bit-identical clock."""
+        keyed = _scheduler(smp)
+        reference = _scheduler(smp)
+        reference._ready = _DequeReadyQueue()
+        keyed_picks, reference_picks = [], []
+        for operation, argument in operations:
+            alive = [t.pid for t in keyed.tasks() if t.alive]
+            for sched, picks in ((keyed, keyed_picks),
+                                 (reference, reference_picks)):
+                victim = (sched.task(alive[argument % len(alive)])
+                          if alive else None)
+                if operation == "spawn":
+                    sched.spawn("x", working_set_kb=argument)
+                elif victim is None:
+                    continue
+                elif operation == "fork":
+                    sched.fork(victim)
+                elif operation == "thread":
+                    sched.create_thread(victim)
+                elif operation == "sleep":
+                    sched.sleep(victim)
+                elif operation == "wake":
+                    sched.wake(victim)
+                elif operation == "schedule":
+                    task = sched.schedule()
+                    picks.append(None if task is None else task.pid)
+                elif operation == "exit":
+                    sched.exit(victim)
+                elif operation == "run" and sched.current is not None:
+                    sched.run_for(sched.current, 10.0 * argument + 0.1)
+            reference_pids = list(reference._ready)
+            assert len(reference_pids) == len(set(reference_pids))
+            assert list(keyed._ready) == reference_pids
+            assert keyed_picks == reference_picks
+            assert keyed.switch_count == reference.switch_count
+            assert keyed.clock.now_ns.hex() == reference.clock.now_ns.hex()

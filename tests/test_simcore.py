@@ -1,5 +1,7 @@
 """Tests for the simcore time authority and unified guest runtime."""
 
+import random
+
 import pytest
 
 from repro.core.variants import Variant
@@ -30,6 +32,20 @@ class TestVirtualClock:
         clock.advance(0.1)
         clock.advance(0.2)
         assert clock.now_ns == 0.1 + 0.2  # bit-exact, not approx
+
+    def test_advance_is_the_same_addition_with_or_without_events(self):
+        # An empty clock takes advance's event-free branch, an armed one
+        # the dispatch loop; both must fold every addend bit-identically.
+        rng = random.Random(2020)
+        addends = [0.1, 0.2, 0.0, 1e-9, 3.3] + [
+            rng.random() * 10.0 ** rng.randint(-3, 9) for _ in range(500)
+        ]
+        empty, armed = VirtualClock(), VirtualClock()
+        armed.call_at(1e300)
+        for ns in addends:
+            assert empty.advance(ns).hex() == armed.advance(ns).hex()
+            assert empty.now_ns.hex() == armed.now_ns.hex()
+        assert (empty.pending_events, armed.pending_events) == (0, 1)
 
     def test_advance_to_lands_exactly_on_target(self):
         clock = VirtualClock()

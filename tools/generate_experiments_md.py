@@ -362,9 +362,9 @@ def main(argv=None) -> int:
     fig9 = results["fig9"]
     w("| Metric | Paper | Measured |\n|---|---|---|\n")
     w(f"| specialization gain, write (microVM→nokml) | up to 56% | "
-      f"{fig9_syscalls.specialization_improvement():.0%} |\n")
+      f"{fig9_syscalls.specialization_improvement(fig9):.0%} |\n")
     w(f"| KML gain, null (nokml→lupine) | 40% | "
-      f"{fig9_syscalls.kml_improvement():.0%} |\n")
+      f"{fig9_syscalls.kml_improvement(fig9):.0%} |\n")
     w(f"| lupine == lupine-general | yes | "
       f"{abs(fig9['lupine']['null'] - fig9['lupine-general']['null']) < 1e-3} |\n")
     w(f"| OSv hardcoded getppid | ~0 | {fig9['osv']['null']:.3f} µs |\n")
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     w(f"| Fig. 11 latency spread across 1..1024 control procs | within 1 σ | "
       f"max {max(spreads):.1%} |\n")
     w(f"| Fig. 12 worst process-vs-thread penalty | ≤3% | "
-      f"{fig12_ctxsw.max_process_penalty():.1%} |\n")
+      f"{fig12_ctxsw.max_process_penalty(results['fig12']):.1%} |\n")
     sec5 = results["sec5"]
     for workload, bound in (("sem_posix", "≤3%"), ("futex", "≤8%"),
                             ("make-j", "≤3%")):
