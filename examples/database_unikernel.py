@@ -6,8 +6,8 @@ unikernel mold (five processes, System V IPC, fork per connection) -- every
 comparator unikernel rejects or crashes on it, while Lupine just re-enables
 the 'multi-process' config options and runs it (Sections 4.1 and 5).
 
-This example builds a slimmed postgres unikernel via the automated
-trace->manifest pipeline, shows the kernel knows about SysV IPC, boots it,
+This example derives postgres's options from a traced run, builds a
+slimmed postgres unikernel, shows the kernel knows about SysV IPC, boots it,
 forks backends, and runs a pgbench-style TPC-B load -- then demonstrates the
 flip side: the same workload fails with a clean ENOSYS on a redis-shaped
 kernel.
@@ -17,9 +17,10 @@ Run: ``python examples/database_unikernel.py``
 
 from repro.apps.registry import get_app
 from repro.core.lupine import LupineBuilder
-from repro.core.manifest import derive_options
-from repro.core.tracing import manifest_from_app_trace, trace_app_run
+from repro.core.manifest import generate_manifest
+from repro.core.tracing import trace_app_run
 from repro.core.variants import Variant
+from repro.kconfig.derive import usage_option_requirements
 from repro.rootfs.slim import slim_container
 from repro.rootfs.container import container_for_app
 from repro.syscall.dispatch import SyscallNotImplemented
@@ -32,23 +33,22 @@ def main() -> None:
 
     print("== 1. trace-driven manifest (the paper's future-work path) ==")
     trace = trace_app_run(postgres)
-    manifest = manifest_from_app_trace(postgres)
-    options = derive_options(manifest)
-    print(f"   traced {len(trace)} syscalls "
-          f"({len(trace.distinct_syscalls)} distinct), "
-          f"facilities: {', '.join(trace.facilities)}")
+    options = usage_option_requirements(trace)
+    print(f"   traced {trace.call_count} syscalls "
+          f"({len(trace.syscalls)} distinct), "
+          f"facilities: {', '.join(sorted(trace.facilities))}")
     print(f"   derived options: {', '.join(sorted(options))}")
     assert options == postgres.required_options
 
     print("\n== 2. slimmed container ==")
     container = container_for_app(postgres)
-    slimmed, report = slim_container(container, manifest)
+    slimmed, report = slim_container(container, generate_manifest(postgres))
     print(f"   {report.original_files} files -> {report.kept_files} "
           f"({report.size_reduction:.0%} smaller)")
 
     print("\n== 3. build + boot ==")
     unikernel = LupineBuilder(variant=Variant.LUPINE, slim=True).build_for_app(
-        postgres, manifest=manifest
+        postgres
     )
     print(f"   kernel {unikernel.kernel_image_mb:.2f} MB, "
           f"rootfs {unikernel.rootfs_size_mb:.2f} MB, "

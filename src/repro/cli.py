@@ -180,20 +180,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.run or args.app is None:
         return _cmd_trace_run(args)
     from repro.apps.registry import get_app
-    from repro.core.manifest import derive_options
-    from repro.core.tracing import manifest_from_app_trace, trace_app_run
+    from repro.core.tracing import trace_app_run
+    from repro.kconfig.derive import usage_option_requirements
 
     app = get_app(args.app)
     trace = trace_app_run(app)
-    print(f"# traced {app.name}: {len(trace)} syscalls, "
-          f"{len(trace.distinct_syscalls)} distinct")
+    print(f"# traced {app.name}: {trace.call_count} syscalls, "
+          f"{len(trace.syscalls)} distinct")
     if args.counts:
-        for name, count in sorted(trace.counts.items(),
+        for name, count in sorted(trace.syscall_counts.items(),
                                   key=lambda item: -item[1]):
             print(f"{count:>6}  {name}")
-    for facility in trace.facilities:
+    for facility in sorted(trace.facilities):
         print(f"facility: {facility}")
-    options = derive_options(manifest_from_app_trace(app))
+    options = usage_option_requirements(trace)
     print("derived options: " + (", ".join(sorted(options)) or "(none)"))
     return 0
 
@@ -398,13 +398,14 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 def _cmd_dmesg(args: argparse.Namespace) -> int:
     from repro.apps.registry import get_app
+    from repro.boot.console import dmesg
     from repro.core.lupine import LupineBuilder
     from repro.core.variants import Variant
 
-    unikernel = LupineBuilder(variant=Variant(args.variant)).build_for_app(
+    guest = LupineBuilder(variant=Variant(args.variant)).build_for_app(
         get_app(args.app)
-    )
-    print(unikernel.boot().dmesg())
+    ).boot()
+    print(dmesg(guest.kernel.image, guest.boot_report))
     return 0
 
 

@@ -13,8 +13,8 @@ policies request them.
 ``KernelBuildCache`` is that cache.  Keys are content fingerprints -- a
 stable hash of the requested option set plus the KML/patch state -- so two
 applications that resolve to the identical specialized configuration share
-one build, which is also what makes ``Fleet.distinct_kernels`` meaningful.
-Every experiment the harness runs hits this one instance.
+one build, which is also what makes ``FleetSimulation.distinct_kernels``
+meaningful.  Every experiment the harness runs hits this one instance.
 
 Invariants:
 

@@ -7,16 +7,19 @@ runtime facilities it touches (socket families, mounts, kernel crypto),
 from which the kernel configuration and the startup script are both derived.
 
 The paper leaves manifest *generation* to future work and derives
-configurations manually from error messages; :func:`generate_manifest`
-implements the dynamic-analysis route (trace the app under a full kernel,
-record syscalls and facilities), and :func:`derive_options` maps the result
-to Kconfig options -- reproducing the manual derivation's outcome exactly.
+configurations manually from error messages.  :func:`generate_manifest`
+builds the manifest from the application model's curated syscall and
+facility lists, and :func:`derive_options` maps it to Kconfig options --
+reproducing the manual derivation's outcome exactly.  The measured route
+(record a run, derive from the recording) is :mod:`repro.core.tracing`
+plus :mod:`repro.kconfig.derive`; both routes share one option mapping,
+:func:`repro.core.optionset.implied_options`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.apps.app import Application
 from repro.apps.registry import OPTION_FACILITIES
@@ -45,11 +48,11 @@ class ApplicationManifest:
 
 
 def generate_manifest(app: Application) -> ApplicationManifest:
-    """Dynamic-analysis manifest generation.
+    """The manifest of a registry application.
 
-    Models tracing the application under a fully-provisioned kernel (as
-    tools like DockerSlim/Twistlock do): every syscall the app issues and
-    every facility it touches lands in the manifest.
+    Copies the syscalls and facilities the application model declares
+    (the curated lists behind Table 3), plus its entrypoint, environment
+    and network need.
     """
     return ApplicationManifest(
         app_name=app.name,
@@ -70,20 +73,3 @@ def derive_options(manifest: ApplicationManifest) -> FrozenSet[str]:
     """
     return implied_options(manifest.syscalls, manifest.facilities)
 
-
-def manifest_from_trace(
-    app_name: str,
-    traced_syscalls: Iterable[str],
-    traced_facilities: Iterable[str] = (),
-    entrypoint: Tuple[str, ...] = (),
-) -> ApplicationManifest:
-    """Build a manifest from a raw trace (deduplicates, validates)."""
-    return ApplicationManifest(
-        app_name=app_name,
-        syscalls=frozenset(traced_syscalls),
-        facilities=frozenset(traced_facilities),
-        entrypoint=entrypoint,
-        needs_network=any(
-            f.startswith("socket:") for f in traced_facilities
-        ),
-    )

@@ -5,8 +5,8 @@ question Lupine raises: run one specialized kernel per application, or one
 ``lupine-general`` kernel for everything?  Section 4 answers it empirically
 (general costs ≤4% throughput, +2 ms boot, slightly larger image); this
 module turns that decision into an operator-facing policy object with a
-build cache, so a fleet of unikernels can be stood up the way the paper's
-evaluation was.
+build cache, and :meth:`Fleet.simulate` stands a seeded fleet of guests up
+under it the way the paper's evaluation was.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.apps.app import Application
 from repro.core.lupine import LupineBuilder, LupineUnikernel
@@ -31,44 +31,10 @@ class KernelPolicy(enum.Enum):
     #: One lupine-general kernel shared by all (the paper's recommendation
     #: for general users; Section 4.1).
     GENERAL = "general"
-    #: Specialized kernels for apps above a popularity threshold, the
-    #: general kernel for the long tail.
-    HYBRID = "hybrid"
 
 
-@dataclass
 class Fleet:
-    """A set of built unikernels plus aggregate statistics."""
-
-    guests: Dict[str, LupineUnikernel] = field(default_factory=dict)
-
-    @staticmethod
-    def _kernel_identity(unikernel: LupineUnikernel) -> str:
-        # Content fingerprint when available (two apps resolving to the
-        # identical config share one kernel); config name as a fallback for
-        # builds assembled outside the caching path.
-        return unikernel.build.fingerprint or unikernel.build.config.name
-
-    @property
-    def distinct_kernels(self) -> int:
-        return len({
-            self._kernel_identity(unikernel)
-            for unikernel in self.guests.values()
-        })
-
-    @property
-    def total_kernel_mb(self) -> float:
-        seen = {}
-        for unikernel in self.guests.values():
-            seen[self._kernel_identity(unikernel)] = unikernel.kernel_image_mb
-        return sum(seen.values())
-
-    def boot_all(self) -> Dict[str, float]:
-        """Boot every guest; returns app -> boot ms."""
-        return {
-            name: unikernel.boot().boot_report.total_ms
-            for name, unikernel in self.guests.items()
-        }
+    """A seeded fleet of guests under one kernel policy."""
 
     @classmethod
     def simulate(
@@ -344,7 +310,6 @@ class KernelOrchestrator:
 
     policy: KernelPolicy = KernelPolicy.GENERAL
     kml: bool = True
-    hybrid_downloads_threshold: float = 1.0
     _unikernels: Dict[str, LupineUnikernel] = field(default_factory=dict)
     _kernel_fingerprints: Set[str] = field(default_factory=set)
     build_count: int = 0
@@ -357,14 +322,6 @@ class KernelOrchestrator:
         this rather than reaching into policy internals.
         """
         if self.policy is KernelPolicy.PER_APP:
-            specialized = True
-        elif self.policy is KernelPolicy.GENERAL:
-            specialized = False
-        else:
-            specialized = (
-                app.downloads_billions >= self.hybrid_downloads_threshold
-            )
-        if specialized:
             return Variant.LUPINE if self.kml else Variant.LUPINE_NOKML
         return (Variant.LUPINE_GENERAL if self.kml
                 else Variant.LUPINE_GENERAL_NOKML)
@@ -385,34 +342,3 @@ class KernelOrchestrator:
             self._kernel_fingerprints.add(fingerprint)
             self.build_count += 1
         return unikernel
-
-    def deploy(self, apps: List[Application]) -> Fleet:
-        """Build a fleet covering *apps*."""
-        fleet = Fleet()
-        for app in apps:
-            fleet.guests[app.name] = self.unikernel_for(app)
-        return fleet
-
-    def coverage_gaps(self, apps: List[Application]) -> List[Tuple[str, str]]:
-        """Apps whose requirements the chosen kernels would not satisfy.
-
-        With PER_APP this is empty by construction; with GENERAL it is empty
-        exactly when every app's options are within the 19-option union --
-        the paper's open question ("it is an open question to provide a
-        guarantee that lupine-general is sufficient for a given workload").
-        """
-        from repro.apps.registry import lupine_general_option_union
-
-        gaps: List[Tuple[str, str]] = []
-        if self.policy is KernelPolicy.PER_APP:
-            return gaps
-        union = lupine_general_option_union()
-        for app in apps:
-            if self.policy is KernelPolicy.HYBRID and (
-                app.downloads_billions >= self.hybrid_downloads_threshold
-            ):
-                continue
-            missing = app.required_options - union
-            for option in sorted(missing):
-                gaps.append((app.name, option))
-        return gaps

@@ -1,25 +1,25 @@
-"""Syscall tracing: the strace-style route to application manifests.
+"""Syscall tracing: the recorded run behind trace-driven derivation.
 
 The paper derives per-app configurations manually from error messages and
 points at dynamic analysis (DockerSlim, Twistlock) as the automated path.
 This module implements that path inside the simulation: run the application
 on a *fully provisioned* kernel (microVM's configuration, where every
-syscall works), record every syscall it issues and every kernel facility it
-touches, and hand the trace to :func:`repro.core.manifest.manifest_from_trace`.
+syscall works) with a :class:`~repro.syscall.usage.UsageTrace` attached,
+so every syscall it issues and every kernel facility it touches is
+recorded.  :func:`repro.kconfig.derive.usage_option_requirements` maps the
+recording to Kconfig options.
 
-The tracer drives a real :class:`~repro.syscall.dispatch.SyscallEngine`, so
+The run drives a real :class:`~repro.syscall.dispatch.SyscallEngine`, so
 the traced calls are checked against the syscall table -- tracing an app
 whose model lists a nonexistent syscall fails loudly rather than producing
-a bogus manifest.
+a bogus recording.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Tuple
 
 from repro.apps.app import Application
-from repro.core.manifest import ApplicationManifest, manifest_from_trace
 from repro.kconfig.configs import microvm_config
 from repro.syscall.dispatch import SyscallEngine
 from repro.syscall.usage import UsageTrace
@@ -34,100 +34,57 @@ _STARTUP_SEQUENCE: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class SyscallTrace:
-    """A recorded run: ordered events plus touched facilities."""
-
-    app_name: str
-    events: List[str] = field(default_factory=list)
-    facilities: List[str] = field(default_factory=list)
-
-    @property
-    def distinct_syscalls(self) -> FrozenSet[str]:
-        return frozenset(self.events)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for name in self.events:
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class SyscallTracer:
-    """Records syscalls flowing through an engine (ptrace-style)."""
-
-    def __init__(self, engine: SyscallEngine, app_name: str):
-        self._engine = engine
-        self.trace = SyscallTrace(app_name=app_name)
-
-    def syscall(self, name: str, work_ns: float = 0.0):
-        result = self._engine.invoke(name, work_ns=work_ns)
-        self.trace.events.append(name)
-        return result
-
-    def touch_facility(self, facility: str) -> None:
-        if facility not in self.trace.facilities:
-            self.trace.facilities.append(facility)
-
-
-def _provisioned_engine() -> SyscallEngine:
-    """An engine for the trace kernel: microVM config, everything works."""
-    return SyscallEngine.for_config(microvm_config().enabled)
-
-
-def _drive_app(tracer: SyscallTracer, app: Application) -> None:
-    """The standard app run: startup prefix, facilities, runtime pass."""
+def _recorded_run(app: Application) -> SyscallEngine:
+    """The standard app run on the trace kernel (microVM config, where
+    every syscall works); the recording is the engine's ``usage``."""
+    engine = SyscallEngine.for_config(microvm_config().enabled)
+    engine.usage = UsageTrace(owner=app.name)
     for name in _STARTUP_SEQUENCE:
-        tracer.syscall(name)
+        engine.invoke(name)
 
     # Configuration file reads.
     for _ in range(2):
-        tracer.syscall("openat")
-        tracer.syscall("read")
-        tracer.syscall("close")
+        engine.invoke("openat")
+        engine.invoke("read")
+        engine.invoke("close")
 
     # Facility-driven startup behaviour.
     for facility in sorted(app.facilities):
         kind, _, detail = facility.partition(":")
         if kind == "socket":
-            tracer.syscall("socket")
-            tracer.syscall("bind")
+            engine.invoke("socket")
+            engine.invoke("bind")
             if detail != "packet":
-                tracer.syscall("listen")
+                engine.invoke("listen")
         elif kind == "mount":
-            tracer.syscall("mount")
+            engine.invoke("mount")
         elif kind == "crypto":
-            tracer.syscall("socket")  # AF_ALG
-        tracer.touch_facility(facility)
+            engine.invoke("socket")  # AF_ALG
+        engine.usage.record_facility(facility)
 
     if app.uses_fork_at_startup:
-        tracer.syscall("fork")
-        tracer.syscall("wait4")
+        engine.invoke("fork")
+        engine.invoke("wait4")
 
     # One runtime pass over every distinct syscall the app issues.
     for name in sorted(app.syscalls):
-        tracer.syscall(name)
+        engine.invoke(name)
+    return engine
 
 
-def trace_app_run(app: Application) -> SyscallTrace:
-    """Run *app*'s startup + a short workload burst under the tracer.
+def trace_app_run(app: Application) -> UsageTrace:
+    """Record *app*'s startup + one pass over its runtime syscalls.
 
     The run consists of the ELF/libc startup prefix, the app's own startup
     behaviour (config files, socket setup, mounts -- driven by its declared
     facilities), then one pass over every distinct syscall the app uses at
     runtime, so rarely-exercised gated calls still land in the trace.
     """
-    tracer = SyscallTracer(_provisioned_engine(), app.name)
-    _drive_app(tracer, app)
-    return tracer.trace
+    return _recorded_run(app).usage
 
 
 def usage_trace_for_app(app: Application) -> UsageTrace:
-    """Record *app*'s usage set: the same run, with a recorder attached.
+    """Record *app*'s usage set: :func:`trace_app_run` plus serving.
 
     This is the recording half of the Loupe loop.  Apps with a serving
     profile additionally serve a short request burst through
@@ -135,32 +92,14 @@ def usage_trace_for_app(app: Application) -> UsageTrace:
     usage exactly as they do at fleet scale -- attribution without
     stepping.
     """
-    engine = _provisioned_engine()
-    usage = UsageTrace(owner=app.name)
-    engine.usage = usage
-    tracer = SyscallTracer(engine, app.name)
-    _drive_app(tracer, app)
-    for facility in tracer.trace.facilities:
-        usage.record_facility(facility)
-
     from repro.core.orchestrator import serving_profile  # avoid cycle
 
+    engine = _recorded_run(app)
     profile = serving_profile(app.name)
     if profile is not None:
         # Served requests arrive over TCP: serving is itself an observed
         # use of the inet stack, whether or not the curated manifest
         # lists it (php's does not -- measurement catches it).
-        usage.record_facility("socket:inet")
+        engine.usage.record_facility("socket:inet")
         engine.invoke_batch(list(profile.syscalls), profile.app_ns, repeats=16)
-    return usage
-
-
-def manifest_from_app_trace(app: Application) -> ApplicationManifest:
-    """The fully automated pipeline: trace -> manifest."""
-    trace = trace_app_run(app)
-    return manifest_from_trace(
-        app_name=app.name,
-        traced_syscalls=trace.distinct_syscalls,
-        traced_facilities=trace.facilities,
-        entrypoint=tuple(app.entrypoint),
-    )
+    return engine.usage

@@ -87,9 +87,13 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class VariantBuild:
-    """A built variant: resolved config + kernel image + runtime knobs."""
+    """A built kernel: resolved config + kernel image + runtime knobs.
 
-    variant: Variant
+    ``variant=None`` is the microVM baseline (:func:`build_microvm`), as
+    in :class:`~repro.simcore.guest.GuestSpec`.
+    """
+
+    variant: Optional[Variant]
     config: ResolvedConfig
     image: KernelImage
     #: Content fingerprint of the configuration this image was built from;
@@ -220,37 +224,20 @@ def build_variant(
     return BUILD_CACHE.get_or_build(f"{variant.value}:{fingerprint}", _build)
 
 
-@dataclass(frozen=True)
-class MicrovmBuild:
-    """The baseline: Firecracker's microVM kernel (Table 2's 'MicroVM')."""
+def build_microvm() -> VariantBuild:
+    """Build the microVM baseline kernel (shared via the build cache).
 
-    config: ResolvedConfig
-    image: KernelImage
-    fingerprint: str = ""
+    Its config has neither ``CC_OPTIMIZE_FOR_SIZE`` nor KML, so the build
+    enters through ``syscall`` and is not size-optimized.
+    """
 
-    entry_mechanism: EntryMechanism = EntryMechanism.SYSCALL
-    size_optimized: bool = False
-
-    def syscall_engine(self, kpti: bool = False,
-                       clock: Optional[VirtualClock] = None) -> SyscallEngine:
-        return SyscallEngine.for_config(
-            self.config.enabled, entry=self.entry_mechanism, kpti=kpti,
-            clock=clock,
-        )
-
-    def network_path(self) -> NetworkPath:
-        return NetworkPath.for_options(self.config.enabled)
-
-
-def build_microvm() -> MicrovmBuild:
-    """Build the microVM baseline kernel (shared via the build cache)."""
-
-    def _build() -> MicrovmBuild:
+    def _build() -> VariantBuild:
         config = microvm_config()
         image = KernelBuilder().build(config, name="microvm")
         fingerprint = config_fingerprint(config.enabled)
-        return MicrovmBuild(
-            config=config, image=image, fingerprint=fingerprint
+        return VariantBuild(
+            variant=None, config=config, image=image,
+            fingerprint=fingerprint,
         )
 
     return BUILD_CACHE.get_or_build("microvm:baseline", _build)

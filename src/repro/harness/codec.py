@@ -44,9 +44,10 @@ RESULT_DATACLASSES: Dict[str, Type] = {
 def register_result_dataclass(cls: Type) -> Type:
     """Whitelist *cls* for codec round trips (idempotent).
 
-    Modules whose dataclasses cross the codec boundary but that the codec
-    must not import at module load (e.g. the shard pool, whose results
-    transit worker processes as codec JSON) register themselves here.
+    Modules whose dataclasses cross the codec boundary but that import
+    the codec themselves, so the codec cannot import them back (e.g.
+    :mod:`repro.experiments.ext_derived`, whose cached result holds
+    ``DerivedComparison`` cells), register themselves here.
     """
     existing = RESULT_DATACLASSES.get(cls.__name__)
     if existing is not None and existing is not cls:

@@ -4,7 +4,10 @@
 composes the monitor, kernel image, :class:`SyscallEngine`,
 :class:`NetworkPath`, scheduler, TCP stack and workload of one simulated
 guest behind a single object, with every layer advancing the guest's own
-:class:`~repro.simcore.clock.VirtualClock`.
+:class:`~repro.simcore.clock.VirtualClock`.  It is the only booted-guest
+object: :meth:`LupineUnikernel.boot <repro.core.lupine.LupineUnikernel.boot>`
+returns a full-image Guest that has also run its startup script
+(:meth:`Guest.run_init`).
 
 Clock ownership rules (see ``docs/GUEST_RUNTIME.md``):
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.boot.phases import RootfsKind
 from repro.simcore.clock import VirtualClock
@@ -77,7 +80,7 @@ class Guest:
         self.spec = spec
         self.clock = clock if clock is not None else VirtualClock()
         self.state = GuestState.CREATED
-        self.kernel = None          # VariantBuild | MicrovmBuild
+        self.kernel = None          # VariantBuild (variant None: microVM)
         #: Prebuilt LupineUnikernel (full_image fleets route builds
         #: through KernelOrchestrator.unikernel_for, so the per-app memo
         #: and build_count stay live); built on demand otherwise.
@@ -88,6 +91,9 @@ class Guest:
         self.tcp = None
         self.boot_report = None
         self.requests_served = 0
+        #: Set by the init step (:meth:`run_init`) only.
+        self.app_task = None
+        self.console: List[str] = []
         self._stack = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -100,23 +106,23 @@ class Guest:
         from repro.sched.smp import SmpModel
 
         self._require(GuestState.CREATED, "build")
-        app = self._app()
         if self.spec.variant is None:
             self.kernel = build_microvm()
         elif self.spec.full_image:
-            if app is None:
-                raise GuestLifecycleError(
-                    f"guest {self.spec.name}: full_image needs an app"
-                )
             if self.unikernel is None:
                 from repro.core.lupine import LupineBuilder
 
+                app = self._app()
+                if app is None:
+                    raise GuestLifecycleError(
+                        f"guest {self.spec.name}: full_image needs an app"
+                    )
                 self.unikernel = LupineBuilder(
                     variant=self.spec.variant
                 ).build_for_app(app)
             self.kernel = self.unikernel.build
         else:
-            self.kernel = build_variant(self.spec.variant, app)
+            self.kernel = build_variant(self.spec.variant, self._app())
         self.engine = self.kernel.syscall_engine(
             kpti=self.spec.kpti, clock=self.clock
         )
@@ -140,8 +146,7 @@ class Guest:
         """Boot the guest; boot phases advance *this guest's* clock.
 
         Returns the :class:`~repro.boot.bootsim.BootReport`.  Full-image
-        guests validate monitor/driver compatibility first, exactly as
-        :meth:`LupineUnikernel.boot` did.
+        guests validate monitor/driver compatibility first.
         """
         from repro.boot.bootsim import BootSimulator
         from repro.vmm.monitor import firecracker
@@ -159,6 +164,48 @@ class Guest:
             )
         self.state = GuestState.BOOTED
         return self.boot_report
+
+    def run_init(self) -> None:
+        """The init step: exec the startup script as pid 1.
+
+        Spawns the app task (kernel-mode under KML), charges its
+        ``execve`` and, when the app needs procfs and the kernel has it,
+        the ``mount``, and logs the console lines whose ``ready`` line is
+        the paper's success criterion.  Only
+        :meth:`LupineUnikernel.boot <repro.core.lupine.LupineUnikernel.boot>`
+        runs it: serving and fleet guests boot without it, so their clocks,
+        call counts and digests carry no startup syscalls.
+        """
+        from repro.rootfs.init import INIT_SCRIPT_PATH
+
+        self._require(GuestState.BOOTED, "run_init")
+        unikernel = self.unikernel
+        if unikernel is None or not unikernel.rootfs.exists(INIT_SCRIPT_PATH):
+            raise RuntimeError("rootfs has no startup script")
+        app = unikernel.app
+        self.app_task = self.scheduler.spawn(
+            app.name, working_set_kb=min(app.resident_kb, 4096),
+            kernel_mode=self.kernel.kml,
+        )
+        self.engine.invoke("execve")
+        self.console.append(f"lupine: starting {app.name}")
+        if app.needs_procfs and "PROC_FS" in self.kernel.config:
+            self.engine.invoke("mount")
+        self.console.append(f"{app.name}: ready")
+
+    @property
+    def ran_successfully(self) -> bool:
+        """The paper's simple success criterion: the ready line appeared."""
+        return any(line.endswith(": ready") for line in self.console)
+
+    def fork_app(self):
+        """fork() from the application; returns the child task.
+
+        Where unikernels crash or continue in a corrupted state, Lupine
+        simply runs the child (Section 5): fork is not config-gated.
+        """
+        self.engine.invoke("fork")
+        return self.scheduler.fork(self.app_task)
 
     def serve(self, profile, requests: int) -> float:
         """Serve *requests* of *profile* through the live engine; rps.
@@ -214,16 +261,9 @@ class Guest:
         """Analytic per-request cost on this guest (no engine mutation)."""
         return self.server_stack.request_ns(profile)
 
-    def requests_per_second(self, profile) -> float:
-        return self.server_stack.requests_per_second(profile)
-
     @property
     def uptime_ns(self) -> float:
         return self.clock.now_ns
-
-    @property
-    def boot_ms(self) -> Optional[float]:
-        return None if self.boot_report is None else self.boot_report.total_ms
 
     # -- internals ---------------------------------------------------------
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
-from repro.syscall.table import SYSCALLS
 
 
 @dataclass
@@ -144,15 +143,3 @@ class UsageTrace:
             self.as_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-    def to_manifest(self, entrypoint: Tuple[str, ...] = ()):
-        """Export as an :class:`~repro.core.manifest.ApplicationManifest`."""
-        from repro.core.manifest import manifest_from_trace
-
-        known_misses = {name for name in self.misses if name in SYSCALLS}
-        return manifest_from_trace(
-            app_name=self.owner,
-            traced_syscalls=self.syscalls | known_misses,
-            traced_facilities=sorted(self.facilities),
-            entrypoint=entrypoint,
-        )

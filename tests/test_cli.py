@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
 import pathlib
 
@@ -78,6 +79,43 @@ class TestExtendedCli:
         assert main(["trace", "nginx", "--counts"]) == 0
         output = capsys.readouterr().out
         assert "openat" in output
+
+    def test_trace_counts_output_is_pinned(self, capsys):
+        """``trace nginx --counts``, byte for byte: ties keep the order
+        of first use in the recorded run."""
+        assert main(["trace", "nginx", "--counts"]) == 0
+        output = capsys.readouterr().out
+        lines = output.splitlines()
+        assert lines[0] == "# traced nginx: 123 syscalls, 85 distinct"
+        assert lines[1:8] == [
+            "     5  mmap", "     5  openat", "     5  close",
+            "     4  read", "     4  socket", "     4  bind",
+            "     3  brk",
+        ]
+        assert lines[-5:] == [
+            "facility: mount:proc",
+            "facility: socket:inet",
+            "facility: socket:packet",
+            "facility: socket:unix",
+            "derived options: ADVISE_SYSCALLS, AIO, EPOLL, EVENTFD, "
+            "FILE_LOCKING, FUTEX, INET, INOTIFY_USER, PACKET, PROC_FS, "
+            "SIGNALFD, TIMERFD, UNIX",
+        ]
+        assert hashlib.sha256(output.encode()).hexdigest() == (
+            "3d0355616538e633bd7e05a33738408461353c3ea759430c49e2212d838e457e"
+        )
+
+    def test_trace_output_is_pinned(self, capsys):
+        assert main(["trace", "postgres"]) == 0
+        assert capsys.readouterr().out == (
+            "# traced postgres: 130 syscalls, 91 distinct\n"
+            "facility: mount:proc\n"
+            "facility: mount:tmpfs\n"
+            "facility: socket:inet\n"
+            "facility: socket:unix\n"
+            "derived options: ADVISE_SYSCALLS, EPOLL, FILE_LOCKING, FUTEX, "
+            "INET, POSIX_MQUEUE, PROC_FS, SYSVIPC, TMPFS, UNIX\n"
+        )
 
     def test_footprint(self, capsys):
         assert main(["footprint", "redis"]) == 0

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.apps.registry import get_app
+from repro.boot.console import dmesg
 from repro.core.lupine import LupineBuilder
 from repro.core.variants import Variant
 from repro.rootfs.init import INIT_SCRIPT_PATH
+from repro.simcore.context import default_clock
+from repro.simcore.guest import GuestState
 from repro.syscall.dispatch import SyscallNotImplemented
 from repro.vmm.monitor import solo5_hvt
 
@@ -44,8 +47,9 @@ class TestBuildPipeline:
         assert not unikernel.libc.kml_patched
 
     def test_bare_build(self):
-        unikernel = LupineBuilder().build_bare()
+        unikernel = LupineBuilder().build_for_app(get_app("hello-world"))
         assert unikernel.app.name == "hello-world"
+        assert "INET" not in unikernel.build.config
         assert unikernel.kernel_image_mb < 4.5
 
     def test_artifact_sizes(self, redis_unikernel):
@@ -74,6 +78,27 @@ class TestBoot:
         assert 18 <= redis_unikernel.min_memory_mb() <= 25  # paper: ~21
 
 
+class TestBootClock:
+    """A booted unikernel runs on one clock: its guest's."""
+
+    @pytest.mark.parametrize("name", ["redis", "hello-world"])
+    def test_boot_runs_on_the_guest_clock_only(self, name):
+        unikernel = LupineBuilder(variant=Variant.LUPINE).build_for_app(
+            get_app(name)
+        )
+        before = default_clock().now_ns
+        guest = unikernel.boot()
+        assert default_clock().now_ns == before
+        assert guest.state is GuestState.BOOTED
+        assert guest.engine.clock is guest.clock
+        assert guest.scheduler.clock is guest.clock
+        if guest.tcp is not None:
+            assert guest.tcp.clock is guest.clock
+        # Boot phases, then the init step's execve, on the same timeline.
+        assert guest.clock.now_ns >= guest.boot_report.total_ms * 1e6
+        assert guest.engine.call_count >= 1
+
+
 class TestGracefulDegradation:
     def test_fork_just_works(self, redis_unikernel):
         """Section 5: 'rather than crashing on fork, Lupine continues'."""
@@ -85,15 +110,20 @@ class TestGracefulDegradation:
     def test_missing_syscall_is_enosys_not_crash(self, redis_unikernel):
         guest = redis_unikernel.boot()
         with pytest.raises(SyscallNotImplemented):
-            guest.syscall("io_submit")  # redis kernel has no AIO
+            guest.engine.invoke("io_submit")  # redis kernel has no AIO
         # The guest is still alive and serving:
-        assert guest.syscall("epoll_wait").latency_ns > 0
+        assert guest.engine.invoke("epoll_wait").latency_ns > 0
 
     def test_control_processes_spawnable(self, redis_unikernel):
         guest = redis_unikernel.boot()
-        control = guest.spawn_control_processes(64)
-        assert len(control) == 64
-        assert guest.scheduler.sleeping_count() == 64
+        scheduler = guest.scheduler
+        control = [scheduler.spawn(f"sleep-{index}", working_set_kb=4)
+                   for index in range(64)]
+        for task in control:
+            scheduler.sleep(task)
+        assert len({task.pid for task in control}) == 64
+        assert scheduler.sleeping_count() == 64
+        assert guest.ran_successfully
 
     def test_multiprocess_postgres_runs_on_lupine(self):
         """The app every unikernel rejects boots fine here."""
@@ -110,7 +140,7 @@ class TestGracefulDegradation:
 class TestGuestDmesg:
     def test_dmesg_reflects_config(self, redis_unikernel):
         guest = redis_unikernel.boot()
-        text = guest.dmesg()
+        text = dmesg(guest.kernel.image, guest.boot_report)
         assert "TCP: Hash tables configured" in text  # redis needs INET
         assert "SELinux" not in text
         assert "boot complete" in text

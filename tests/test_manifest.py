@@ -7,8 +7,9 @@ from repro.core.manifest import (
     ApplicationManifest,
     derive_options,
     generate_manifest,
-    manifest_from_trace,
 )
+from repro.core.optionset import implied_options
+from repro.syscall.usage import UsageTrace
 
 
 class TestGeneration:
@@ -41,23 +42,21 @@ class TestValidation:
 
 class TestTraceDriven:
     def test_trace_deduplicates(self):
-        manifest = manifest_from_trace(
-            "custom", ["read", "read", "epoll_wait"], ["socket:inet"]
-        )
-        assert manifest.syscalls == {"read", "epoll_wait"}
-        assert manifest.needs_network
+        trace = UsageTrace(owner="custom")
+        for name in ("read", "read", "epoll_wait"):
+            trace.record(name, None)
+        trace.record_facility("socket:inet")
+        assert trace.syscalls == {"read", "epoll_wait"}
+        assert implied_options(trace.syscalls, trace.facilities) == {
+            "EPOLL", "INET"
+        }
 
     def test_trace_derivation(self):
-        manifest = manifest_from_trace(
-            "custom",
+        options = implied_options(
             ["read", "write", "futex", "epoll_wait", "timerfd_create"],
             ["socket:inet", "mount:proc"],
         )
-        assert derive_options(manifest) == {
-            "FUTEX", "EPOLL", "TIMERFD", "INET", "PROC_FS"
-        }
+        assert options == {"FUTEX", "EPOLL", "TIMERFD", "INET", "PROC_FS"}
 
     def test_ungated_syscalls_imply_nothing(self):
-        manifest = manifest_from_trace("tiny", ["read", "write", "getpid"])
-        assert derive_options(manifest) == frozenset()
-        assert not manifest.needs_network
+        assert implied_options(["read", "write", "getpid"]) == frozenset()

@@ -7,6 +7,7 @@ from repro.core.variants import (
     TINY_DISABLED,
     TINY_ENABLED,
     Variant,
+    VariantBuild,
     build_microvm,
     build_variant,
 )
@@ -112,6 +113,14 @@ class TestMicrovmBuild:
         assert len(microvm_build.config.enabled) == 833
         assert microvm_build.entry_mechanism is EntryMechanism.SYSCALL
         assert not microvm_build.image.kml_enabled
+
+    def test_microvm_is_the_variantless_build(self, microvm_build):
+        """The baseline is a ``VariantBuild`` whose variant is None, and
+        its derived knobs are the baseline's: syscall entry, -O2."""
+        assert isinstance(microvm_build, VariantBuild)
+        assert microvm_build.variant is None
+        assert not microvm_build.kml
+        assert not microvm_build.size_optimized
 
     def test_engines_and_netpath_constructible(self, microvm_build):
         engine = microvm_build.syscall_engine()

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Call recorder: the functions in ``src/repro`` no shipped command enters.
 
-Runs every CLI verb (:data:`CLI_RUNS`) and each ``examples/*.py``
-``main()``, one child process each, under ``sys.settrace`` with call
-events only (no line tracing), and prints every ``def`` in
+Runs every CLI verb (:data:`CLI_RUNS`), each ``examples/*.py``
+``main()`` and the EXPERIMENTS.md generator (from a temporary working
+directory, as ``tools/check.sh`` runs it), one child process each,
+under ``sys.settrace`` with call events only (no line tracing), and
+prints every ``def`` in
 ``src/repro`` that no run entered, per file, with its line count.  A
 function counts as entered when a call event fires for a code object
 whose file and first line are the ``def``'s (its first decorator's,
@@ -45,6 +47,10 @@ CLI_RUNS: Tuple[Tuple[str, ...], ...] = (
     ("fleet-serve", "--output-dir", "{out}"),
     ("fleet-serve", "--chaos", "--policy", "all", "--output-dir", "{out}"),
     ("fleet-serve", "--record-usage", "--output-dir", "{out}"),
+    ("fleet-serve", "--trace", "poisson", "--requests", "2000",
+     "--guests", "50", "--idle-timeout", "0.5", "--output-dir", "{out}"),
+    ("fleet-serve", "--trace", "bursty", "--requests", "2000",
+     "--guests", "50", "--idle-timeout", "0.5", "--output-dir", "{out}"),
     ("apps",),
     ("build", "redis"),
     ("boot", "redis"),
@@ -55,6 +61,7 @@ CLI_RUNS: Tuple[Tuple[str, ...], ...] = (
     ("regress", "benchmarks/baseline", "{out}", "--no-timings"),
     ("derive", "--defconfig"),
     ("diff", "microvm", "lupine-base", "--options"),
+    ("diff", "microvm", "derived:redis"),
     ("selfcheck",),
     ("dmesg", "redis"),
     ("lmbench",),
@@ -80,6 +87,22 @@ finally:
     sys.settrace(None)
     with open({record!r}, "w", encoding="utf-8") as handle:
         json.dump(sorted(entered), handle)
+"""
+
+#: The EXPERIMENTS.md generator as ``tools/check.sh`` runs it: as a
+#: script, from an empty working directory it writes its output into.
+_GENERATOR = """\
+import os, runpy, tempfile
+home = os.getcwd()
+with tempfile.TemporaryDirectory(prefix="call-recorder-gen-") as cwd:
+    os.chdir(cwd)
+    try:
+        runpy.run_path({script!r}, run_name="__main__")
+    except SystemExit as done:
+        if done.code:
+            raise
+    finally:
+        os.chdir(home)
 """
 
 
@@ -153,6 +176,9 @@ def _bodies(out: str) -> List[str]:
             "import runpy\n"
             f"runpy.run_path({str(example)!r})['main']()"
         )
+    bodies.append(_GENERATOR.format(
+        script=str(REPO_ROOT / "tools" / "generate_experiments_md.py")
+    ))
     return bodies
 
 
