@@ -48,7 +48,14 @@ Serving extensions (the ``repro.traffic`` layer drives these):
   whether it is parked or waiting on a (later) armed deadline.  A kick
   supersedes the pending heap entry via a per-runner generation
   counter: the stale entry is skipped on pop without counting as a
-  dispatch, so wake-ups never double-run a guest.
+  dispatch, so wake-ups never double-run a guest;
+- :meth:`EventCore.next_key` peeks at the earliest live instant and
+  :meth:`EventCore.defer_kick` re-arms a guest *behind* the running
+  program's own next entry.  Together they let a program run another
+  guest's stage inside its own dispatch when the core would have
+  dispatched that stage next anyway (the router's warm-hit fold, see
+  :mod:`repro.traffic.router`), with every later tie resolving as it
+  would have in the stepped order.
 
 Determinism: the heap is keyed ``(virtual_ns, seq)`` with ``seq`` a
 monotone counter and programs run on one thread, so the same spawns
@@ -179,6 +186,11 @@ class EventCore:
     #: a runner -- the serving router uses this to fail over the dead
     #: worker's queued requests.
     on_failure: Optional[Callable[[str, BaseException], None]] = None
+    #: ``(key_ns, gen, runner)`` entries of :meth:`defer_kick`, pushed
+    #: once the running dispatch has pushed its own next entry.
+    _deferred: List[Tuple[float, int, "_Runner"]] = field(
+        default_factory=list
+    )
 
     # -- registration ------------------------------------------------------
 
@@ -247,20 +259,61 @@ class EventCore:
         hand a warm guest a request: pop it from the pool, enqueue the
         work, kick it at the arrival instant.
         """
+        runner = self._rearm(name)
+        self._push(max(float(at_ns), runner.clock.now_ns), runner)
+
+    def defer_kick(self, name: str, at_ns: float) -> None:
+        """:meth:`kick`, with the heap entry pushed after the running
+        program's own next entry.
+
+        A stage that ran inside another program's dispatch (the router
+        serving a warm hit inside its arrival's event) re-arms its guest
+        with this, so the entry takes the heap position the stepped
+        event would have: behind the dispatching program's next entry
+        when the keys tie.  The generation bump is immediate; the push
+        happens when the dispatch ends, however it ends -- a yield, a
+        return, or a contained fault.  Outside ``run()`` the entry is
+        pushed when ``run()`` next starts.
+        """
+        runner = self._rearm(name)
+        self._deferred.append(
+            (max(float(at_ns), runner.clock.now_ns), runner.gen, runner)
+        )
+
+    def next_key(self) -> Optional[float]:
+        """The earliest live heap key, or None when nothing is pending.
+
+        Stale entries (superseded by a kick, or of a finished runner) at
+        the top are dropped on the way, as ``run()`` would drop them --
+        neither counts as a dispatch.  Entries :meth:`defer_kick` holds
+        back are not in the heap yet.
+        """
+        heap = self._heap
+        while heap:
+            key_ns, _, gen, runner = heap[0]
+            if not runner.done and gen == runner.gen:
+                return key_ns
+            heapq.heappop(heap)
+        return None
+
+    def _rearm(self, name: str) -> "_Runner":
+        """Bump *name*'s generation for a kick (superseding its entry)."""
         runner = self._runners.get(name)
         if runner is None or runner.done:
             raise EventCoreError(f"guest {name!r} is not registered/alive")
         runner.gen += 1
         runner.parked = False
         self.stats.kicks += 1
-        self._push(max(float(at_ns), runner.clock.now_ns), runner)
+        return runner
 
     # -- the loop ----------------------------------------------------------
 
     def run(self) -> EventCoreStats:
         """Dispatch the merged heap until it empties.
 
-        The heap empties when every program has completed *or parked*:
+        Kicks a dispatch deferred (:meth:`defer_kick`) are pushed as it
+        ends, before the next pop.  The heap empties when every program
+        has completed *or parked*:
         a return with parked runners means the fleet is quiescent, and
         the caller may :meth:`unpark`/:meth:`kick` them and ``run()``
         again -- stats accumulate across resumed runs, and the metrics
@@ -273,7 +326,13 @@ class EventCore:
         from repro.faults.plane import FaultInjected, fault_site
         from repro.simcore.context import use_clock
 
-        while self._heap:
+        while self._heap or self._deferred:
+            if self._deferred:
+                # The last dispatch ended (and pushed its own next entry,
+                # if any): the kicks it deferred land behind it.
+                for key_ns, gen, runner in self._deferred:
+                    self._push(key_ns, runner, gen)
+                self._deferred.clear()
             key_ns, _, gen, runner = heapq.heappop(self._heap)
             if runner.done or gen != runner.gen:
                 # Superseded by a kick (or retired): a stale entry, not
@@ -323,10 +382,12 @@ class EventCore:
 
     # -- internals ---------------------------------------------------------
 
-    def _push(self, key_ns: float, runner: _Runner) -> None:
-        heapq.heappush(
-            self._heap, (key_ns, next(self._seq), runner.gen, runner)
-        )
+    def _push(self, key_ns: float, runner: _Runner,
+              gen: Optional[int] = None) -> None:
+        heapq.heappush(self._heap, (
+            key_ns, next(self._seq), runner.gen if gen is None else gen,
+            runner,
+        ))
         if len(self._heap) > self.stats.heap_high_water:
             self.stats.heap_high_water = len(self._heap)
 

@@ -25,6 +25,30 @@ from repro.syscall.cpu import CpuCostModel, EntryMechanism
 from repro.syscall.table import SYSCALLS, Syscall
 from repro.syscall.usage import UsageTrace
 
+#: The call jitter's period: call number ``count`` draws phase
+#: ``(count * 2654435761) % 1000``, a function of ``count % 1000`` only.
+JITTER_PERIOD = 1000
+
+
+def _jitter_table(entry: EntryMechanism) -> Tuple[float, ...]:
+    """+/-1.5% of *entry*'s round trip at each phase of the call count.
+
+    ``table[count % JITTER_PERIOD]`` is call number ``count``'s jitter,
+    computed by the one copy of the expression ``invoke`` and
+    ``invoke_batch`` both charge.
+    """
+    entry_ns = entry.entry_ns
+    return tuple(
+        ((((count * 2654435761) % 1000) / 1000.0) - 0.5) * 0.03 * entry_ns
+        for count in range(JITTER_PERIOD)
+    )
+
+
+#: One immutable jitter table per entry mechanism, shared by every engine.
+JITTER: Dict[EntryMechanism, Tuple[float, ...]] = {
+    entry: _jitter_table(entry) for entry in EntryMechanism
+}
+
 
 class SyscallError(Exception):
     """Base class for simulated syscall failures."""
@@ -69,11 +93,11 @@ class SyscallEngine:
     accumulates simulated time, which the lmbench and workload layers read.
 
     Both are fixed for the engine's life, so every cost that depends
-    only on them is computed once per engine: the entry mechanism's
-    round-trip cost at construction, and each syscall's resolution and
-    base latency on the first call of that name (the *cost vector*, see
-    :meth:`_costed`).  ``invoke``, ``invoke_batch`` and ``latency_ns``
-    all read it.
+    only on them is computed once per engine: each syscall's resolution
+    and base latency on the first call of that name (the *cost vector*,
+    see :meth:`_costed`).  ``invoke``, ``invoke_batch`` and
+    ``latency_ns`` all read it.  The call jitter depends only on the
+    entry mechanism, so engines share its table (:data:`JITTER`).
     """
 
     enabled_options: FrozenSet[str]
@@ -89,11 +113,13 @@ class SyscallEngine:
     _costs: Dict[str, Tuple[Syscall, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: ``cost_model.entry.entry_ns``: the scale of the call jitter.
-    _entry_ns: float = field(init=False, repr=False, compare=False)
+    #: ``JITTER[cost_model.entry]``: call ``count``'s jitter is entry
+    #: ``count % JITTER_PERIOD``.
+    _jitter_ns: Tuple[float, ...] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
-        self._entry_ns = self.cost_model.entry.entry_ns
+        self._jitter_ns = JITTER[self.cost_model.entry]
 
     @property
     def clock_ns(self) -> float:
@@ -214,16 +240,17 @@ class SyscallEngine:
         stepped calls but without per-call dispatch overhead.
 
         The per-call cost is closed-form: base latency is a pure function
-        of the syscall, and the deterministic jitter a pure function of
-        the call sequence number with period 1000 (``c * 2654435761 mod
-        1000``).  The full addend series therefore repeats every
-        ``lcm(len(names), 1000) / len(names)`` rounds, so one period is
-        materialized and the fold replayed from it.  The fold itself must
-        stay element-wise -- IEEE-754 addition is not associative, and
-        golden parity requires the exact same additions in the exact same
-        order as the stepped loop -- but it runs over a local float with
-        precomputed addends, which is what makes ``LinuxServerStack.run``
-        cheap at fleet scale.
+        of the syscall, and the jitter a table lookup at the call number
+        modulo :data:`JITTER_PERIOD`.  The full addend series therefore
+        repeats every ``lcm(len(names), 1000) / len(names)`` rounds, so
+        one period is materialized and the fold replayed from it; one
+        round (every served request) adds each call's latency straight
+        onto the local clock.  The fold itself must stay element-wise --
+        IEEE-754 addition is not associative, and golden parity requires
+        the exact same additions in the exact same order as the stepped
+        loop -- but it runs over a local float with precomputed addends,
+        which is what makes ``LinuxServerStack.run`` cheap at fleet
+        scale.
 
         Returns the new ``clock_ns``.  Raises
         :class:`SyscallNotImplemented` (before charging anything) if any
@@ -237,54 +264,53 @@ class SyscallEngine:
         # Vector hits inline; a first call or a gated name goes the
         # long way (pricing it, or recording the miss and raising).
         costs = self._costs
-        costed = [costs.get(name) or self._costed_recorded(name)
-                  for name in names]
-        if repeats == 0:
-            return self.clock_ns
-        bases = [base for _, base in costed]
-        entry_ns = self._entry_ns
-        stride = len(names)
-        # Distinct jitter phases recur after period(stride) rounds.
-        period = 1000 // math.gcd(stride, 1000) if stride else 1
-        period = min(period, repeats)
-        start_count = self.call_count
-        addends: List[float] = []
-        for round_index in range(period):
-            count = start_count + round_index * stride
-            for base in bases:
-                phase = (count * 2654435761) % 1000
-                # Same expression *and association* as invoke()+_jitter():
-                # float multiplication is no more associative than
-                # addition.
-                addends.append(
-                    base + ((phase / 1000.0) - 0.5) * 0.03 * entry_ns
-                )
+        jitter = self._jitter_ns
+        count = self.call_count
+        clock = self.clock.now_ns
+        if repeats == 1:
+            # Same additions as invoke(): ``base + jitter`` per call,
+            # then the call's latency onto the clock.
+            for name in names:
+                _, base = costs.get(name) or self._costed_recorded(name)
+                clock += base + jitter[count % JITTER_PERIOD]
                 count += 1
-            addends.append(work_ns)
-        clock = self.clock_ns
-        full_periods, tail_rounds = divmod(repeats, period)
-        for _ in range(full_periods):
-            for addend in addends:
+            clock += work_ns
+        else:
+            bases = [(costs.get(name) or self._costed_recorded(name))[1]
+                     for name in names]
+            if repeats == 0:
+                return clock
+            stride = len(names)
+            # Distinct jitter phases recur after period(stride) rounds.
+            period = min(JITTER_PERIOD // math.gcd(stride, JITTER_PERIOD)
+                         if stride else 1, repeats)
+            addends: List[float] = []
+            for _ in range(period):
+                for base in bases:
+                    addends.append(base + jitter[count % JITTER_PERIOD])
+                    count += 1
+                addends.append(work_ns)
+            full_periods, tail_rounds = divmod(repeats, period)
+            for _ in range(full_periods):
+                for addend in addends:
+                    clock += addend
+            for addend in addends[: tail_rounds * (stride + 1)]:
                 clock += addend
-        for addend in addends[: tail_rounds * (stride + 1)]:
-            clock += addend
         self.clock.advance_to(clock)
-        self.call_count += repeats * stride
+        self.call_count += repeats * len(names)
+        counts = self.per_syscall_counts
         for name in names:
-            self.per_syscall_counts[name] = (
-                self.per_syscall_counts.get(name, 0) + repeats
-            )
+            counts[name] = counts.get(name, 0) + repeats
         if self.usage is not None:
             # Closed-form attribution: one record per position with the
             # full repeat count -- no stepping, same totals as the loop.
-            for name, (syscall, _) in zip(names, costed):
-                self.usage.record(name, syscall.option, repeats)
+            for name in names:
+                self.usage.record(name, costs[name][0].option, repeats)
         return clock
 
     def _jitter(self) -> float:
         # +/-1.5% deterministic jitter keyed on the call sequence number.
-        phase = (self.call_count * 2654435761) % 1000
-        return ((phase / 1000.0) - 0.5) * 0.03 * self._entry_ns
+        return self._jitter_ns[self.call_count % JITTER_PERIOD]
 
     # -- reporting ---------------------------------------------------------
 

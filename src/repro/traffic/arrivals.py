@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence
 
 #: Virtual nanoseconds per trace second.
@@ -177,14 +179,21 @@ def zipf_app_mix(apps: Sequence[str], spec: TraceSpec,
 
     *apps* must already be most-popular-first (the router passes the
     curated serving profiles in registry popularity order); rank ``k``
-    gets weight ``1 / (k+1)**zipf_s``.
+    gets weight ``1 / (k+1)**zipf_s``.  Each draw is the one
+    ``rng.choices(apps, weights=weights)`` makes -- the same ``random()``
+    call, scaled and bisected the same way -- over weights accumulated
+    once per trace instead of once per arrival.
     """
     if not apps:
         raise ValueError("the app mix needs at least one app")
-    rng = _mix_rng(seed)
-    weights = [1.0 / (rank + 1) ** spec.zipf_s for rank in range(len(apps))]
+    draw = _mix_rng(seed).random
+    cumulative = list(accumulate(
+        1.0 / (rank + 1) ** spec.zipf_s for rank in range(len(apps))
+    ))
+    total = cumulative[-1] + 0.0
+    last = len(apps) - 1
     while True:
-        yield rng.choices(apps, weights=weights, k=1)[0]
+        yield apps[bisect(cumulative, draw() * total, 0, last)]
 
 
 @dataclass(frozen=True)
@@ -211,6 +220,11 @@ class ArrivalSource:
     may push ``now`` past upcoming trace instants; those arrivals are
     delivered immediately (clamped to ``now``), counted in
     :attr:`clamped`, deterministically.
+
+    The trace is drawn one instant ahead: :attr:`lookahead_ns` is the
+    trace instant the next :meth:`arm_next` arms (before any clamping),
+    which is how the router knows whether a warm hit it serves inline
+    completes before the next arrival lands.
     """
 
     def __init__(self, spec: TraceSpec, seed: int, clock,
@@ -222,14 +236,17 @@ class ArrivalSource:
         self._index = 0
         self._delivered: Optional[Arrival] = None
         self.next_arrival_ns: Optional[float] = None
+        #: The trace instant after the armed one (None: the trace ends).
+        self.lookahead_ns: Optional[float] = next(self._times, None)
         self.clamped = 0
 
     def arm_next(self) -> Optional[float]:
         """Arm the next arrival; returns its deadline (None: trace done)."""
-        t = next(self._times, None)
+        t = self.lookahead_ns
         if t is None:
             self.next_arrival_ns = None
             return None
+        self.lookahead_ns = next(self._times, None)
         arrival = Arrival(index=self._index, app=next(self._mix),
                           arrival_ns=max(t, self.clock.now_ns))
         self._index += 1

@@ -27,6 +27,12 @@ scenarios rerun under an installed fault plane with nothing scheduled
 (an empty plane must be invisible), and the two faulted scenarios rerun
 as one :func:`~repro.traffic.serve.run_serving_many` sweep across
 :data:`RERUN_JOBS` worker processes (fan-out must not change a byte).
+An installed plane also sends every warm hit down the router's stepped
+path, while the clean first runs serve warm hits inside their arrival's
+event (the fold, ``Router._serve_inline``), so the clean reruns are the
+fold's 100k-request differential against its stepped oracle -- and
+:func:`check_result` requires the fold to have fired: at most
+:data:`MAX_EVENTS_PER_REQUEST` dispatched events per served request.
 Both digests land in the result's dedicated ``digests`` section (they
 are identities, not monotonic counts), where the ``regress`` gate pins
 them -- by exact equality -- against the checked-in snapshot at
@@ -70,6 +76,12 @@ SCENARIOS = (
 
 #: Worker processes the faulted reruns fan out across.
 RERUN_JOBS = 2
+
+#: Event-core dispatches a clean scenario may spend per served request.
+#: The stepped path spends three (arrival, serve, return to the pool);
+#: the fold serves a warm hit, and usually returns it, inside the
+#: arrival's own event.
+MAX_EVENTS_PER_REQUEST = 1.2
 
 _WORK_COUNTERS = (
     "boot.boots",
@@ -217,6 +229,16 @@ def check_result(result: Dict[str, Any]) -> List[str]:
         if faulted:
             failures.extend(_chaos_failures(section, gauges))
         else:
+            events = counters.get(
+                f"eventcore.events_dispatched.{section}", 0
+            )
+            if not events or events > MAX_EVENTS_PER_REQUEST * served:
+                failures.append(
+                    f"{section} dispatched {events} events for {served:g} "
+                    "served requests; warm hits must fold into their "
+                    f"arrival's event (<= {MAX_EVENTS_PER_REQUEST} events "
+                    "per request)"
+                )
             # The zero-fault scenarios must show no availability events
             # at all (installed or not, an idle fault plane is invisible).
             for metric in ("failed", "shed", "retries", "restarts",
@@ -255,8 +277,8 @@ def check_result(result: Dict[str, Any]) -> List[str]:
         )
     if counters.get("eventcore.kicks.serve_scale_to_zero", 0) <= 0:
         failures.append(
-            "scale-to-zero recorded no EventCore kicks; dispatch cannot "
-            "have woken pooled workers"
+            "scale-to-zero recorded no EventCore kicks; no pooled worker "
+            "can have been woken or had its idle deadline re-armed"
         )
     return failures
 

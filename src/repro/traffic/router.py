@@ -10,11 +10,22 @@ and at capacity the arrival queues FIFO behind its app.
 
 Workers are :class:`EventCore` programs.  An idle worker enters the
 app's warm pool (LIFO, for keepalive locality) and either arms its idle
-timeout as a virtual deadline or yields ``PARK``; the router wakes it
-with :meth:`EventCore.kick` when traffic lands.  A timed-out worker
+timeout as a virtual deadline or yields ``PARK``.  A timed-out worker
 retires -- full ``shutdown`` -- unless the policy's ``min_warm`` floor
 pins it, in which case it parks until kicked.  All of it is virtual-time
 events on the one global heap; nothing polls.
+
+A warm hit is normally served inside its arrival's own event (the
+*fold*, :meth:`Router._serve_inline`): when no fault plane is installed
+and the core would run the worker's wake-and-serve step and then its
+return-to-pool step straight after the arrival anyway, the router runs
+both itself -- the same ``_serve_one``, the same float additions, the
+same pool order -- and re-arms the worker where its own events would
+have sat in the heap.  Waking the worker with :meth:`EventCore.kick` is
+the fallback, and the general path: cold boots, queueing, retries,
+faults and same-instant events all take it.  Under an installed fault
+plane, even an empty one, every warm hit takes it, which makes the
+empty-plane rerun of a spec the fold's differential oracle.
 
 Failure model (PR 9).  The serving path itself can now break, through
 three seeded :func:`~repro.faults.plane.fault_site` sites evaluated on
@@ -45,8 +56,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
+from repro.faults import active_plane
 from repro.simcore.eventcore import PARK, EventCore, drain_deadlines
-from repro.traffic.arrivals import Arrival
+from repro.traffic.arrivals import Arrival, ArrivalSource
 from repro.traffic.policy import WarmPoolPolicy
 from repro.traffic.supervisor import (
     DEFAULT_RESILIENCE,
@@ -94,6 +106,9 @@ class GuestWorker:
     failed: bool = False
     #: Stalled on an injected hang, awaiting the watchdog.
     hung: bool = False
+    #: Suspended at the pool wait right after entering the pool: only
+    #: such a worker may be served inline (see ``Router._serve_inline``).
+    waiting: bool = False
     retire_ns: Optional[float] = None
 
 
@@ -135,6 +150,11 @@ class Router:
         #: Wired by :func:`~repro.traffic.serve.run_serving`; the router
         #: never heals itself -- detection/restart policy lives there.
         self.supervisor: Optional[Supervisor] = None
+        #: Wired by :func:`~repro.traffic.serve.run_serving`: the trace
+        #: whose arrivals :meth:`dispatch` receives.  Warm hits fold into
+        #: their arrival's event only with a source and no fault plane.
+        self.source: Optional[ArrivalSource] = None
+        self._fold = active_plane() is None
         self.arrivals = 0
         self.cold_starts = 0
         self.queued = 0
@@ -216,6 +236,9 @@ class Router:
             worker = pool.pop()  # LIFO: most-recently-idle first
             if worker.retired:
                 continue  # killed while pooled (contained dispatch fault)
+            if fresh and self._foldable(worker, at_ns):
+                self._serve_inline(worker, request, at_ns)
+                return
             worker.inbox.append(request)
             self.core.kick(worker.name, at_ns)
             return
@@ -234,6 +257,52 @@ class Router:
         depth = sum(len(q) for q in self.backlog.values())
         if depth > self.queue_high_water:
             self.queue_high_water = depth
+
+    def _foldable(self, worker: GuestWorker, at_ns: float) -> bool:
+        """Whether kicking *worker* at ``at_ns`` would run its serve
+        step as the very next event: it waits at the pool wait (not
+        retiring, hung or floor-parked), no fault plane counts the
+        decisions along the stepped path, and no live event is due at
+        or before the arrival instant.
+        """
+        if not (self._fold and worker.waiting and not worker.retiring
+                and self.source is not None):
+            return False
+        next_key = self.core.next_key()
+        return next_key is None or next_key > at_ns
+
+    def _serve_inline(self, worker: GuestWorker, request: Request,
+                      at_ns: float) -> None:
+        """Run a warm hit's serve step, and if it would follow at once
+        its return-to-pool step, inside the arrival's event.
+
+        The stepped path kicks the worker at ``at_ns``, serves on its
+        dispatch and re-enters the pool on the next one, at completion.
+        Here the worker's clock lands on ``at_ns`` as the core would
+        land it, and the same :meth:`_serve_one` serves.  If neither a
+        live event nor the next trace instant is due by completion, the
+        return step would run next, so it runs here too: back on top of
+        the pool (its inbox and the app backlog are necessarily empty --
+        the worker was pooled), its idle deadline re-armed behind the
+        arrivals program's own next entry, where the stepped yield would
+        have pushed it.  Otherwise the worker's own program runs the
+        return step as an event at completion, ordered the same way.
+        """
+        worker.waiting = False
+        worker.guest.clock.advance_to(at_ns)
+        self._serve_one(worker, request)
+        done_ns = worker.guest.clock.now_ns
+        next_key = self.core.next_key()
+        upcoming = self.source.lookahead_ns
+        if ((next_key is not None and next_key <= done_ns)
+                or (upcoming is not None and upcoming <= done_ns)):
+            self.core.defer_kick(worker.name, done_ns)
+            return
+        self._enter_pool(worker)
+        worker.waiting = True
+        timeout_ns = self.policy.idle_timeout_ns
+        if timeout_ns is not None:
+            self.core.defer_kick(worker.name, done_ns + timeout_ns)
 
     def _retry_or_fail(self, request: Request, at_ns: float) -> None:
         """One delivery attempt failed: re-dispatch inside the retry
@@ -415,13 +484,20 @@ class Router:
                 self._leave_pool(worker)
                 break
             self._enter_pool(worker)
+            worker.waiting = True
             timeout_ns = self.policy.idle_timeout_ns
             if timeout_ns is None:
                 yield PARK  # keepalive forever: only a kick wakes us
+            else:
+                yield guest.clock.now_ns + timeout_ns
+            # Woken with work, into retirement, by the idle deadline, or
+            # for the return-to-pool step of a serve the router ran
+            # inline (which cleared ``waiting``).
+            served_inline = not worker.waiting
+            worker.waiting = False
+            if (timeout_ns is None or served_inline or worker.inbox
+                    or worker.retiring):
                 continue
-            yield guest.clock.now_ns + timeout_ns
-            if worker.inbox or worker.retiring:
-                continue  # kicked awake with work (or into retirement)
             # The idle timeout genuinely expired: scale to zero, unless
             # the policy floor pins this worker warm.
             if self.live[worker.app] - 1 >= self.policy.min_warm:

@@ -10,7 +10,9 @@
 2. the *arrivals program* walks the trace, arming each arrival on the
    arrivals clock and dispatching it through the router inside the
    ``traffic.arrival`` fault site (an injected fault drops the request,
-   deterministically; a fault hang delays every subsequent arrival);
+   deterministically; a fault hang delays every subsequent arrival).
+   With no fault plane installed, a warm hit is served inside that
+   dispatch (the router's fold); otherwise the router kicks a worker;
 3. ``core.run()`` drains the heap to quiescence -- all traffic settled,
    all idle timeouts and watchdogs resolved, every surviving worker
    parked;
@@ -346,6 +348,7 @@ def run_serving(spec: ServeSpec) -> ServingReport:
     router.pre_warm()
     source = ArrivalSource(spec.trace, spec.seed,
                            core.clock_for("arrivals"), apps)
+    router.source = source
     core.spawn("arrivals", _arrivals_program(source, router))
     core.run()          # to quiescence: traffic settled, timeouts resolved
     router.finalize()   # fail leftover work, retire the parked survivors

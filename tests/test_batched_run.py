@@ -14,7 +14,7 @@ import pytest
 from repro.core.variants import Variant, build_microvm, build_variant
 from repro.apps.registry import get_app
 from repro.syscall.cpu import CpuCostModel, EntryMechanism
-from repro.syscall.dispatch import SyscallEngine
+from repro.syscall.dispatch import JITTER, JITTER_PERIOD, SyscallEngine
 from repro.syscall.table import SYSCALLS
 from repro.workloads.memcached import MEMCACHED_GET, MEMCACHED_SET
 from repro.workloads.nginx import NGINX_CONN, NGINX_SESS
@@ -185,6 +185,13 @@ def _fresh_model(label):
                                     size_optimized=size_optimized)
 
 
+#: Engines whose entry cost carries KPTI or whose kernel work runs -Os.
+KPTI_AND_OS = ("microvm-kpti", "kml-kpti", "tiny-os", "int80-kpti-os")
+
+#: One served request's syscalls, up to six (a repeat included).
+ROUND_NAMES = ("epoll_wait", "read", "write", "writev", "close", "close")
+
+
 def _fresh_latency(label, name, work_ns, call_count=None):
     """One call's latency from a cost model built just now: the stepped
     ``invoke`` latency at *call_count*, or ``latency_ns`` without one."""
@@ -224,6 +231,42 @@ class TestPerEngineCostVectors:
         one, two = (stacks[label][0].engine for label in (first, second))
         assert one._costs is not two._costs
         assert one.clock_ns != two.clock_ns
+        # The jitter table is the one thing shared: per entry mechanism.
+        assert one._jitter_ns is JITTER[SETTINGS[first][1]]
+        assert two._jitter_ns is JITTER[SETTINGS[second][1]]
+
+    @pytest.mark.parametrize("entry", list(EntryMechanism),
+                             ids=lambda entry: entry.value)
+    def test_jitter_table_equals_the_expression(self, entry):
+        table = JITTER[entry]
+        assert len(table) == JITTER_PERIOD == 1000
+        for count in range(JITTER_PERIOD):
+            phase = (count * 2654435761) % 1000
+            assert table[count] == (
+                ((phase / 1000.0) - 0.5) * 0.03 * entry.entry_ns
+            )
+
+    @pytest.mark.parametrize("label", KPTI_AND_OS)
+    @pytest.mark.parametrize("stride", range(1, len(ROUND_NAMES) + 1))
+    def test_one_round_batch_equals_one_stepped_round(self, label, stride):
+        """``invoke_batch(names, work, 1)``, the one-round path every
+        served request takes, across the jitter table's wrap."""
+        names = ROUND_NAMES[:stride]
+        for start in range(995, 1005):
+            batched, stepped = _engine(label), _engine(label)
+            for engine in (batched, stepped):
+                engine.cpu_work(1e6 / 3.0)  # an inexact starting clock
+                engine.call_count = start
+            batched.invoke_batch(names, 40.0, 1)
+            for name in names:
+                count = stepped.call_count
+                assert stepped.invoke(name).latency_ns == (
+                    _fresh_latency(label, name, 0.0, count)
+                )
+            stepped.cpu_work(40.0)
+            assert batched.clock_ns == stepped.clock_ns
+            assert batched.call_count == stepped.call_count == start + stride
+            assert batched.per_syscall_counts == stepped.per_syscall_counts
 
     @pytest.mark.parametrize("label", sorted(SETTINGS))
     def test_vector_equals_the_unmemoized_cost_model(self, label):

@@ -2,8 +2,9 @@
 
 Covers the :class:`~repro.simcore.eventcore.EventCore` dispatch loop
 itself (virtual-time ordering, closed-form fast-forward of idle guests,
-park/kick, stats), ``Fleet.simulate``'s edge cases and ``build_count``,
-and ``Guest.shutdown`` draining pending deadlines.
+park/kick, stats), the surface the router's warm-hit fold runs on
+(``next_key``, ``defer_kick``), ``Fleet.simulate``'s edge cases and
+``build_count``, and ``Guest.shutdown`` draining pending deadlines.
 """
 
 import pytest
@@ -304,6 +305,186 @@ class TestParkAndKick:
             core.kick("w", at)
             core.run()
         assert served == [1, 2]
+
+
+class TestFoldSurface:
+    """``next_key`` and ``defer_kick``: what the router's warm-hit fold
+    needs to run a stage inside another program's dispatch."""
+
+    @staticmethod
+    def _parked_worker(core, woken):
+        def worker():
+            yield PARK
+            woken.append(core.clock_for("w").now_ns)
+
+        core.spawn("w", worker())
+        core.run()
+        assert core.is_parked("w")
+
+    @pytest.mark.parametrize("deferred", (True, False))
+    def test_deferred_kick_sorts_after_the_runner_own_tied_entry(
+            self, deferred):
+        core = EventCore()
+        order = []
+
+        def worker():
+            yield PARK
+            order.append("worker")
+
+        def driver():
+            if deferred:
+                core.defer_kick("w", 10.0)
+            else:
+                core.kick("w", 10.0)
+            yield 10.0  # the driver's own next entry, at the same key
+            order.append("driver")
+
+        core.spawn("w", worker())
+        core.run()
+        core.spawn("d", driver())
+        core.run()
+        # A plain kick pushes first and wins the tie; a deferred one is
+        # pushed behind the entry the driver's yield produced.
+        assert order == (["driver", "worker"] if deferred
+                         else ["worker", "driver"])
+
+    def test_deferred_kick_flushed_when_the_program_returns(self):
+        core = EventCore()
+        woken = []
+        self._parked_worker(core, woken)
+
+        def driver():
+            core.defer_kick("w", 5.0)
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        core.spawn("d", driver())
+        stats = core.run()
+        assert woken == [5.0]
+        assert stats.kicks == 1
+
+    def test_deferred_kick_flushed_when_a_contained_fault_kills_the_program(
+            self):
+        from repro.faults import FaultInjected
+
+        core = EventCore()
+        woken = []
+        self._parked_worker(core, woken)
+
+        def driver():
+            core.defer_kick("w", 5.0)
+            raise FaultInjected("eventcore.dispatch")
+            yield  # pragma: no cover - makes this a generator
+
+        core.spawn("d", driver())
+        stats = core.run()
+        assert [name for name, _ in core.failures] == ["d"]
+        assert woken == [5.0]
+        assert stats.guest_failures == 1
+
+    def test_deferred_kick_supersedes_at_once_and_clamps_to_now(self):
+        core = EventCore()
+        woken, seen = [], []
+
+        def worker():
+            clock = core.clock_for("w")
+            clock.advance(20.0)
+            yield clock.now_ns + 100.0  # an idle deadline at 120
+            woken.append(clock.now_ns)
+
+        def driver():
+            yield 30.0
+            core.defer_kick("w", 10.0)  # behind the worker's own now
+            # The generation bump is immediate: the 120 entry is stale
+            # before this dispatch ends.
+            seen.append(core.next_key())
+            yield PARK
+
+        core.spawn("w", worker())
+        core.spawn("d", driver())
+        core.run()
+        assert seen == [None]
+        assert woken == [20.0]  # clamped to its own now, never rewound
+
+    def test_next_key_skims_stale_entries_without_dispatching(self):
+        core = EventCore()
+
+        def program():
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        core.spawn("g", program(), start_ns=50.0)
+        core.kick("g", 70.0)  # the 50.0 entry is now stale
+        assert len(core._heap) == 2
+        assert core.next_key() == 70.0
+        assert len(core._heap) == 1  # the stale top was dropped
+        assert core.stats.events_dispatched == 0
+        stats = core.run()
+        assert stats.events_dispatched == 1
+        assert core.next_key() is None
+
+
+class TestFoldAtEndOfTrace:
+    """The router's warm-hit fold on the trace's last arrival."""
+
+    @staticmethod
+    def _serve(installed_plane):
+        from repro.core.orchestrator import KernelOrchestrator
+        from repro.faults import FaultPlane, activated
+        from repro.traffic.arrivals import ArrivalSource, poisson_trace
+        from repro.traffic.policy import SCALE_TO_ZERO
+        from repro.traffic.router import Router
+        from repro.traffic.serve import _arrivals_program
+
+        def run():
+            core = EventCore()
+            # One redis worker: arrivals during its cold boot queue,
+            # every later one is a warm hit on scale-to-zero.
+            router = Router(core=core, orchestrator=KernelOrchestrator(),
+                            policy=SCALE_TO_ZERO.with_overrides(
+                                max_per_app=1),
+                            apps=["redis"])
+            source = ArrivalSource(poisson_trace(requests=12, mean_rps=20),
+                                   3, core.clock_for("arrivals"), ["redis"])
+            router.source = source
+            core.spawn("arrivals", _arrivals_program(source, router))
+            inline = []
+            serve_inline = router._serve_inline
+
+            def spy(worker, request, at_ns):
+                serve_inline(worker, request, at_ns)
+                inline.append((request.arrival.index,
+                               worker.guest.clock.now_ns))
+
+            router._serve_inline = spy
+            core.run()
+            router.finalize()
+            core.run()
+            return router, inline
+
+        if not installed_plane:
+            return run()
+        with activated(FaultPlane(seed=0)):
+            return run()
+
+    def test_last_arrival_folded_and_its_idle_rearm_fires(self):
+        """The fold re-arms the idle deadline by a deferred kick in the
+        arrivals program's last dispatch, which ends in a return: the
+        kick must still land, so the worker retires one idle timeout
+        after its last request, as on the stepped path."""
+        from repro.traffic.policy import SCALE_TO_ZERO
+
+        folded, inline = self._serve(installed_plane=False)
+        stepped, none = self._serve(installed_plane=True)
+        assert none == []  # an installed plane steps every warm hit
+        assert inline[-1][0] == 11  # the last arrival was folded
+        (worker,) = folded.workers
+        done_ns = inline[-1][1]
+        assert worker.retire_ns == done_ns + SCALE_TO_ZERO.idle_timeout_ns
+        assert worker.retire_ns == stepped.workers[0].retire_ns
+        assert folded.guest_seconds == stepped.guest_seconds
+        assert ([s.latency_ns for s in folded.samples]
+                == [s.latency_ns for s in stepped.samples])
 
 
 class TestFleetEdgeCases:

@@ -89,6 +89,21 @@ class TestArrivalGenerators:
         with pytest.raises(ValueError):
             next(zipf_app_mix([], spec, seed=0))
 
+    def test_zipf_mix_draws_what_random_choices_draws(self):
+        from repro.traffic.arrivals import _mix_rng
+
+        apps = curated_apps()
+        for zipf_s in (0.5, 1.1, 2.0):
+            spec = poisson_trace(requests=1, mean_rps=1.0, zipf_s=zipf_s)
+            weights = [1.0 / (rank + 1) ** zipf_s
+                       for rank in range(len(apps))]
+            rng = _mix_rng(7)
+            mix = zipf_app_mix(apps, spec, seed=7)
+            assert [next(mix) for _ in range(3000)] == [
+                rng.choices(apps, weights=weights, k=1)[0]
+                for _ in range(3000)
+            ]
+
     def test_curated_apps_are_popularity_ranked_serving_profiles(self):
         from repro.apps.registry import top20_in_popularity_order
 
@@ -132,6 +147,27 @@ class TestArrivalSourceClockAgreement:
         assert [a.index for a in delivered] == list(range(20))
         instants = [a.arrival_ns for a in delivered]
         assert instants == sorted(instants)
+
+
+    def test_lookahead_is_the_next_trace_instant(self):
+        from repro.simcore.clock import VirtualClock
+
+        trace = bursty_trace(requests=30, on_rps=4000, off_rps=100,
+                             on_s=0.01, off_s=0.04)
+        clock = VirtualClock()
+        source = ArrivalSource(trace, 5, clock, ["redis"])
+        times = list(arrival_times_ns(trace, seed=5))
+        armed = []
+        while True:
+            lookahead = source.lookahead_ns
+            deadline = source.arm_next()
+            assert deadline == lookahead
+            if deadline is None:
+                break
+            armed.append(deadline)
+            clock.advance_to(deadline)
+            source.take()
+        assert armed == times
 
 
 class TestWarmPoolPolicy:
@@ -384,6 +420,22 @@ class TestBenchServe:
         failures = check_result(result)
         assert any("serve_chaos_fixed_pool error rate" in f
                    for f in failures)
+
+    def test_checker_flags_a_lost_warm_hit_fold(self):
+        from repro.traffic.bench import check_result
+
+        baseline = REPO_ROOT / "benchmarks" / "baseline" / "BENCH_serve.json"
+        result = json.loads(baseline.read_text(encoding="utf-8"))
+        # Three events per request: every warm hit stepped.
+        result["counters"][
+            "eventcore.events_dispatched.serve_fixed_pool"
+        ] = 300_083
+        failures = check_result(result)
+        assert [f for f in failures if "must fold" in f] == [
+            "serve_fixed_pool dispatched 300083 events for 100000 served "
+            "requests; warm hits must fold into their arrival's event "
+            "(<= 1.2 events per request)"
+        ]
 
     def test_checker_flags_missing_tail_buyback(self):
         from repro.traffic.bench import check_result

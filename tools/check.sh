@@ -44,6 +44,10 @@
 #   reruns under an installed-but-empty fault plane (regress pins them to
 #   the no-plane baseline), the faulted reruns as one two-worker
 #   run_serving_many sweep (rerun determinism and fan-out equivalence).
+#   An installed plane steps every warm hit through its own events, so
+#   the clean reruns are also the 100k-request differential of the
+#   router's warm-hit fold against that stepped path; the clean first
+#   runs must fold (<= 1.2 dispatched events per served request).
 #   Scale-to-zero must cold-boot >= 1000 guests with a nonzero cold-start
 #   fraction, the fixed pool must buy the latency tail back, and both
 #   faulted runs must recover: nonzero restarts/retries, request
