@@ -248,14 +248,15 @@ def _add_filler(tree: KconfigTree) -> None:
         for index in range(missing):
             prefix = prefixes[index % len(prefixes)]
             name = f"{prefix}_{index // len(prefixes):04d}"
+            factor = _stable_factor(name)
             tree.add(
                 ConfigOption(
                     name=name,
                     option_type=OptionType.TRISTATE,
                     directory=directory,
-                    size_kb=6.0 * _stable_factor(name),
-                    boot_cost_us=3.0 * _stable_factor(name),
-                    mem_cost_kb=1.0 * _stable_factor(name),
+                    size_kb=6.0 * factor,
+                    boot_cost_us=3.0 * factor,
+                    mem_cost_kb=1.0 * factor,
                     synthetic=True,
                 )
             )

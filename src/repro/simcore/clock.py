@@ -25,10 +25,11 @@ therefore guarantees that ``advance(ns)`` computes **exactly**
 folds it replaces), and ``advance_to``/``jump_to`` set the target value
 **exactly** (no ``now + (target - now)`` rounding detour).  Event
 dispatch never perturbs the accumulator: due events observe their
-deadline, then the clock lands on the exact target.  ``advance`` on a
-clock with an empty event queue (a scheduler's or a benchmark engine's
-private clock) skips dispatch and stores ``now + ns`` directly: the same
-single addition, so both branches land on bit-identical values.
+deadline, then the clock lands on the exact target.  ``advance`` and
+``advance_to`` on a clock with an empty event queue (a private clock, a
+serving guest's clock between requests) skip dispatch and store
+``now + ns`` or the target directly: the same single addition or store,
+so both branches land on bit-identical values.
 """
 
 from __future__ import annotations
@@ -145,12 +146,19 @@ class VirtualClock:
         return self.advance(ms * 1e6) / 1e6
 
     def advance_to(self, target_ns: float) -> float:
-        """Advance to exactly *target_ns* (>= now); fires due events."""
+        """Advance to exactly *target_ns* (>= now); fires due events.
+
+        With an empty queue the target is stored without the dispatch
+        loop, as :meth:`advance` does.
+        """
         if target_ns < self._now_ns:
             raise ClockError(
                 f"advance_to({target_ns}) is in the past "
                 f"(now {self._now_ns})"
             )
+        if not self._events:
+            self._now_ns = target_ns
+            return target_ns
         return self._run_to(target_ns)
 
     def jump_to(self, value_ns: float) -> float:

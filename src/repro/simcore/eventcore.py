@@ -55,7 +55,14 @@ Serving extensions (the ``repro.traffic`` layer drives these):
   guest's stage inside its own dispatch when the core would have
   dispatched that stage next anyway (the router's warm-hit fold, see
   :mod:`repro.traffic.router`), with every later tie resolving as it
-  would have in the stepped order.
+  would have in the stepped order;
+- :meth:`EventCore.runs_next` tells the running program whether an
+  entry it yielded at an instant would be popped straight back.  When
+  it would, the program may skip the yield and, after
+  :meth:`EventCore.flush_deferred`, run its next stage in place: the
+  push, flush and pop of the stepped order, minus the entry.  That is
+  how the arrivals program serves consecutive trace arrivals inside
+  one event (:mod:`repro.traffic.serve`).
 
 Determinism: the heap is keyed ``(virtual_ns, seq)`` with ``seq`` a
 monotone counter and programs run on one thread, so the same spawns
@@ -296,6 +303,38 @@ class EventCore:
             heapq.heappop(heap)
         return None
 
+    def runs_next(self, key_ns: float) -> bool:
+        """Whether an entry the running program yields at ``key_ns``
+        would be the next one popped.
+
+        Every live heap key must be strictly later: entries already in
+        the heap carry smaller sequence numbers, so they win a tie.  No
+        deferred entry may be strictly earlier: :meth:`defer_kick`
+        pushes behind the program's own entry, so the program wins a
+        tie.  A superseded deferred entry still counts, so a stale
+        entry can turn a True into a False, never the reverse.
+        """
+        next_key = self.next_key()
+        if next_key is not None and next_key <= key_ns:
+            return False
+        for deferred_ns, _, _ in self._deferred:
+            if deferred_ns < key_ns:
+                return False
+        return True
+
+    def flush_deferred(self) -> None:
+        """Push the entries :meth:`defer_kick` holds back, in order.
+
+        ``run()`` calls this after every dispatch, once the program has
+        pushed its own next entry; a program continuing in place after
+        :meth:`runs_next` calls it before its next stage.
+        """
+        deferred = self._deferred
+        if deferred:
+            for key_ns, gen, runner in deferred:
+                self._push(key_ns, runner, gen)
+            deferred.clear()
+
     def _rearm(self, name: str) -> "_Runner":
         """Bump *name*'s generation for a kick (superseding its entry)."""
         runner = self._runners.get(name)
@@ -327,12 +366,9 @@ class EventCore:
         from repro.simcore.context import use_clock
 
         while self._heap or self._deferred:
-            if self._deferred:
-                # The last dispatch ended (and pushed its own next entry,
-                # if any): the kicks it deferred land behind it.
-                for key_ns, gen, runner in self._deferred:
-                    self._push(key_ns, runner, gen)
-                self._deferred.clear()
+            # The last dispatch ended (and pushed its own next entry, if
+            # any): the kicks it deferred land behind it.
+            self.flush_deferred()
             key_ns, _, gen, runner = heapq.heappop(self._heap)
             if runner.done or gen != runner.gen:
                 # Superseded by a kick (or retired): a stale entry, not

@@ -90,9 +90,10 @@ class SyscallEngine:
 
     ``enabled_options`` comes from a resolved config; ``cost_model`` from
     :class:`~repro.syscall.cpu.CpuCostModel`.  The engine counts calls and
-    accumulates simulated time, which the lmbench and workload layers read.
+    accumulates simulated time, which the lmbench and workload layers read;
+    per-syscall counts are the attached :attr:`usage` recorder's.
 
-    Both are fixed for the engine's life, so every cost that depends
+    The options and the cost model are fixed for the engine's life, so every cost that depends
     only on them is computed once per engine: each syscall's resolution
     and base latency on the first call of that name (the *cost vector*,
     see :meth:`_costed`).  ``invoke``, ``invoke_batch`` and
@@ -104,7 +105,6 @@ class SyscallEngine:
     cost_model: CpuCostModel
     clock: VirtualClock = field(default_factory=VirtualClock)
     call_count: int = 0
-    per_syscall_counts: Dict[str, int] = field(default_factory=dict)
     #: Optional usage recorder (see :mod:`repro.syscall.usage`).  Pure
     #: bookkeeping: attaching one never changes timing or counters.
     usage: Optional[UsageTrace] = None
@@ -217,7 +217,6 @@ class SyscallEngine:
         latency += self._jitter()
         self.clock.advance(latency)
         self.call_count += 1
-        self.per_syscall_counts[name] = self.per_syscall_counts.get(name, 0) + 1
         if self.usage is not None:
             self.usage.record(name, syscall.option)
         return SyscallResult(name=name, latency_ns=latency)
@@ -298,9 +297,6 @@ class SyscallEngine:
                 clock += addend
         self.clock.advance_to(clock)
         self.call_count += repeats * len(names)
-        counts = self.per_syscall_counts
-        for name in names:
-            counts[name] = counts.get(name, 0) + repeats
         if self.usage is not None:
             # Closed-form attribution: one record per position with the
             # full repeat count -- no stepping, same totals as the loop.
@@ -317,4 +313,3 @@ class SyscallEngine:
     def reset_clock(self) -> None:
         self.clock.jump_to(0.0)
         self.call_count = 0
-        self.per_syscall_counts.clear()

@@ -20,9 +20,10 @@ of each arrival is drawn from a seeded Zipf over the curated serving
 profiles (:func:`zipf_app_mix`), most-popular-first -- the MultiK-style
 "many specialized kernels, skewed demand" mix.
 
-:class:`ArrivalSource` adapts a trace to the global event heap: it arms
-each next arrival as a deadline on the *arrivals clock* (obtained from
-``EventCore.clock_for``), so ``clock.next_deadline_ns()`` always agrees
+:class:`ArrivalSource` adapts a trace to the global event heap: it
+draws each next arrival and, when the arrivals program steps through the
+heap, arms it as a deadline on the *arrivals clock* (obtained from
+``EventCore.clock_for``), so ``clock.next_deadline_ns()`` then agrees
 with the router's idea of when the next request lands -- the property
 ``tests/test_traffic.py`` pins.
 """
@@ -127,13 +128,16 @@ def arrival_times_ns(spec: TraceSpec, seed: int) -> Iterator[float]:
     if spec.kind == "poisson":
         yield from _homogeneous(rng, spec.requests, spec.mean_rps)
     elif spec.kind == "diurnal":
+        # ``2.0 * math.pi * t`` evaluates as ``(2.0 * math.pi) * t``, so
+        # binding the product once leaves every float unchanged.
+        mean_rps, amplitude = spec.mean_rps, spec.amplitude
+        two_pi, period_s = 2.0 * math.pi, spec.period_s
+        cos = math.cos
         yield from _thinned(
             rng, spec.requests,
-            max_rate=spec.mean_rps * (1.0 + spec.amplitude),
-            rate_at=lambda t: spec.mean_rps * (
-                1.0 - spec.amplitude * math.cos(
-                    2.0 * math.pi * t / spec.period_s
-                )
+            max_rate=mean_rps * (1.0 + amplitude),
+            rate_at=lambda t: mean_rps * (
+                1.0 - amplitude * cos(two_pi * t / period_s)
             ),
         )
     elif spec.kind == "bursty":
@@ -151,24 +155,32 @@ def arrival_times_ns(spec: TraceSpec, seed: int) -> Iterator[float]:
 
 def _homogeneous(rng: random.Random, requests: int,
                  rate: float) -> Iterator[float]:
+    """Exponential gaps at *rate*, drawn as ``rng.expovariate(rate)``
+    computes them (``-log(1.0 - random()) / rate``), without its call."""
     if rate <= 0.0:
         raise ValueError("arrival rate must be positive")
+    draw, log = rng.random, math.log
     t = 0.0
     for _ in range(requests):
-        t += rng.expovariate(rate)
+        t += -log(1.0 - draw()) / rate
         yield t * _NS
 
 
 def _thinned(rng: random.Random, requests: int, max_rate: float,
              rate_at) -> Iterator[float]:
-    """Nonhomogeneous Poisson by thinning against the envelope rate."""
+    """Nonhomogeneous Poisson by thinning against the envelope rate.
+
+    Each candidate gap is ``rng.expovariate(max_rate)``, inlined as in
+    :func:`_homogeneous`; the same ``random()`` calls in the same order.
+    """
     if max_rate <= 0.0:
         raise ValueError("peak arrival rate must be positive")
+    draw, log = rng.random, math.log
     t = 0.0
     emitted = 0
     while emitted < requests:
-        t += rng.expovariate(max_rate)
-        if rng.random() * max_rate <= rate_at(t):
+        t += -log(1.0 - draw()) / max_rate
+        if draw() * max_rate <= rate_at(t):
             emitted += 1
             yield t * _NS
 
@@ -206,15 +218,18 @@ class Arrival:
 
 
 class ArrivalSource:
-    """Arms each next arrival as a deadline on the arrivals clock.
+    """Draws each next arrival; on the stepped path, arms it on the
+    arrivals clock.
 
-    One instance per serving run.  The arrivals program alternates
-    :meth:`arm_next` (draw the next ``(time, app)`` and ``call_at`` it
-    on the arrivals clock) with a ``yield`` of that deadline; the core
-    fast-forwards the clock there, the armed event fires, and
-    :meth:`take` hands the delivered :class:`Arrival` to the router.
-    Arming through the clock keeps ``clock.next_deadline_ns()`` equal to
-    :attr:`next_arrival_ns` -- the agreement property the tests pin.
+    One instance per serving run.  :meth:`arm_next` draws the next
+    ``(time, app)``.  On the stepped branch :meth:`arm` puts the instant
+    on the arrivals clock and the arrivals program yields it, so
+    ``clock.next_deadline_ns()`` equals :attr:`next_arrival_ns` -- the
+    agreement property the tests pin.  On the folded branch the program
+    lands the clock on the instant itself, with nothing armed (see
+    :func:`~repro.traffic.serve._arrivals_program`).  Either way
+    :meth:`take` hands the drawn :class:`Arrival` to the router once the
+    clock has reached it.
 
     A fault hang on the arrival path advances the arrivals clock, which
     may push ``now`` past upcoming trace instants; those arrivals are
@@ -222,7 +237,7 @@ class ArrivalSource:
     :attr:`clamped`, deterministically.
 
     The trace is drawn one instant ahead: :attr:`lookahead_ns` is the
-    trace instant the next :meth:`arm_next` arms (before any clamping),
+    trace instant the next :meth:`arm_next` draws (before any clamping),
     which is how the router knows whether a warm hit it serves inline
     completes before the next arrival lands.
     """
@@ -234,14 +249,18 @@ class ArrivalSource:
         self._times = arrival_times_ns(spec, seed)
         self._mix = zipf_app_mix(apps, spec, seed)
         self._index = 0
-        self._delivered: Optional[Arrival] = None
+        self._drawn: Optional[Arrival] = None
         self.next_arrival_ns: Optional[float] = None
-        #: The trace instant after the armed one (None: the trace ends).
+        #: The trace instant after the drawn one (None: the trace ends).
         self.lookahead_ns: Optional[float] = next(self._times, None)
         self.clamped = 0
 
     def arm_next(self) -> Optional[float]:
-        """Arm the next arrival; returns its deadline (None: trace done)."""
+        """Draw the next arrival; returns its instant (None: trace done).
+
+        Drawing only: the stepped branch arms the instant with
+        :meth:`arm`.
+        """
         t = self.lookahead_ns
         if t is None:
             self.next_arrival_ns = None
@@ -252,25 +271,23 @@ class ArrivalSource:
         self._index += 1
         if arrival.arrival_ns > t:
             self.clamped += 1
+        self._drawn = arrival
         self.next_arrival_ns = arrival.arrival_ns
-        if arrival.arrival_ns > self.clock.now_ns:
-            self.clock.call_at(
-                arrival.arrival_ns, lambda: self._deliver(arrival)
-            )
-        else:
-            self._deliver(arrival)
         return arrival.arrival_ns
 
-    def take(self) -> Arrival:
-        """The arrival whose armed deadline just fired."""
-        arrival = self._delivered
-        if arrival is None:
-            raise RuntimeError("no delivered arrival pending")
-        self._delivered = None
-        return arrival
+    def arm(self) -> None:
+        """Arm the drawn arrival as a deadline on the arrivals clock
+        (nothing to arm when it lands at the clock's own now)."""
+        if self.next_arrival_ns > self.clock.now_ns:
+            self.clock.call_at(self.next_arrival_ns)
 
-    def _deliver(self, arrival: Arrival) -> None:
-        self._delivered = arrival
+    def take(self) -> Arrival:
+        """The drawn arrival, once the arrivals clock has reached it."""
+        arrival = self._drawn
+        if arrival is None or self.clock.now_ns < arrival.arrival_ns:
+            raise RuntimeError("no delivered arrival pending")
+        self._drawn = None
+        return arrival
 
 
 def curated_apps() -> List[str]:

@@ -27,12 +27,15 @@ scenarios rerun under an installed fault plane with nothing scheduled
 (an empty plane must be invisible), and the two faulted scenarios rerun
 as one :func:`~repro.traffic.serve.run_serving_many` sweep across
 :data:`RERUN_JOBS` worker processes (fan-out must not change a byte).
-An installed plane also sends every warm hit down the router's stepped
-path, while the clean first runs serve warm hits inside their arrival's
-event (the fold, ``Router._serve_inline``), so the clean reruns are the
-fold's 100k-request differential against its stepped oracle -- and
-:func:`check_result` requires the fold to have fired: at most
-:data:`MAX_EVENTS_PER_REQUEST` dispatched events per served request.
+An installed plane also sends every arrival and every warm hit down the
+stepped path, while the clean first runs serve consecutive arrivals
+inside the running arrivals event (the arrival fold,
+``repro.traffic.serve._arrivals_program``) and warm hits inside their
+arrival's dispatch (the warm-hit fold, ``Router._serve_inline``), so the
+clean reruns are the folds' 100k-request differential against their
+stepped oracle -- and :func:`check_result` requires the folds to have
+fired: at most :data:`MAX_EVENTS_PER_REQUEST` dispatched events per
+served request.
 Both digests land in the result's dedicated ``digests`` section (they
 are identities, not monotonic counts), where the ``regress`` gate pins
 them -- by exact equality -- against the checked-in snapshot at
@@ -79,9 +82,10 @@ RERUN_JOBS = 2
 
 #: Event-core dispatches a clean scenario may spend per served request.
 #: The stepped path spends three (arrival, serve, return to the pool);
-#: the fold serves a warm hit, and usually returns it, inside the
-#: arrival's own event.
-MAX_EVENTS_PER_REQUEST = 1.2
+#: the warm-hit fold serves a warm hit, and usually returns it, inside
+#: its arrival's dispatch, and the arrival fold serves consecutive
+#: arrivals inside one running arrivals event.
+MAX_EVENTS_PER_REQUEST = 0.25
 
 _WORK_COUNTERS = (
     "boot.boots",
@@ -235,9 +239,10 @@ def check_result(result: Dict[str, Any]) -> List[str]:
             if not events or events > MAX_EVENTS_PER_REQUEST * served:
                 failures.append(
                     f"{section} dispatched {events} events for {served:g} "
-                    "served requests; warm hits must fold into their "
-                    f"arrival's event (<= {MAX_EVENTS_PER_REQUEST} events "
-                    "per request)"
+                    "served requests; arrivals must fold into the running "
+                    "arrivals event and warm hits into their arrival's "
+                    f"dispatch (<= {MAX_EVENTS_PER_REQUEST} events per "
+                    "request)"
                 )
             # The zero-fault scenarios must show no availability events
             # at all (installed or not, an idle fault plane is invisible).

@@ -7,12 +7,15 @@
    supervisor registers as one more program on the core (watchdogs,
    restart probes, and quarantine lifts are just deadlines on the one
    global heap);
-2. the *arrivals program* walks the trace, arming each arrival on the
-   arrivals clock and dispatching it through the router inside the
-   ``traffic.arrival`` fault site (an injected fault drops the request,
-   deterministically; a fault hang delays every subsequent arrival).
-   With no fault plane installed, a warm hit is served inside that
-   dispatch (the router's fold); otherwise the router kicks a worker;
+2. the *arrivals program* walks the trace, dispatching each arrival
+   through the router inside the ``traffic.arrival`` fault site (an
+   injected fault drops the request, deterministically; a fault hang
+   delays every subsequent arrival).  With no fault plane installed, an
+   arrival the core would dispatch next anyway is served inside the
+   running arrivals event (the arrival fold), and a warm hit is served
+   inside its arrival's dispatch (the router's fold); otherwise each
+   arrival is armed on the arrivals clock as an event of its own and
+   the router kicks a worker;
 3. ``core.run()`` drains the heap to quiescence -- all traffic settled,
    all idle timeouts and watchdogs resolved, every surviving worker
    parked;
@@ -260,13 +263,33 @@ def percentile_ns(sorted_samples: List[float], q: float) -> float:
 
 
 def _arrivals_program(source: ArrivalSource, router: Router):
+    """Walk the trace: draw each arrival, reach its instant, dispatch it.
+
+    The stepped branch arms the drawn instant on the arrivals clock and
+    yields it to the core.  The *arrival fold* skips that round trip
+    when the core would pop this program's entry straight back
+    (:meth:`EventCore.runs_next`): it flushes the deferred kicks as the
+    core would have, lands the arrivals clock on the instant (nothing
+    is armed there) and dispatches in place.  It folds only when the
+    router's fold is on, so under an installed plane, even an empty
+    one, every arrival is its own event: the empty-plane rerun stays
+    the oracle and ``eventcore.dispatch`` is decided once per arrival.
+    """
     from repro.faults import FaultInjected, fault_site
 
+    core = router.core
+    clock = source.clock
+    fold = router._fold
     while True:
         deadline = source.arm_next()
         if deadline is None:
             return
-        yield deadline
+        if fold and core.runs_next(deadline):
+            core.flush_deferred()
+            clock.advance_to(deadline)
+        else:
+            source.arm()
+            yield deadline
         arrival = source.take()
         try:
             with fault_site("traffic.arrival"):

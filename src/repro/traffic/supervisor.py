@@ -140,7 +140,8 @@ class CircuitBreaker:
     immediately.  After ``breaker_cooldown_s`` the next arrival is
     admitted as the half-open *probe*; its outcome closes the breaker or
     re-opens it for another cooldown.  All state is virtual-time and
-    deterministic.
+    deterministic.  The window's failures are counted as they enter and
+    leave it, so a settled request never re-sums the window.
     """
 
     def __init__(self, policy: ResiliencePolicy) -> None:
@@ -148,6 +149,8 @@ class CircuitBreaker:
         self.state = "closed"
         self.opens = 0
         self._outcomes: Deque[bool] = deque(maxlen=policy.breaker_window)
+        #: Failures in ``_outcomes``.
+        self._failures = 0
         self._opened_ns = 0.0
 
     def admit(self, at_ns: float) -> bool:
@@ -169,13 +172,18 @@ class CircuitBreaker:
                 self._trip(at_ns)
             else:
                 self.state = "closed"
-                self._outcomes.clear()
+                self._clear()
             return
         if self.state == "open":
             return  # a straggler settling after the trip
-        self._outcomes.append(failed)
-        if (len(self._outcomes) >= self.policy.breaker_min_samples
-                and (sum(self._outcomes) / len(self._outcomes)
+        outcomes = self._outcomes
+        if len(outcomes) == outcomes.maxlen and outcomes[0]:
+            self._failures -= 1  # the append below evicts a failure
+        outcomes.append(failed)
+        if failed:
+            self._failures += 1
+        if (len(outcomes) >= self.policy.breaker_min_samples
+                and (self._failures / len(outcomes)
                      >= self.policy.breaker_threshold)):
             self._trip(at_ns)
 
@@ -183,7 +191,11 @@ class CircuitBreaker:
         self.state = "open"
         self.opens += 1
         self._opened_ns = at_ns
+        self._clear()
+
+    def _clear(self) -> None:
         self._outcomes.clear()
+        self._failures = 0
 
 
 class Supervisor:

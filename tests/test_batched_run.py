@@ -9,6 +9,8 @@ jitter phase, the batched fold must reproduce the stepped reference loop
 jitter call count.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.variants import Variant, build_microvm, build_variant
@@ -16,6 +18,7 @@ from repro.apps.registry import get_app
 from repro.syscall.cpu import CpuCostModel, EntryMechanism
 from repro.syscall.dispatch import JITTER, JITTER_PERIOD, SyscallEngine
 from repro.syscall.table import SYSCALLS
+from repro.syscall.usage import UsageTrace
 from repro.workloads.memcached import MEMCACHED_GET, MEMCACHED_SET
 from repro.workloads.nginx import NGINX_CONN, NGINX_SESS
 from repro.workloads.redis import REDIS_GET, REDIS_SET
@@ -107,10 +110,13 @@ class TestBatchedEqualsStepped:
 
     def test_per_syscall_counts_match(self):
         batched, stepped = _pair(build_microvm())
+        for stack in (batched, stepped):
+            stack.engine.usage = UsageTrace()
         batched.run(NGINX_SESS, 211)
         run_stepped(stepped, NGINX_SESS, 211)
-        assert (batched.engine.per_syscall_counts
-                == stepped.engine.per_syscall_counts)
+        expected = Counter(NGINX_SESS.syscalls * 211)
+        assert batched.engine.usage.syscall_counts == expected
+        assert stepped.engine.usage.syscall_counts == expected
 
     def test_zero_requests_is_zero_division_like_stepped(self):
         batched, stepped = _pair(build_microvm())
@@ -257,6 +263,7 @@ class TestPerEngineCostVectors:
             for engine in (batched, stepped):
                 engine.cpu_work(1e6 / 3.0)  # an inexact starting clock
                 engine.call_count = start
+                engine.usage = UsageTrace()
             batched.invoke_batch(names, 40.0, 1)
             for name in names:
                 count = stepped.call_count
@@ -266,7 +273,8 @@ class TestPerEngineCostVectors:
             stepped.cpu_work(40.0)
             assert batched.clock_ns == stepped.clock_ns
             assert batched.call_count == stepped.call_count == start + stride
-            assert batched.per_syscall_counts == stepped.per_syscall_counts
+            assert (batched.usage.syscall_counts
+                    == stepped.usage.syscall_counts == Counter(names))
 
     @pytest.mark.parametrize("label", sorted(SETTINGS))
     def test_vector_equals_the_unmemoized_cost_model(self, label):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.syscall.cpu import EntryMechanism
 from repro.syscall.dispatch import SyscallEngine, SyscallNotImplemented
+from repro.syscall.usage import UsageTrace
 
 
 def _engine(options=(), **kwargs):
@@ -45,10 +46,11 @@ class TestAccounting:
 
     def test_per_syscall_counts(self):
         engine = _engine()
+        engine.usage = UsageTrace()
         engine.invoke("read")
         engine.invoke("read")
         engine.invoke("write")
-        assert engine.per_syscall_counts == {"read": 2, "write": 1}
+        assert engine.usage.syscall_counts == {"read": 2, "write": 1}
 
     def test_latency_ns_does_not_mutate(self):
         engine = _engine()
@@ -73,11 +75,13 @@ class TestAccounting:
 
     def test_reset_clock(self):
         engine = _engine()
+        engine.usage = UsageTrace()
         engine.invoke("read")
         engine.reset_clock()
         assert engine.clock_ns == 0
         assert engine.call_count == 0
-        assert engine.per_syscall_counts == {}
+        # The recorder belongs to its caller: a clock rewind keeps it.
+        assert engine.usage.syscall_counts == {"read": 1}
 
 
 class TestDeterminism:

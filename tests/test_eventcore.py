@@ -2,12 +2,15 @@
 
 Covers the :class:`~repro.simcore.eventcore.EventCore` dispatch loop
 itself (virtual-time ordering, closed-form fast-forward of idle guests,
-park/kick, stats), the surface the router's warm-hit fold runs on
-(``next_key``, ``defer_kick``), ``Fleet.simulate``'s edge cases and
+park/kick, stats), the surface the router's warm-hit fold and the
+arrival fold run on (``next_key``, ``defer_kick``, ``runs_next``,
+``flush_deferred``), ``Fleet.simulate``'s edge cases and
 ``build_count``, and ``Guest.shutdown`` draining pending deadlines.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simcore.eventcore import (
     PARK,
@@ -422,6 +425,119 @@ class TestFoldSurface:
         stats = core.run()
         assert stats.events_dispatched == 1
         assert core.next_key() is None
+
+
+class TestRunsNext:
+    """``runs_next``: would the running program's entry at a key be
+    popped straight back?  Exact ties decide it."""
+
+    @staticmethod
+    def _idle(core, name, start_ns=None):
+        def program():
+            while True:
+                yield PARK
+
+        core.spawn(name, program(), start_ns=start_ns)
+
+    def test_a_live_heap_entry_at_the_key_wins_the_tie(self):
+        core = EventCore()
+        self._idle(core, "g", start_ns=10.0)
+        assert core.runs_next(9.0)
+        assert not core.runs_next(10.0)  # pushed earlier: a smaller seq
+        assert not core.runs_next(11.0)
+
+    def test_a_stale_heap_entry_does_not_count(self):
+        core = EventCore()
+        self._idle(core, "g", start_ns=10.0)
+        core.kick("g", 20.0)  # the 10.0 entry is superseded
+        assert core.runs_next(10.0)
+        assert core.runs_next(19.0)
+        assert not core.runs_next(20.0)
+
+    def test_a_deferred_entry_at_the_key_loses_the_tie(self):
+        core = EventCore()
+        self._idle(core, "w")
+        core.run()  # w parks
+        core.defer_kick("w", 10.0)
+        assert core.runs_next(9.0)
+        assert core.runs_next(10.0)  # pushed behind the program's entry
+        assert not core.runs_next(10.5)
+
+    def test_a_superseded_deferred_entry_never_makes_it_true(self):
+        core = EventCore()
+        self._idle(core, "w")
+        self._idle(core, "g", start_ns=10.0)
+        core.run()  # both park
+        core.defer_kick("w", 5.0)
+        core.defer_kick("w", 30.0)  # supersedes the 5.0 entry
+        # Stale, yet counted: it can only send a caller down the
+        # stepped path.
+        assert not core.runs_next(10.0)
+        assert core.runs_next(5.0)
+        core.kick("g", 10.0)
+        core.defer_kick("g", 40.0)  # the live 10.0 entry goes stale
+        core.kick("w", 10.0)  # a live heap entry ties again
+        assert not core.runs_next(10.0)
+
+    def test_flush_deferred_pushes_in_order_and_empties(self):
+        core = EventCore()
+        self._idle(core, "a")
+        self._idle(core, "b")
+        core.run()
+        core.defer_kick("b", 7.0)
+        core.defer_kick("a", 7.0)
+        assert core.next_key() is None  # held back until flushed
+        core.flush_deferred()
+        assert core._deferred == []
+        assert [entry[3].name for entry in sorted(core._heap)] == ["b", "a"]
+        core.flush_deferred()  # nothing left: a no-op
+        assert len(core._heap) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(starts=st.lists(st.sampled_from([5.0, 10.0, 15.0]), max_size=4),
+           deferred=st.lists(st.tuples(st.integers(0, 3),
+                                       st.sampled_from([5.0, 10.0, 15.0])),
+                             max_size=4),
+           kicked=st.lists(st.tuples(st.integers(0, 3),
+                                     st.sampled_from([5.0, 10.0, 15.0])),
+                           max_size=2),
+           key=st.sampled_from([5.0, 10.0, 15.0]))
+    def test_true_only_when_the_yielded_entry_is_popped_next(
+            self, starts, deferred, kicked, key):
+        """Against the loop itself: a program that yields at ``key``
+        after ``runs_next(key)`` held is the very next dispatch; and
+        without superseded deferred entries the converse holds too."""
+        core = EventCore()
+        order, verdict = [], []
+
+        def other(name):
+            while True:
+                order.append(name)
+                yield PARK
+
+        names = [f"o{i}" for i in range(len(starts))]
+        for name, start_ns in zip(names, starts):
+            core.spawn(name, other(name), start_ns=start_ns)
+
+        def driver():
+            if names:
+                for index, at_ns in kicked:
+                    core.kick(names[index % len(names)], at_ns)
+                for index, at_ns in deferred:
+                    core.defer_kick(names[index % len(names)], at_ns)
+            verdict.append(core.runs_next(key))
+            yield key
+            order.append("driver")
+
+        core.spawn("driver", driver())
+        core.run()
+        assert "driver" in order
+        popped_next = order[0] == "driver"
+        if verdict[0]:
+            assert popped_next
+        targets = [index % len(names) for index, _ in deferred if names]
+        if len(set(targets)) == len(targets):  # no deferred entry stale
+            assert verdict[0] == popped_next
 
 
 class TestFoldAtEndOfTrace:

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.registry import get_app
 from repro.core.variants import Variant, build_variant
 from repro.syscall.dispatch import SyscallNotImplemented
+from repro.syscall.usage import UsageTrace
 from repro.workloads.memcached import MemtierBenchmark
 from repro.workloads.pgbench import PgBench
 from repro.workloads.server import LinuxServerStack
@@ -84,6 +85,6 @@ class TestPgBench:
 
     def test_connection_churn_charged(self, postgres_build):
         stack = _stack(postgres_build)
-        before = stack.engine.per_syscall_counts.get("fork", 0)
+        stack.engine.usage = UsageTrace()
         PgBench(transactions=50, connections=7).tps(stack)
-        assert stack.engine.per_syscall_counts["fork"] == before + 7
+        assert stack.engine.usage.syscall_counts["fork"] == 7

@@ -1,4 +1,5 @@
-"""Tests for tools/lint_time.py, the no-threads rule in particular."""
+"""Tests for tools/lint_time.py: the no-threads and no-clock-internals
+rules in particular."""
 
 import importlib.util
 import subprocess
@@ -54,5 +55,32 @@ class TestLintTime:
         "context = multiprocessing.get_context('fork')\n",
     ])
     def test_no_threads_allows_processes(self, source):
+        module = _load()
+        assert module.lint_source(source, "mod.py") == []
+
+    @pytest.mark.parametrize("source", [
+        "clock._now_ns = target\n",
+        "now = guest.clock._now_ns\n",
+        "clock._run_to(target)\n",
+        "land = core.clock_for('w')._run_to\n",
+    ])
+    def test_no_clock_internals_flags_accumulator_and_loop(self, source):
+        module = _load()
+        for time_rules in (True, False):  # observe included
+            violations = module.lint_source(source, "mod.py",
+                                            time_rules=time_rules)
+            assert len(violations) == 1, violations
+            assert "[no-clock-internals]" in violations[0]
+        # repro/simcore owns both.
+        assert module.lint_source(source, "mod.py", time_rules=False,
+                                  clock_internals=False) == []
+
+    @pytest.mark.parametrize("source", [
+        "clock.advance_to(target)\n",
+        "now = clock.now_ns\n",
+        "clock.jump_to(0.0)\n",
+        "self._now = 1\n",
+    ])
+    def test_no_clock_internals_allows_the_clock_api(self, source):
         module = _load()
         assert module.lint_source(source, "mod.py") == []

@@ -14,10 +14,15 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultPlane, activated
 from repro.simcore.eventcore import PARK
-from repro.traffic.arrivals import bursty_trace, diurnal_trace, poisson_trace
+from repro.traffic.arrivals import (
+    arrival_times_ns,
+    bursty_trace,
+    diurnal_trace,
+    poisson_trace,
+)
 from repro.traffic.bench import canonical_trace
 from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO
-from repro.traffic.serve import ServeSpec, run_serving
+from repro.traffic.serve import ServeSpec, _arrivals_program, run_serving
 
 #: Trace shapes, each short enough for a property run.  The high rates
 #: land arrivals inside a warm serve (~14 us), so some folded serves
@@ -83,8 +88,9 @@ def test_max_per_app_one_queues_and_still_agrees():
 
 
 def test_presets_fold_nearly_every_request():
-    """Non-vacuity: on both presets the fold takes two of the three
-    events off nearly every request, and the stepped oracle does not."""
+    """Non-vacuity: on both presets the arrival and warm-hit folds take
+    nearly all three events off nearly every request, and the stepped
+    oracle does not."""
     for policy in (FIXED_POOL, SCALE_TO_ZERO):
         spec = ServeSpec(trace=canonical_trace(4_000), policy=policy,
                          seed=2020)
@@ -93,8 +99,70 @@ def test_presets_fold_nearly_every_request():
         assert folded.manifest() == stepped.manifest()
         served = folded.served
         assert served == 4_000
-        assert folded.eventcore_stats.events_dispatched / served <= 1.2
+        assert folded.eventcore_stats.events_dispatched / served <= 0.25
         assert stepped.eventcore_stats.events_dispatched / served >= 2.9
+
+
+class TestArrivalFold:
+    """The arrivals program serves an arrival inside its running event
+    only when the core would pop the program's entry straight back."""
+
+    #: Slow enough that most arrivals land after the pre-warmed fleet
+    #: has booted (~150 ms), when nothing else is due between them.
+    TRACE = poisson_trace(requests=120, mean_rps=200)
+    SEED = 4
+    TIE_INDEX = 90
+
+    def _run(self, monkeypatch, installed_plane, tie=True):
+        """Serve :attr:`TRACE`, with one more program whose heap entry
+        ties arrival :attr:`TIE_INDEX`'s instant if *tie*; returns the
+        report, the arrivals that program saw dispatched before it ran,
+        and the instants the arrivals program armed (its stepped
+        branch)."""
+        from repro.traffic import serve
+        from repro.traffic.arrivals import ArrivalSource
+
+        tie_ns = list(arrival_times_ns(self.TRACE, self.SEED))[self.TIE_INDEX]
+        seen, armed = [], []
+
+        def with_tie(source, router):
+            def tied():
+                seen.append(router.arrivals)
+                yield PARK
+
+            # Pushed before any entry the arrivals program yields later,
+            # so it wins the tie at ``tie_ns``.
+            if tie:
+                router.core.spawn("tie", tied(), start_ns=tie_ns)
+            yield from _arrivals_program(source, router)
+
+        arm = ArrivalSource.arm
+
+        def spy(source):
+            armed.append(source.next_arrival_ns)
+            arm(source)
+
+        spec = ServeSpec(trace=self.TRACE, policy=FIXED_POOL, seed=self.SEED)
+        with monkeypatch.context() as patch:
+            patch.setattr(serve, "_arrivals_program", with_tie)
+            patch.setattr(ArrivalSource, "arm", spy)
+            report = _stepped(spec) if installed_plane else run_serving(spec)
+        return report, seen, armed, tie_ns
+
+    def test_a_tie_with_a_live_event_takes_the_stepped_branch(
+            self, monkeypatch):
+        untied, _, untied_armed, tie_ns = self._run(monkeypatch, False,
+                                                    tie=False)
+        assert tie_ns not in untied_armed  # alone, that arrival folds
+        assert len(untied_armed) < self.TRACE.requests // 2
+        folded, seen, armed, _ = self._run(monkeypatch, False)
+        stepped, stepped_seen, stepped_armed, _ = self._run(monkeypatch,
+                                                            True)
+        assert folded.manifest() == stepped.manifest() == untied.manifest()
+        # The tied event ran before the arrival on both paths.
+        assert seen == stepped_seen == [self.TIE_INDEX]
+        assert armed == sorted(untied_armed + [tie_ns])
+        assert len(stepped_armed) == self.TRACE.requests
 
 
 class TestFoldEligibility:

@@ -53,6 +53,50 @@ class TestVirtualClock:
         clock.advance_to(1e9 + 0.25)
         assert clock.now_ns == 1e9 + 0.25
 
+    def test_empty_queue_advance_to_stores_the_target(self, monkeypatch):
+        clock = VirtualClock()
+        clock.advance(0.1)
+        ran = []
+        monkeypatch.setattr(clock, "_run_to", ran.append)
+        target = 0.1 + 0.2
+        assert clock.advance_to(target) == target
+        assert clock.now_ns.hex() == target.hex()
+        assert clock.advance_to(target) == target  # to now: lands again
+        assert ran == []  # no dispatch loop on an empty queue
+
+    def test_advance_to_is_the_same_store_with_or_without_events(self):
+        rng = random.Random(2020)
+        empty, armed = VirtualClock(), VirtualClock()
+        armed.call_at(1e300)
+        target = 0.0
+        for _ in range(500):
+            target += rng.random() * 10.0 ** rng.randint(-3, 9)
+            assert (empty.advance_to(target).hex()
+                    == armed.advance_to(target).hex() == target.hex())
+            assert empty.now_ns.hex() == armed.now_ns.hex()
+        assert (empty.pending_events, armed.pending_events) == (0, 1)
+
+    def test_advance_to_over_cancelled_events_still_dispatches(
+            self, monkeypatch):
+        # A queue holding only cancelled events is not empty: the
+        # dispatch loop runs and skims them.
+        clock = VirtualClock()
+        fired = []
+        clock.call_at(10.0, lambda: fired.append(10.0)).cancel()
+        assert clock.pending_events == 0
+        run_to = clock._run_to
+        ran = []
+
+        def spy(target):
+            ran.append(target)
+            return run_to(target)
+
+        monkeypatch.setattr(clock, "_run_to", spy)
+        assert clock.advance_to(20.0) == 20.0
+        assert ran == [20.0]
+        assert fired == [] and clock._events == []
+        assert clock.now_ns == 20.0
+
     def test_negative_advance_rejected(self):
         with pytest.raises(ClockError):
             VirtualClock().advance(-1.0)

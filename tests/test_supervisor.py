@@ -13,6 +13,7 @@ import importlib.util
 import pathlib
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,78 @@ class TestCircuitBreaker:
             breaker.record(False, 0.0)
         breaker.record(True, 0.0)
         assert breaker.state == "closed"
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(1, 6),
+           min_samples=st.integers(1, 8),
+           threshold=st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75,
+                                      1.0]),
+           steps=st.lists(st.tuples(
+               st.sampled_from(["admit", "ok", "fail"]),
+               st.sampled_from([0.0, 0.4e9, 1.1e9]),
+           ), max_size=80))
+    def test_running_count_matches_a_resumming_reference(
+            self, window, min_samples, threshold, steps):
+        """The running failure count decides exactly as re-summing the
+        window did, through trips, cooldowns and half-open probes."""
+        policy = ResiliencePolicy(breaker_window=window,
+                                  breaker_min_samples=min_samples,
+                                  breaker_threshold=threshold,
+                                  breaker_cooldown_s=1.0)
+        breaker = CircuitBreaker(policy)
+        reference = _ResummingBreaker(policy)
+        now_ns = 0.0
+        for op, step_ns in steps:
+            now_ns += step_ns
+            if op == "admit":
+                assert breaker.admit(now_ns) == reference.admit(now_ns)
+            else:
+                breaker.record(op == "fail", now_ns)
+                reference.record(op == "fail", now_ns)
+            assert breaker.state == reference.state
+            assert breaker.opens == reference.opens
+
+
+class _ResummingBreaker:
+    """Reference model: the breaker re-summing its window per outcome."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.state = "closed"
+        self.opens = 0
+        self.outcomes = deque(maxlen=policy.breaker_window)
+        self.opened_ns = 0.0
+
+    def admit(self, at_ns):
+        if self.state == "closed":
+            return True
+        if (self.state == "open" and at_ns
+                >= self.opened_ns + self.policy.breaker_cooldown_s * 1e9):
+            self.state = "half_open"
+            return True
+        return False
+
+    def record(self, failed, at_ns):
+        if self.state == "half_open":
+            if failed:
+                self._trip(at_ns)
+            else:
+                self.state = "closed"
+                self.outcomes.clear()
+            return
+        if self.state == "open":
+            return
+        self.outcomes.append(failed)
+        if (len(self.outcomes) >= self.policy.breaker_min_samples
+                and sum(self.outcomes) / len(self.outcomes)
+                >= self.policy.breaker_threshold):
+            self._trip(at_ns)
+
+    def _trip(self, at_ns):
+        self.state = "open"
+        self.opens += 1
+        self.opened_ns = at_ns
+        self.outcomes.clear()
 
 
 class TestGuestFailureModes:

@@ -10,7 +10,9 @@ committed baseline.
 """
 
 import json
+import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,34 @@ SMALL_TRACE = diurnal_trace(requests=400, mean_rps=500, period_s=1.6,
                             amplitude=1.0)
 
 
+def _expovariate_times(spec, seed):
+    """Reference trace: each gap drawn with ``rng.expovariate``."""
+    rng = random.Random(f"traffic.arrivals:{seed}")
+    times, t = [], 0.0
+    if spec.kind == "poisson":
+        for _ in range(spec.requests):
+            t += rng.expovariate(spec.mean_rps)
+            times.append(t * 1e9)
+        return times
+    if spec.kind == "diurnal":
+        max_rate = spec.mean_rps * (1.0 + spec.amplitude)
+
+        def rate_at(t):
+            return spec.mean_rps * (1.0 - spec.amplitude * math.cos(
+                2.0 * math.pi * t / spec.period_s))
+    else:
+        max_rate = spec.on_rps
+
+        def rate_at(t):
+            cycle = spec.on_s + spec.off_s
+            return spec.on_rps if (t % cycle) < spec.on_s else spec.off_rps
+    while len(times) < spec.requests:
+        t += rng.expovariate(max_rate)
+        if rng.random() * max_rate <= rate_at(t):
+            times.append(t * 1e9)
+    return times
+
+
 class TestArrivalGenerators:
     @pytest.mark.parametrize("trace", [
         poisson_trace(requests=200, mean_rps=1000),
@@ -55,6 +85,21 @@ class TestArrivalGenerators:
         assert len(times) == 200
         assert times == sorted(times)
         assert all(t > 0.0 for t in times)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2020, 99_991])
+    @pytest.mark.parametrize("trace", [
+        poisson_trace(requests=500, mean_rps=1000),
+        diurnal_trace(requests=500, mean_rps=1000, period_s=0.2,
+                      amplitude=1.0),
+        bursty_trace(requests=500, on_rps=4000, off_rps=50, on_s=0.01,
+                     off_s=0.04),
+    ], ids=lambda trace: trace.kind)
+    def test_inlined_draws_equal_expovariate(self, trace, seed):
+        """The generators inline ``rng.expovariate``: the same instants,
+        bit for bit, as drawing each gap through it."""
+        assert list(arrival_times_ns(trace, seed)) == _expovariate_times(
+            trace, seed
+        )
 
     def test_same_seed_same_trace(self):
         spec = diurnal_trace(requests=100, mean_rps=500, period_s=1.0)
@@ -118,8 +163,8 @@ class TestArrivalSourceClockAgreement:
     @given(seed=st.integers(0, 10_000),
            kind=st.sampled_from(["poisson", "diurnal", "bursty"]))
     def test_next_deadline_agrees_with_next_arrival(self, seed, kind):
-        """The property the router relies on: after arming, the arrivals
-        clock's next deadline IS the next arrival instant."""
+        """The property the stepped branch relies on: after arming, the
+        arrivals clock's next deadline IS the next arrival instant."""
         from repro.simcore.clock import VirtualClock
 
         trace = {
@@ -138,6 +183,7 @@ class TestArrivalSourceClockAgreement:
                 assert source.next_arrival_ns is None
                 break
             assert source.next_arrival_ns == deadline
+            source.arm()
             assert clock.next_deadline_ns() == deadline
             clock.advance_to(deadline)
             arrival = source.take()
@@ -148,6 +194,22 @@ class TestArrivalSourceClockAgreement:
         instants = [a.arrival_ns for a in delivered]
         assert instants == sorted(instants)
 
+
+    def test_take_hands_over_the_drawn_arrival_once_reached(self):
+        from repro.simcore.clock import VirtualClock
+
+        clock = VirtualClock()
+        source = ArrivalSource(poisson_trace(requests=2, mean_rps=1000), 1,
+                               clock, ["redis"])
+        deadline = source.arm_next()
+        with pytest.raises(RuntimeError):
+            source.take()  # the clock has not reached it
+        clock.advance_to(deadline)  # the fold: nothing armed
+        assert clock.pending_events == 0
+        arrival = source.take()
+        assert (arrival.index, arrival.arrival_ns) == (0, deadline)
+        with pytest.raises(RuntimeError):
+            source.take()  # handed over once
 
     def test_lookahead_is_the_next_trace_instant(self):
         from repro.simcore.clock import VirtualClock
@@ -425,17 +487,20 @@ class TestBenchServe:
         from repro.traffic.bench import check_result
 
         baseline = REPO_ROOT / "benchmarks" / "baseline" / "BENCH_serve.json"
-        result = json.loads(baseline.read_text(encoding="utf-8"))
-        # Three events per request: every warm hit stepped.
-        result["counters"][
-            "eventcore.events_dispatched.serve_fixed_pool"
-        ] = 300_083
-        failures = check_result(result)
-        assert [f for f in failures if "must fold" in f] == [
-            "serve_fixed_pool dispatched 300083 events for 100000 served "
-            "requests; warm hits must fold into their arrival's event "
-            "(<= 1.2 events per request)"
-        ]
+        # Three events per request: every arrival and warm hit stepped;
+        # 1.03: warm hits folded, every arrival its own event.
+        for events in (300_083, 103_274):
+            result = json.loads(baseline.read_text(encoding="utf-8"))
+            result["counters"][
+                "eventcore.events_dispatched.serve_fixed_pool"
+            ] = events
+            failures = check_result(result)
+            assert [f for f in failures if "must fold" in f] == [
+                f"serve_fixed_pool dispatched {events} events for 100000 "
+                "served requests; arrivals must fold into the running "
+                "arrivals event and warm hits into their arrival's "
+                "dispatch (<= 0.25 events per request)"
+            ]
 
     def test_checker_flags_missing_tail_buyback(self):
         from repro.traffic.bench import check_result

@@ -18,8 +18,9 @@
 # CHECK_RUN_DIR).
 #
 # The single-time-authority lint (tools/lint_time.py) enforces the
-# simcore invariant: no simulator advances time through the tracer's sim
-# view or keeps a private clock accumulator field.  Its no-threads rule
+# simcore invariant: no module outside simcore reaches a clock's
+# accumulator or dispatch loop (._now_ns, ._run_to), and no simulator
+# keeps a private clock accumulator field.  Its no-threads rule
 # covers all of src/repro: every process runs repro code on one thread
 # (experiments run in order), so the clock, fault plane, tracer and
 # metrics hold no locks; worker processes stay allowed.
@@ -44,10 +45,11 @@
 #   reruns under an installed-but-empty fault plane (regress pins them to
 #   the no-plane baseline), the faulted reruns as one two-worker
 #   run_serving_many sweep (rerun determinism and fan-out equivalence).
-#   An installed plane steps every warm hit through its own events, so
-#   the clean reruns are also the 100k-request differential of the
-#   router's warm-hit fold against that stepped path; the clean first
-#   runs must fold (<= 1.2 dispatched events per served request).
+#   An installed plane steps every arrival and warm hit through its own
+#   events, so the clean reruns are also the 100k-request differential
+#   of the arrival and warm-hit folds against that stepped path; the
+#   clean first runs must fold (<= 0.25 dispatched events per served
+#   request).
 #   Scale-to-zero must cold-boot >= 1000 guests with a nonzero cold-start
 #   fraction, the fixed pool must buy the latency tail back, and both
 #   faulted runs must recover: nonzero restarts/retries, request

@@ -7,11 +7,12 @@ authority: :class:`repro.simcore.clock.VirtualClock` (reached ambiently
 through :func:`repro.simcore.context.current_clock`).  This AST lint
 keeps it that way across ``src/repro``:
 
-- **no-sim-advance** -- calling ``<anything>.sim.advance(...)`` (i.e.
-  ``TRACER.sim.advance``) outside the time-authority modules.  The
-  tracer's sim axis is a read-only *view* of the active guest clock;
-  advancing time through it would bypass the clock's event queue and
-  deadline dispatch.
+- **no-clock-internals** -- reaching a clock's ``._now_ns`` or
+  ``._run_to`` outside ``repro/simcore``.  Landing a clock by storing
+  its accumulator (or driving its dispatch loop by hand) would bypass
+  the deadline dispatch ``advance``/``advance_to``/``jump_to`` perform:
+  a fold that lands a clock must do it through the clock's own API, so
+  every event due on the way still fires.
 - **no-clock-field** -- declaring a class-level accumulator field named
   like a timeline (``clock_ns``, ``time_us``, ``now_ms``, ...) outside
   the time-authority modules.  Layers hold a ``clock: VirtualClock`` and
@@ -29,8 +30,9 @@ keeps it that way across ``src/repro``:
   ``ThreadPool``) anywhere under ``src/repro``; see
   :func:`thread_violation`.
 
-The first three rules exempt ``repro/simcore`` (the authority itself)
-and ``repro/observe`` (the tracer view); no-threads covers every module.
+no-clock-internals exempts ``repro/simcore`` (the authority itself);
+no-clock-field and no-direct-clock-in-fleet exempt it and
+``repro/observe`` (the tracer view); no-threads covers every module.
 Run: ``python tools/lint_time.py`` (exit 1 on violations); wired into
 ``tools/check.sh`` and CI.
 """
@@ -48,6 +50,13 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 #: Directories (relative to src/repro) allowed to own or advance time.
 ALLOWED = ("simcore", "observe")
+
+#: The directory (relative to src/repro) that owns the clock internals.
+CLOCK_OWNER = "simcore"
+
+#: ``VirtualClock`` internals no module outside :data:`CLOCK_OWNER` may
+#: reach: the accumulator and the dispatch loop.
+CLOCK_INTERNALS = ("_now_ns", "_run_to")
 
 #: Fleet code paths (relative to src/repro): modules that orchestrate
 #: many guests and therefore must source clocks from the EventCore.
@@ -69,17 +78,6 @@ THREAD_MODULES = ("threading", "_thread", "multiprocessing.dummy")
 
 #: Thread-pool names, however they are imported or reached.
 THREAD_NAMES = ("ThreadPoolExecutor", "ThreadPool")
-
-
-def _is_sim_advance(node: ast.Call) -> bool:
-    """True for any ``<expr>.sim.advance(...)`` call."""
-    func = node.func
-    return (
-        isinstance(func, ast.Attribute)
-        and func.attr == "advance"
-        and isinstance(func.value, ast.Attribute)
-        and func.value.attr == "sim"
-    )
 
 
 def _class_field_names(class_node: ast.ClassDef) -> Iterator[Tuple[str, int]]:
@@ -139,10 +137,13 @@ def thread_violation(node: ast.AST) -> Optional[str]:
 
 
 def lint_source(source: str, label: str, fleet_path: bool = False,
-                time_rules: bool = True) -> List[str]:
+                time_rules: bool = True,
+                clock_internals: bool = True) -> List[str]:
     """Violations in one module's *source*, reported against *label*.
 
-    ``time_rules=False`` (simcore/observe) runs only the no-threads rule.
+    ``time_rules=False`` (simcore/observe) skips no-clock-field and
+    no-direct-clock-in-fleet; ``clock_internals=False`` (simcore) skips
+    no-clock-internals.  No-threads always runs.
     """
     tree = ast.parse(source, filename=label)
     violations = []
@@ -155,15 +156,17 @@ def lint_source(source: str, label: str, fleet_path: bool = False,
                 "plane, tracer and metrics hold no locks); fan out to "
                 "worker processes instead"
             )
+        if (clock_internals and isinstance(node, ast.Attribute)
+                and node.attr in CLOCK_INTERNALS):
+            violations.append(
+                f"{label}:{node.lineno}: [no-clock-internals] reaching "
+                f"a clock's {node.attr} outside repro/simcore; land "
+                "clocks with advance/advance_to/jump_to so due events "
+                "fire"
+            )
         if not time_rules:
             continue
-        if isinstance(node, ast.Call) and _is_sim_advance(node):
-            violations.append(
-                f"{label}:{node.lineno}: [no-sim-advance] advancing "
-                "time through the tracer's sim view; advance "
-                "repro.simcore.context.current_clock() instead"
-            )
-        elif (fleet_path and isinstance(node, ast.Call)
+        if (fleet_path and isinstance(node, ast.Call)
                 and _is_clock_construction(node)):
             violations.append(
                 f"{label}:{node.lineno}: [no-direct-clock-in-fleet] "
@@ -204,6 +207,7 @@ def lint_tree() -> List[str]:
             str(path.relative_to(REPO_ROOT)),
             fleet_path=_is_fleet_path(relative.as_posix()),
             time_rules=relative.parts[0] not in ALLOWED,
+            clock_internals=relative.parts[0] != CLOCK_OWNER,
         ))
     return violations
 
