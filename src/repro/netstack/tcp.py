@@ -1,6 +1,6 @@
 """A small TCP state machine and connection-tracking table.
 
-This is the mechanism underneath two of the paper's results:
+It models the mechanism behind two of the paper's observations:
 
 - **nginx-conn vs nginx-sess** (Table 4): connection-based workloads pay
   the full SYN/SYN-ACK/ACK handshake and teardown per request, and on a
@@ -8,11 +8,15 @@ This is the mechanism underneath two of the paper's results:
 - **OSv "drops connections"**: a stack that cannot keep up with connection
   churn sheds SYNs -- modelled here as listen-backlog overflow.
 
-The state machine implements the RFC 793 transitions the workloads
-exercise (LISTEN -> SYN_RCVD -> ESTABLISHED -> FIN_WAIT/CLOSE), charges
-per-packet costs through a :class:`~repro.netstack.path.NetworkPath`, and
-keeps real bookkeeping (ports, backlogs, a capacity-bounded conntrack
-table with LRU eviction) so tests can probe behaviour, not just cost.
+The state machine implements the RFC 793 transitions (LISTEN -> SYN_RCVD
+-> ESTABLISHED -> FIN_WAIT/CLOSE), charges per-packet costs through a
+:class:`~repro.netstack.path.NetworkPath`, and keeps real bookkeeping
+(ports, backlogs, a capacity-bounded conntrack table with LRU eviction)
+so tests can probe behaviour, not just cost.  Every guest builds one
+(:func:`stack_for_config`), but only tests drive it past construction:
+Table 4's handshake cost is priced from the workload's
+:class:`~repro.workloads.server.RequestProfile` through the guest's
+:class:`~repro.netstack.path.NetworkPath`.
 """
 
 from __future__ import annotations
@@ -23,13 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.netstack.path import NetworkPath
-from repro.simcore.clock import ScheduledEvent, VirtualClock
-
-#: 2MSL: how long an actively-closed connection lingers in TIME_WAIT
-#: before its port is reusable (RFC 793's 2 * maximum segment lifetime;
-#: Linux uses 60 s).  Expiry is driven by the stack's virtual clock --
-#: a deadline armed at close() fires when enough simulated time passes.
-TIME_WAIT_2MSL_NS = 60e9
+from repro.simcore.clock import VirtualClock
 
 
 class TcpError(RuntimeError):
@@ -59,8 +57,6 @@ class Connection:
     state: TcpState
     segments_in: int = 0
     segments_out: int = 0
-    #: The armed 2MSL deadline while in TIME_WAIT (cleared on expiry).
-    time_wait_timer: Optional[ScheduledEvent] = None
 
     @property
     def established(self) -> bool:
@@ -214,20 +210,13 @@ class TcpStack:
     def close(self, connection: Connection) -> None:
         """Active close: FIN -> (peer FIN-ACK) -> TIME_WAIT.
 
-        The 2MSL timer is armed on the stack's virtual clock: once
-        simulated time moves :data:`TIME_WAIT_2MSL_NS` past the close --
-        through workload charges, a guest's boot, or an explicit
-        ``clock.advance`` -- the connection expires by itself, with no
-        ``reap_time_wait()`` call.
+        The connection lingers in TIME_WAIT until :meth:`reap_time_wait`.
         """
         self._require_established(connection)
         connection.state = TcpState.FIN_WAIT_1
         self._charge_packet(connection_setup=False)  # FIN out
         self._charge_packet(connection_setup=False)  # FIN-ACK in
         connection.state = TcpState.TIME_WAIT
-        connection.time_wait_timer = self.clock.call_after(
-            TIME_WAIT_2MSL_NS, lambda: self._expire_time_wait(connection)
-        )
         if self.conntrack is not None:
             self.conntrack.update(connection.key, TcpState.TIME_WAIT)
 
@@ -242,30 +231,18 @@ class TcpStack:
         self._reap(connection)
 
     def reap_time_wait(self) -> int:
-        """Expire all TIME_WAIT connections immediately.
+        """Expire every TIME_WAIT connection: CLOSED, entry reaped.
 
-        The 2MSL timer normally fires off the virtual clock (see
-        :meth:`close`); this is the administrative fast-path -- e.g. a
-        stack teardown -- and the pre-virtual-time compatibility surface.
-        Cancels the pending deadlines it preempts.
+        Returns how many expired; :attr:`time_wait_expired` counts them.
         """
         reaped = 0
         for connection in list(self._connections.values()):
             if connection.state is TcpState.TIME_WAIT:
-                self._expire_time_wait(connection)
+                connection.state = TcpState.CLOSED
+                self._reap(connection)
                 reaped += 1
+        self.time_wait_expired += reaped
         return reaped
-
-    def _expire_time_wait(self, connection: Connection) -> None:
-        """The 2MSL deadline: TIME_WAIT -> CLOSED, entry reaped."""
-        if connection.state is not TcpState.TIME_WAIT:
-            return
-        if connection.time_wait_timer is not None:
-            connection.time_wait_timer.cancel()
-            connection.time_wait_timer = None
-        connection.state = TcpState.CLOSED
-        self.time_wait_expired += 1
-        self._reap(connection)
 
     # -- queries ---------------------------------------------------------------------
 

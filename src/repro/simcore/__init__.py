@@ -3,17 +3,16 @@
 Three pieces:
 
 - :mod:`repro.simcore.clock` / :mod:`repro.simcore.context` -- the
-  per-guest :class:`VirtualClock` (ns resolution, monotonic, deadline
-  queue) and the *active clock* every time-modelling layer
-  advances;
+  per-guest :class:`VirtualClock` (a monotonic ns accumulator) and the
+  *active clock* every time-modelling layer advances;
 - :mod:`repro.simcore.guest` -- the :class:`Guest` lifecycle object
   (``GuestSpec -> build -> boot -> serve -> shutdown``) composing
   monitor, kernel image, syscall engine, network path, scheduler and
   workload around one clock;
-- :mod:`repro.simcore.eventcore` -- the fleet-wide :class:`EventCore`
-  merging every guest's deadline queue into one global heap and
-  interleaving guests in virtual-time order (the core traffic serving
-  runs on), with idle guests fast-forwarded in closed form.
+- :mod:`repro.simcore.eventcore` -- the fleet-wide :class:`EventCore`:
+  one global heap of the instants guest programs wait for, interleaving
+  guests in virtual-time order (the core traffic serving runs on), with
+  idle guests fast-forwarded in closed form.
 
 ``guest`` is exported lazily (PEP 562): it imports the build pipeline
 and observability layers, which themselves import ``simcore.clock``, so
@@ -25,14 +24,9 @@ rules.
 
 from __future__ import annotations
 
-from repro.simcore.clock import ClockError, ScheduledEvent, VirtualClock
+from repro.simcore.clock import ClockError, VirtualClock
 from repro.simcore.context import current_clock, default_clock, use_clock
-from repro.simcore.eventcore import (
-    EventCore,
-    EventCoreError,
-    EventCoreStats,
-    drain_deadlines,
-)
+from repro.simcore.eventcore import EventCore, EventCoreError, EventCoreStats
 
 _LAZY = (
     "Guest",
@@ -58,11 +52,9 @@ __all__ = [
     "EventCore",
     "EventCoreError",
     "EventCoreStats",
-    "ScheduledEvent",
     "VirtualClock",
     "current_clock",
     "default_clock",
-    "drain_deadlines",
     "use_clock",
     *_LAZY,
 ]

@@ -4,39 +4,39 @@ A serving run (:mod:`repro.traffic`) drives many guests at once, each on
 its own :class:`~repro.simcore.clock.VirtualClock`, next to an arrivals
 timeline and the supervisor.  Cross-guest causality (warm-pool routing,
 staggered cold boots, correlated fault schedules) needs a global order
-between two guests' events.  :class:`EventCore` merges every registered
-guest's deadline queue into one heap and dispatches guests in
-**virtual-time order**: at every step the runnable guest with the
-smallest virtual instant runs its next lifecycle stage.  Events across
-the whole fleet have a single well-defined global order (ties broken by
-dispatch sequence number, so runs are deterministic).
+between two guests' events.  :class:`EventCore` keeps one heap of the
+instants its programs wait for and dispatches guests in **virtual-time
+order**: at every step the runnable guest with the smallest virtual
+instant runs its next lifecycle stage.  Events across the whole fleet
+have a single well-defined global order (ties broken by dispatch
+sequence number, so runs are deterministic).  The heap is the only
+place a program waits; a clock only accumulates time.
 
 Guest programs
 --------------
 
 A guest registers as a *program*: a generator whose ``next()`` runs one
-lifecycle stage (build, boot, one request, a drain step) and
+lifecycle stage (build, boot, one request, a retirement) and
 advances the guest's own clock.  The yielded value tells the core when
 the guest is next runnable:
 
 - ``yield None`` -- runnable immediately, at the guest's current virtual
   instant (CPU-bound stages);
-- ``yield deadline_ns`` -- **idle** until an armed virtual deadline (a
-  2MSL timer, a sleep).  The core parks the guest at that absolute
-  instant in the global heap, and when it becomes the earliest event
-  fast-forwards the guest's clock there **in closed form** -- one
-  ``advance_to``, firing the due events, never stepping.  This is the
-  ``invoke_batch`` fold applied *across* guests: within a guest, batched
-  serving folds a whole jitter period in one call; across guests, idle
-  time folds into one jump.
+- ``yield deadline_ns`` -- **idle** until an absolute virtual instant
+  (an idle timeout, the next trace arrival).  The core keys the guest at
+  that instant in the global heap, and when it becomes the earliest
+  event fast-forwards the guest's clock there **in closed form** -- one
+  ``advance_to``, never stepping.  This is the ``invoke_batch`` fold
+  applied *across* guests: within a guest, batched serving folds a whole
+  jitter period in one call; across guests, idle time folds into one
+  jump.
 - ``yield PARK`` -- **parked indefinitely**: the guest leaves the heap
   entirely and is not runnable again until another program calls
-  :meth:`EventCore.unpark` (or :meth:`EventCore.kick`).  This is how a
-  warm serving guest waits for traffic without holding a deadline: the
-  router wakes it when a request arrives, and ``run()`` returning with
-  parked guests still registered means the fleet is *quiescent*, not
-  finished -- the caller may unpark them (e.g. to retire) and ``run()``
-  again.
+  :meth:`EventCore.kick`.  This is how a warm serving guest waits for
+  traffic without holding a deadline: the router wakes it when a
+  request arrives, and ``run()`` returning with parked guests still
+  registered means the fleet is *quiescent*, not finished -- the caller
+  may kick them (e.g. to retire) and ``run()`` again.
 
 Serving extensions (the ``repro.traffic`` layer drives these):
 
@@ -45,7 +45,7 @@ Serving extensions (the ``repro.traffic`` layer drives these):
   the core fast-forwards the fresh clock there, aligning the guest's
   timeline with global time before its build/boot stages run;
 - :meth:`EventCore.kick` re-arms a registered guest at an instant,
-  whether it is parked or waiting on a (later) armed deadline.  A kick
+  whether it is parked or waiting on a (later) deadline.  A kick
   supersedes the pending heap entry via a per-runner generation
   counter: the stale entry is skipped on pop without counting as a
   dispatch, so wake-ups never double-run a guest;
@@ -105,12 +105,12 @@ class _ParkSentinel:
 
 
 #: Yield this from a guest program to park indefinitely: the runner
-#: leaves the global heap until ``unpark``/``kick`` re-arms it.
+#: leaves the global heap until a ``kick`` re-arms it.
 PARK = _ParkSentinel()
 
 #: A guest lifecycle program: ``next()`` runs one stage; yields ``None``
 #: (runnable now), an absolute virtual deadline (idle until then), or
-#: :data:`PARK` (off the heap until unparked).
+#: :data:`PARK` (off the heap until kicked).
 GuestProgram = Generator[Optional[float], None, None]
 
 
@@ -175,7 +175,6 @@ class EventCore:
     per run, like a fresh heap per simulation).
     """
 
-    start_ns: float = 0.0
     _clocks: Dict[str, VirtualClock] = field(default_factory=dict)
     _runners: Dict[str, _Runner] = field(default_factory=dict)
     _heap: List[Tuple[float, int, int, "_Runner"]] = field(
@@ -210,7 +209,7 @@ class EventCore:
         the core.
         """
         if name not in self._clocks:
-            self._clocks[name] = VirtualClock(self.start_ns)
+            self._clocks[name] = VirtualClock()
         return self._clocks[name]
 
     def spawn(self, name: str, program: GuestProgram,
@@ -241,20 +240,6 @@ class EventCore:
         """Whether guest *name* yielded :data:`PARK` and awaits a wake-up."""
         runner = self._runners.get(name)
         return runner is not None and runner.parked and not runner.done
-
-    def unpark(self, name: str, at_ns: Optional[float] = None) -> None:
-        """Wake a :data:`PARK`-ed guest at ``at_ns`` (default: its own now).
-
-        Raises :class:`EventCoreError` unless the guest is currently
-        parked -- use :meth:`kick` when the guest may instead be waiting
-        on an armed deadline.
-        """
-        runner = self._runners.get(name)
-        if runner is None or runner.done:
-            raise EventCoreError(f"guest {name!r} is not registered/alive")
-        if not runner.parked:
-            raise EventCoreError(f"guest {name!r} is not parked")
-        self.kick(name, runner.clock.now_ns if at_ns is None else at_ns)
 
     def kick(self, name: str, at_ns: float) -> None:
         """Re-arm guest *name* to dispatch at ``at_ns`` (clamped to its now).
@@ -354,9 +339,9 @@ class EventCore:
         ends, before the next pop.  The heap empties when every program
         has completed *or parked*:
         a return with parked runners means the fleet is quiescent, and
-        the caller may :meth:`unpark`/:meth:`kick` them and ``run()``
-        again -- stats accumulate across resumed runs, and the metrics
-        registry receives only the delta each run produced.
+        the caller may :meth:`kick` them and ``run()`` again -- stats
+        accumulate across resumed runs, and the metrics registry
+        receives only the delta each run produced.
 
         Returns (and publishes to the metrics registry) the per-core
         counters: events dispatched, guests fast-forwarded in closed
@@ -376,9 +361,8 @@ class EventCore:
                 continue
             self.stats.events_dispatched += 1
             if key_ns > runner.clock.now_ns:
-                # Idle guest whose parked deadline is now the earliest
-                # fleet event: land on it in one closed-form jump (due
-                # events fire inside advance_to).
+                # Idle guest whose deadline is now the earliest fleet
+                # event: land on it in one closed-form jump.
                 self.stats.guests_fast_forwarded += 1
                 runner.clock.advance_to(key_ns)
             try:
@@ -453,17 +437,3 @@ class EventCore:
         )
         self._published = EventCoreStats(**self.stats.to_dict())
 
-
-def drain_deadlines(clock: VirtualClock) -> GuestProgram:
-    """A program fragment parking a guest on each pending deadline in turn.
-
-    ``yield from drain_deadlines(guest.clock)`` at the end of a lifecycle
-    program retires the guest only after its armed timers (2MSL, ...)
-    have fired, with every wait going through the global heap so the core
-    fast-forwards it in closed form.
-    """
-    while True:
-        deadline = clock.next_deadline_ns()
-        if deadline is None:
-            return
-        yield deadline

@@ -223,20 +223,13 @@ class Guest:
         return rate
 
     def shutdown(self) -> None:
-        """Retire the guest; its clock stops accepting lifecycle work.
+        """Retire the guest; it accepts no further lifecycle work.
 
-        Pending virtual deadlines (2MSL timers, armed sleeps) are drained
-        first -- the clock lands on each in turn and fires it -- so a
-        guest's uptime always covers every event it armed, identically
-        on a private clock and on an event core's.
+        Its clock stays where the last stage left it, so
+        :attr:`uptime_ns` reads the same after shutdown as before.
         """
         if self.state is GuestState.SHUTDOWN:
             return
-        while True:
-            deadline = self.clock.next_deadline_ns()
-            if deadline is None:
-                break
-            self.clock.advance_to(deadline)
         self.state = GuestState.SHUTDOWN
 
     # -- measurement surface ----------------------------------------------

@@ -7,8 +7,8 @@ Firecracker-study framing of serverless fleets, with MultiK-style
 routing across specialized kernels:
 
 - :mod:`repro.traffic.arrivals` -- seeded open-loop traces (Poisson,
-  diurnal, bursty) with a Zipf-skewed app mix, armed as deadlines on
-  the arrivals clock;
+  diurnal, bursty) with a Zipf-skewed app mix, drawn one arrival at a
+  time by the arrivals program;
 - :mod:`repro.traffic.policy` -- warm-pool/keepalive policies
   (scale-to-zero idle timeout, pool floors/ceilings, pre-warm);
 - :mod:`repro.traffic.router` -- warm-pool dispatch, cold boots (full

@@ -21,11 +21,9 @@ profiles (:func:`zipf_app_mix`), most-popular-first -- the MultiK-style
 "many specialized kernels, skewed demand" mix.
 
 :class:`ArrivalSource` adapts a trace to the global event heap: it
-draws each next arrival and, when the arrivals program steps through the
-heap, arms it as a deadline on the *arrivals clock* (obtained from
-``EventCore.clock_for``), so ``clock.next_deadline_ns()`` then agrees
-with the router's idea of when the next request lands -- the property
-``tests/test_traffic.py`` pins.
+draws each next arrival, whose instant the arrivals program waits for on
+the heap, and hands it over once the *arrivals clock* (obtained from
+``EventCore.clock_for``) has reached that instant.
 """
 
 from __future__ import annotations
@@ -218,18 +216,14 @@ class Arrival:
 
 
 class ArrivalSource:
-    """Draws each next arrival; on the stepped path, arms it on the
-    arrivals clock.
+    """Draws each next arrival and hands it over once it is reached.
 
     One instance per serving run.  :meth:`arm_next` draws the next
-    ``(time, app)``.  On the stepped branch :meth:`arm` puts the instant
-    on the arrivals clock and the arrivals program yields it, so
-    ``clock.next_deadline_ns()`` equals :attr:`next_arrival_ns` -- the
-    agreement property the tests pin.  On the folded branch the program
-    lands the clock on the instant itself, with nothing armed (see
-    :func:`~repro.traffic.serve._arrivals_program`).  Either way
-    :meth:`take` hands the drawn :class:`Arrival` to the router once the
-    clock has reached it.
+    ``(time, app)`` and returns its instant; the arrivals program waits
+    for that instant on the heap, or lands the arrivals clock there
+    itself (see :func:`~repro.traffic.serve._arrivals_program`).
+    :meth:`take` then hands the drawn :class:`Arrival` to the router,
+    and refuses to before the clock has reached it.
 
     A fault hang on the arrival path advances the arrivals clock, which
     may push ``now`` past upcoming trace instants; those arrivals are
@@ -250,20 +244,14 @@ class ArrivalSource:
         self._mix = zipf_app_mix(apps, spec, seed)
         self._index = 0
         self._drawn: Optional[Arrival] = None
-        self.next_arrival_ns: Optional[float] = None
         #: The trace instant after the drawn one (None: the trace ends).
         self.lookahead_ns: Optional[float] = next(self._times, None)
         self.clamped = 0
 
     def arm_next(self) -> Optional[float]:
-        """Draw the next arrival; returns its instant (None: trace done).
-
-        Drawing only: the stepped branch arms the instant with
-        :meth:`arm`.
-        """
+        """Draw the next arrival; returns its instant (None: trace done)."""
         t = self.lookahead_ns
         if t is None:
-            self.next_arrival_ns = None
             return None
         self.lookahead_ns = next(self._times, None)
         arrival = Arrival(index=self._index, app=next(self._mix),
@@ -272,14 +260,7 @@ class ArrivalSource:
         if arrival.arrival_ns > t:
             self.clamped += 1
         self._drawn = arrival
-        self.next_arrival_ns = arrival.arrival_ns
         return arrival.arrival_ns
-
-    def arm(self) -> None:
-        """Arm the drawn arrival as a deadline on the arrivals clock
-        (nothing to arm when it lands at the clock's own now)."""
-        if self.next_arrival_ns > self.clock.now_ns:
-            self.clock.call_at(self.next_arrival_ns)
 
     def take(self) -> Arrival:
         """The drawn arrival, once the arrivals clock has reached it."""

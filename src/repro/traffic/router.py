@@ -9,10 +9,10 @@ the paper's Fig 7 boot cost, landing inside that request's latency --
 and at capacity the arrival queues FIFO behind its app.
 
 Workers are :class:`EventCore` programs.  An idle worker enters the
-app's warm pool (LIFO, for keepalive locality) and either arms its idle
-timeout as a virtual deadline or yields ``PARK``.  A timed-out worker
-retires -- full ``shutdown`` -- unless the policy's ``min_warm`` floor
-pins it, in which case it parks until kicked.  All of it is virtual-time
+app's warm pool (LIFO, for keepalive locality) and either yields its
+idle timeout as a virtual deadline or yields ``PARK``.  A timed-out
+worker retires -- full ``shutdown`` -- unless the policy's ``min_warm``
+floor pins it, in which case it parks until kicked.  All of it is virtual-time
 events on the one global heap; nothing polls.
 
 A warm hit is normally served inside its arrival's own event (the
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from repro.faults import active_plane
-from repro.simcore.eventcore import PARK, EventCore, drain_deadlines
+from repro.simcore.eventcore import PARK, EventCore
 from repro.traffic.arrivals import Arrival, ArrivalSource
 from repro.traffic.policy import WarmPoolPolicy
 from repro.traffic.supervisor import (
@@ -504,7 +504,6 @@ class Router:
                 self._leave_pool(worker)
                 break
             yield PARK
-        yield from drain_deadlines(guest.clock)
         guest.shutdown()
         self._on_retired(worker)
 

@@ -14,7 +14,7 @@
    arrival the core would dispatch next anyway is served inside the
    running arrivals event (the arrival fold), and a warm hit is served
    inside its arrival's dispatch (the router's fold); otherwise each
-   arrival is armed on the arrivals clock as an event of its own and
+   arrival's instant is yielded to the heap as an event of its own and
    the router kicks a worker;
 3. ``core.run()`` drains the heap to quiescence -- all traffic settled,
    all idle timeouts and watchdogs resolved, every surviving worker
@@ -265,12 +265,12 @@ def percentile_ns(sorted_samples: List[float], q: float) -> float:
 def _arrivals_program(source: ArrivalSource, router: Router):
     """Walk the trace: draw each arrival, reach its instant, dispatch it.
 
-    The stepped branch arms the drawn instant on the arrivals clock and
-    yields it to the core.  The *arrival fold* skips that round trip
-    when the core would pop this program's entry straight back
-    (:meth:`EventCore.runs_next`): it flushes the deferred kicks as the
-    core would have, lands the arrivals clock on the instant (nothing
-    is armed there) and dispatches in place.  It folds only when the
+    The stepped branch yields the drawn instant to the core, which lands
+    the arrivals clock there when it pops the entry.  The *arrival fold*
+    skips that round trip when the core would pop this program's entry
+    straight back (:meth:`EventCore.runs_next`): it flushes the deferred
+    kicks as the core would have, lands the arrivals clock on the
+    instant itself and dispatches in place.  It folds only when the
     router's fold is on, so under an installed plane, even an empty
     one, every arrival is its own event: the empty-plane rerun stays
     the oracle and ``eventcore.dispatch`` is decided once per arrival.
@@ -288,7 +288,6 @@ def _arrivals_program(source: ArrivalSource, router: Router):
             core.flush_deferred()
             clock.advance_to(deadline)
         else:
-            source.arm()
             yield deadline
         arrival = source.take()
         try:

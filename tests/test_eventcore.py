@@ -5,19 +5,14 @@ itself (virtual-time ordering, closed-form fast-forward of idle guests,
 park/kick, stats), the surface the router's warm-hit fold and the
 arrival fold run on (``next_key``, ``defer_kick``, ``runs_next``,
 ``flush_deferred``), ``Fleet.simulate``'s edge cases and
-``build_count``, and ``Guest.shutdown`` draining pending deadlines.
+``build_count``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore.eventcore import (
-    PARK,
-    EventCore,
-    EventCoreError,
-    drain_deadlines,
-)
+from repro.simcore.eventcore import PARK, EventCore, EventCoreError
 
 
 class TestEventCore:
@@ -26,10 +21,6 @@ class TestEventCore:
         clock = core.clock_for("g")
         assert core.clock_for("g") is clock
         assert clock.now_ns == 0.0
-
-    def test_clock_for_honors_start_ns(self):
-        core = EventCore(start_ns=100.0)
-        assert core.clock_for("g").now_ns == 100.0
 
     def test_duplicate_spawn_rejected(self):
         core = EventCore()
@@ -73,19 +64,18 @@ class TestEventCore:
 
     def test_idle_guest_fast_forwarded_in_closed_form(self):
         core = EventCore()
-        fired = []
+        landed = []
 
         def program():
             clock = core.clock_for("g")
-            clock.call_after(50.0, lambda: fired.append(clock.now_ns))
             yield 50.0
-            # The core landed the clock exactly on the parked deadline
-            # (one advance_to, which fired the due event on the way).
-            assert clock.now_ns == 50.0
+            # The core landed the clock exactly on the yielded deadline,
+            # in one advance_to.
+            landed.append(clock.now_ns)
 
         core.spawn("g", program())
         stats = core.run()
-        assert fired == [50.0]
+        assert landed == [50.0]
         assert stats.guests_fast_forwarded == 1
         assert stats.events_dispatched == 2  # initial stage + wake-up
 
@@ -114,37 +104,6 @@ class TestEventCore:
         with pytest.raises(EventCoreError):
             core.run()
 
-    def test_drain_deadlines_parks_on_each_pending_deadline(self):
-        core = EventCore()
-        fired = []
-
-        def program():
-            clock = core.clock_for("g")
-            clock.call_after(10.0, lambda: fired.append("a"))
-            clock.call_after(30.0, lambda: fired.append("b"))
-            yield from drain_deadlines(clock)
-
-        core.spawn("g", program())
-        stats = core.run()
-        assert fired == ["a", "b"]
-        assert core.clock_for("g").now_ns == 30.0
-        assert stats.guests_fast_forwarded == 2
-
-    def test_drain_deadlines_skips_cancelled(self):
-        core = EventCore()
-        fired = []
-
-        def program():
-            clock = core.clock_for("g")
-            doomed = clock.call_after(10.0, lambda: fired.append("doomed"))
-            clock.call_after(20.0, lambda: fired.append("kept"))
-            doomed.cancel()
-            yield from drain_deadlines(clock)
-
-        core.spawn("g", program())
-        core.run()
-        assert fired == ["kept"]
-
     def test_heap_high_water_tracks_registered_guests(self):
         core = EventCore()
 
@@ -167,19 +126,18 @@ class TestEventCore:
         core = EventCore()
 
         def program():
-            clock = core.clock_for("g")
-            clock.call_after(5.0, lambda: None)
             yield 5.0
 
         core.spawn("g", program())
         stats = core.run()
+        assert (stats.events_dispatched, stats.guests_fast_forwarded) == (2, 1)
         assert dispatched.value - before[0] == stats.events_dispatched
         assert forwarded.value - before[1] == stats.guests_fast_forwarded
         assert stats.to_dict()["heap_high_water"] == stats.heap_high_water
 
 
 class TestParkAndKick:
-    """The serving extensions: PARK/unpark, kicks, and timed spawns."""
+    """The serving extensions: PARK, kicks, and timed spawns."""
 
     def test_parked_runner_survives_run_and_resumes_on_kick(self):
         core = EventCore()
@@ -200,7 +158,7 @@ class TestParkAndKick:
         assert not core.is_parked("g")
         assert core.clock_for("g").now_ns == 40.0
 
-    def test_unpark_requires_a_parked_runner(self):
+    def test_kick_requires_a_live_runner(self):
         core = EventCore()
 
         def program():
@@ -208,9 +166,11 @@ class TestParkAndKick:
 
         core.spawn("g", program())
         with pytest.raises(EventCoreError):
-            core.unpark("g")
+            core.kick("missing", 0.0)
+        core.run()  # the program returns: the runner is finished
         with pytest.raises(EventCoreError):
-            core.unpark("missing")
+            core.kick("g", 0.0)
+        assert core.stats.kicks == 0
 
     def test_kick_preempts_a_pending_deadline(self):
         core = EventCore()
@@ -627,22 +587,6 @@ class TestFleetEdgeCases:
         spec = GuestSpec(name="twin", variant=None, app="redis")
         with pytest.raises(ValueError, match="duplicate guest name"):
             Fleet._validate_specs([spec, spec])
-
-
-class TestGuestShutdown:
-    def _guest(self):
-        from repro.core.variants import Variant
-        from repro.simcore.guest import variant_guest
-
-        return variant_guest(Variant.LUPINE_NOKML, app="redis")
-
-    def test_shutdown_drains_pending_deadlines(self):
-        guest = self._guest()
-        fired = []
-        guest.clock.call_after(5e9, lambda: fired.append(guest.clock.now_ns))
-        guest.shutdown()
-        assert fired == [5e9]
-        assert guest.uptime_ns == 5e9
 
 
 class TestFleetBuildCount:

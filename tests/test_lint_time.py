@@ -61,8 +61,6 @@ class TestLintTime:
     @pytest.mark.parametrize("source", [
         "clock._now_ns = target\n",
         "now = guest.clock._now_ns\n",
-        "clock._run_to(target)\n",
-        "land = core.clock_for('w')._run_to\n",
     ])
     def test_no_clock_internals_flags_accumulator_and_loop(self, source):
         module = _load()
@@ -71,7 +69,7 @@ class TestLintTime:
                                             time_rules=time_rules)
             assert len(violations) == 1, violations
             assert "[no-clock-internals]" in violations[0]
-        # repro/simcore owns both.
+        # repro/simcore owns the accumulator.
         assert module.lint_source(source, "mod.py", time_rules=False,
                                   clock_internals=False) == []
 

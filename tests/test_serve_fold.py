@@ -117,13 +117,12 @@ class TestArrivalFold:
         """Serve :attr:`TRACE`, with one more program whose heap entry
         ties arrival :attr:`TIE_INDEX`'s instant if *tie*; returns the
         report, the arrivals that program saw dispatched before it ran,
-        and the instants the arrivals program armed (its stepped
-        branch)."""
+        and the instants the arrivals program yielded to the core (its
+        stepped branch)."""
         from repro.traffic import serve
-        from repro.traffic.arrivals import ArrivalSource
 
         tie_ns = list(arrival_times_ns(self.TRACE, self.SEED))[self.TIE_INDEX]
-        seen, armed = [], []
+        seen, yielded = [], []
 
         def with_tie(source, router):
             def tied():
@@ -134,35 +133,30 @@ class TestArrivalFold:
             # so it wins the tie at ``tie_ns``.
             if tie:
                 router.core.spawn("tie", tied(), start_ns=tie_ns)
-            yield from _arrivals_program(source, router)
-
-        arm = ArrivalSource.arm
-
-        def spy(source):
-            armed.append(source.next_arrival_ns)
-            arm(source)
+            for instant in _arrivals_program(source, router):
+                yielded.append(instant)
+                yield instant
 
         spec = ServeSpec(trace=self.TRACE, policy=FIXED_POOL, seed=self.SEED)
         with monkeypatch.context() as patch:
             patch.setattr(serve, "_arrivals_program", with_tie)
-            patch.setattr(ArrivalSource, "arm", spy)
             report = _stepped(spec) if installed_plane else run_serving(spec)
-        return report, seen, armed, tie_ns
+        return report, seen, yielded, tie_ns
 
     def test_a_tie_with_a_live_event_takes_the_stepped_branch(
             self, monkeypatch):
-        untied, _, untied_armed, tie_ns = self._run(monkeypatch, False,
-                                                    tie=False)
-        assert tie_ns not in untied_armed  # alone, that arrival folds
-        assert len(untied_armed) < self.TRACE.requests // 2
-        folded, seen, armed, _ = self._run(monkeypatch, False)
-        stepped, stepped_seen, stepped_armed, _ = self._run(monkeypatch,
-                                                            True)
+        untied, _, untied_yielded, tie_ns = self._run(monkeypatch, False,
+                                                      tie=False)
+        assert tie_ns not in untied_yielded  # alone, that arrival folds
+        assert len(untied_yielded) < self.TRACE.requests // 2
+        folded, seen, yielded, _ = self._run(monkeypatch, False)
+        stepped, stepped_seen, stepped_yielded, _ = self._run(monkeypatch,
+                                                              True)
         assert folded.manifest() == stepped.manifest() == untied.manifest()
         # The tied event ran before the arrival on both paths.
         assert seen == stepped_seen == [self.TIE_INDEX]
-        assert armed == sorted(untied_armed + [tie_ns])
-        assert len(stepped_armed) == self.TRACE.requests
+        assert yielded == sorted(untied_yielded + [tie_ns])
+        assert len(stepped_yielded) == self.TRACE.requests
 
 
 class TestFoldEligibility:

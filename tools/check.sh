@@ -19,7 +19,7 @@
 #
 # The single-time-authority lint (tools/lint_time.py) enforces the
 # simcore invariant: no module outside simcore reaches a clock's
-# accumulator or dispatch loop (._now_ns, ._run_to), and no simulator
+# accumulator (._now_ns), and no simulator
 # keeps a private clock accumulator field.  Its no-threads rule
 # covers all of src/repro: every process runs repro code on one thread
 # (experiments run in order), so the clock, fault plane, tracer and

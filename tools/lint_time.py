@@ -7,12 +7,13 @@ authority: :class:`repro.simcore.clock.VirtualClock` (reached ambiently
 through :func:`repro.simcore.context.current_clock`).  This AST lint
 keeps it that way across ``src/repro``:
 
-- **no-clock-internals** -- reaching a clock's ``._now_ns`` or
-  ``._run_to`` outside ``repro/simcore``.  Landing a clock by storing
-  its accumulator (or driving its dispatch loop by hand) would bypass
-  the deadline dispatch ``advance``/``advance_to``/``jump_to`` perform:
-  a fold that lands a clock must do it through the clock's own API, so
-  every event due on the way still fires.
+- **no-clock-internals** -- reaching a clock's ``._now_ns`` accumulator
+  outside ``repro/simcore``.  A clock moves only through ``advance``,
+  ``advance_to`` and ``jump_to``, which perfbench counts as
+  ``simcore.clock.advance``: ``advance`` and ``advance_to`` reject time
+  reversal, and ``jump_to`` is the one explicit rebase.  Storing the
+  accumulator directly would skip both the check and the count, so a
+  fold that lands a clock must do it through the clock's own API.
 - **no-clock-field** -- declaring a class-level accumulator field named
   like a timeline (``clock_ns``, ``time_us``, ``now_ms``, ...) outside
   the time-authority modules.  Layers hold a ``clock: VirtualClock`` and
@@ -54,9 +55,9 @@ ALLOWED = ("simcore", "observe")
 #: The directory (relative to src/repro) that owns the clock internals.
 CLOCK_OWNER = "simcore"
 
-#: ``VirtualClock`` internals no module outside :data:`CLOCK_OWNER` may
-#: reach: the accumulator and the dispatch loop.
-CLOCK_INTERNALS = ("_now_ns", "_run_to")
+#: The ``VirtualClock`` accumulator no module outside :data:`CLOCK_OWNER`
+#: may reach.
+CLOCK_ACCUMULATOR = "_now_ns"
 
 #: Fleet code paths (relative to src/repro): modules that orchestrate
 #: many guests and therefore must source clocks from the EventCore.
@@ -157,12 +158,12 @@ def lint_source(source: str, label: str, fleet_path: bool = False,
                 "worker processes instead"
             )
         if (clock_internals and isinstance(node, ast.Attribute)
-                and node.attr in CLOCK_INTERNALS):
+                and node.attr == CLOCK_ACCUMULATOR):
             violations.append(
                 f"{label}:{node.lineno}: [no-clock-internals] reaching "
-                f"a clock's {node.attr} outside repro/simcore; land "
-                "clocks with advance/advance_to/jump_to so due events "
-                "fire"
+                f"a clock's {node.attr} outside repro/simcore; move "
+                "clocks with advance/advance_to/jump_to, which reject "
+                "time reversal (jump_to is the one explicit rebase)"
             )
         if not time_rules:
             continue
