@@ -66,8 +66,8 @@ def main() -> None:
     for workload, workers, bound in (
         ("sem_posix", 256, 3), ("futex", 256, 8), ("make-j", 64, 3)
     ):
-        overhead = smp_overhead(workload, workers) * 100
-        print(f"   {workload:<10} {workers:>4} workers: {overhead:5.2f}% "
+        ((_, overhead),) = smp_overhead(workload, (workers,))
+        print(f"   {workload:<10} {workers:>4} workers: {overhead * 100:5.2f}% "
               f"overhead (paper bound: {bound}%)")
 
 

@@ -1,4 +1,12 @@
-"""Section 5: worst-case overhead of CONFIG_SMP on a single processor."""
+"""Section 5: worst-case overhead of CONFIG_SMP on a single processor.
+
+Each series is one sweep per SMP setting: the futex and semaphore
+stresses run once, to the largest worker count, and read every smaller
+count from that run's prefix.  This is exact, not an approximation: a
+*k*-worker run is the first *k* workers of any longer run, since workers
+are spawned and run in order and nothing runs after the last one (see
+:mod:`repro.workloads.smp_stress`).
+"""
 
 from __future__ import annotations
 
@@ -12,16 +20,11 @@ WORKER_COUNTS = (1, 4, 16, 64, 256, 512)
 
 def run() -> Dict[str, List[Tuple[int, float]]]:
     """workload -> [(workers, fractional overhead), ...]."""
-    results: Dict[str, List[Tuple[int, float]]] = {}
-    for workload in ("sem_posix", "futex"):
-        results[workload] = [
-            (workers, smp_overhead(workload, workers))
-            for workers in WORKER_COUNTS
-        ]
-    results["make-j"] = [
-        (jobs, smp_overhead("make-j", jobs)) for jobs in (1, 2, 8, 64, 512)
-    ]
-    return results
+    return {
+        "sem_posix": smp_overhead("sem_posix", WORKER_COUNTS),
+        "futex": smp_overhead("futex", WORKER_COUNTS),
+        "make-j": smp_overhead("make-j", (1, 2, 8, 64, 512)),
+    }
 
 
 def dual_cpu_build_speedup() -> float:

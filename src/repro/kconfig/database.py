@@ -11,13 +11,23 @@ Builds a :class:`~repro.kconfig.model.KconfigTree` with
 Cost-model values (object size, initcall cost, static memory) are attached
 per option: group means modulated by a stable per-name factor, with explicit
 overrides for the options that dominate the paper's measurements.
+
+One option model serves every tree: each curated and filler
+:class:`~repro.kconfig.model.ConfigOption` is built once per process,
+and every tree holds those same objects.  A patched tree differs from
+the pristine one only in its patch options and in taking a shorter
+prefix of the filler (the KML tree adds ``KERNEL_MODE_LINUX`` and drops
+the last ``kernel`` filler option).  Sharing is safe because no code
+assigns an option field after construction.  Trees are cached by their
+normalized ``(version, sorted patches)``, so every spelling of a call
+returns the same tree.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.kconfig.data.base_options import (
     BASE_DEPENDS,
@@ -165,10 +175,13 @@ def removed_options_by_subcategory() -> Dict[Tuple[str, str], List[str]]:
     return by_sub
 
 
-def _add_curated(tree: KconfigTree, patches: FrozenSet[str]) -> None:
+@lru_cache(maxsize=None)
+def _curated_options() -> Tuple[ConfigOption, ...]:
+    """Every curated option, patch-only ones included, in tree order."""
+    options = []
     for group_name, directory, size_mean, boot_mean, mem_mean, names in BASE_GROUPS:
         for name in names:
-            tree.add(
+            options.append(
                 _curated_option(
                     name, directory, f"base:{group_name}",
                     size_mean, boot_mean, mem_mean,
@@ -179,7 +192,7 @@ def _add_curated(tree: KconfigTree, patches: FrozenSet[str]) -> None:
         REMOVED_GROUPS
     ):
         for name in names:
-            tree.add(
+            options.append(
                 _curated_option(
                     name, directory, f"{category}:{subcat}",
                     size_mean, boot_mean, mem_mean,
@@ -191,16 +204,21 @@ def _add_curated(tree: KconfigTree, patches: FrozenSet[str]) -> None:
         EXTENSION_GROUPS
     ):
         for name in names:
-            required_patch = PATCH_ONLY.get(name)
-            if required_patch is not None and required_patch not in patches:
-                continue
-            tree.add(
+            options.append(
                 _curated_option(
                     name, directory, f"{category}:{subcat}",
                     size_mean, boot_mean, mem_mean,
                     EXTENSION_DEPENDS, EXTENSION_SELECTS, {}, {}, {},
                 )
             )
+    return tuple(options)
+
+
+def _add_curated(tree: KconfigTree, patches: Tuple[str, ...]) -> None:
+    for option in _curated_options():
+        required_patch = PATCH_ONLY.get(option.name)
+        if required_patch is None or required_patch in patches:
+            tree.add(option)
 
 
 def _register_choices(tree: KconfigTree) -> None:
@@ -234,6 +252,37 @@ def _register_choices(tree: KconfigTree) -> None:
     ))
 
 
+@lru_cache(maxsize=None)
+def _filler_options(directory: str) -> Tuple[ConfigOption, ...]:
+    """The filler *directory* needs in the pristine tree, in tree order.
+
+    Patches only add curated options, so a patched tree needs fewer
+    filler options: a prefix of these.
+    """
+    prefixes = _FILLER_PREFIXES[directory]
+    curated = sum(
+        1 for option in _curated_options()
+        if option.directory == directory and option.name not in PATCH_ONLY
+    )
+    options = []
+    for index in range(DIRECTORY_TOTALS[directory] - curated):
+        prefix = prefixes[index % len(prefixes)]
+        name = f"{prefix}_{index // len(prefixes):04d}"
+        factor = _stable_factor(name)
+        options.append(
+            ConfigOption(
+                name=name,
+                option_type=OptionType.TRISTATE,
+                directory=directory,
+                size_kb=6.0 * factor,
+                boot_cost_us=3.0 * factor,
+                mem_cost_kb=1.0 * factor,
+                synthetic=True,
+            )
+        )
+    return tuple(options)
+
+
 def _add_filler(tree: KconfigTree) -> None:
     counts = tree.count_by_directory()
     for directory, total in DIRECTORY_TOTALS.items():
@@ -244,41 +293,33 @@ def _add_filler(tree: KconfigTree) -> None:
                 f"curated options exceed directory total for {directory}: "
                 f"{existing} > {total}"
             )
-        prefixes = _FILLER_PREFIXES[directory]
-        for index in range(missing):
-            prefix = prefixes[index % len(prefixes)]
-            name = f"{prefix}_{index // len(prefixes):04d}"
-            factor = _stable_factor(name)
-            tree.add(
-                ConfigOption(
-                    name=name,
-                    option_type=OptionType.TRISTATE,
-                    directory=directory,
-                    size_kb=6.0 * factor,
-                    boot_cost_us=3.0 * factor,
-                    mem_cost_kb=1.0 * factor,
-                    synthetic=True,
-                )
-            )
+        tree.add_all(_filler_options(directory)[:missing])
 
 
-@lru_cache(maxsize=8)
 def build_linux_tree(
-    version: str = "4.0", patches: Tuple[str, ...] = ()
+    version: str = "4.0", patches: Iterable[str] = ()
 ) -> KconfigTree:
     """Build the option tree for Linux *version* with *patches* applied.
 
     Only version ``4.0`` is modelled (the paper uses it because it is the
     most recent KML-patched kernel).  ``patches=("kml",)`` adds the
     ``KERNEL_MODE_LINUX`` option exactly as applying the KML patch does.
+    The tree is cached by ``(version, sorted patches)``, however the call
+    spells them; ``build_linux_tree.cache_clear()`` drops the cached trees
+    (the shared option objects stay).
     """
+    return _build_tree(version, tuple(sorted(set(patches))))
+
+
+@lru_cache(maxsize=8)
+def _build_tree(version: str, patches: Tuple[str, ...]) -> KconfigTree:
     if version != "4.0":
         raise ValueError(f"only Linux 4.0 is modelled, not {version!r}")
     unknown = set(patches) - set(PATCH_ONLY.values())
     if unknown:
         raise ValueError(f"unknown patches: {sorted(unknown)}")
     tree = KconfigTree(kernel_version=version)
-    _add_curated(tree, frozenset(patches))
+    _add_curated(tree, patches)
     _register_choices(tree)
     _add_filler(tree)
     # Filler tops every directory up to its Figure 3 total, so the tree size
@@ -292,6 +333,11 @@ def build_linux_tree(
     # here, and every resolver on this shared instance reuses the index.
     tree.resolution_index()
     return tree
+
+
+# Tests rebuild from scratch through this, as they did when the public
+# function carried the lru_cache itself.
+build_linux_tree.cache_clear = _build_tree.cache_clear
 
 
 def curated_totals() -> Dict[str, int]:

@@ -63,35 +63,40 @@ class ResolutionIndex:
         #: Select targets per source (symbolic targets only, select order).
         self.selects_of: List[Tuple[int, ...]] = [()] * count
 
-        rev_dep: List[List[int]] = [[] for _ in range(count)]
-        rev_def: List[List[int]] = [[] for _ in range(count)]
-        rev_sel: List[List[int]] = [[] for _ in range(count)]
+        # Reverse edges by position; most options have none.
+        rev_dep: Dict[int, List[int]] = {}
+        rev_def: Dict[int, List[int]] = {}
+        rev_sel: Dict[int, List[int]] = {}
 
         select_edges: List[Tuple[int, int]] = []
         digest = hashlib.sha256()
         digest.update(f"tree:{tree.kernel_version}\n".encode("utf-8"))
 
+        lines: List[str] = []
         for option in tree:
-            digest.update(
-                (
-                    f"{option.name}\x1f{option.option_type.value}\x1f"
-                    f"{option.depends_on}\x1f{','.join(option.selects)}\x1f"
-                    f"{option.default if option.default is not None else ''}\n"
-                ).encode("utf-8")
+            lines.append(
+                f"{option.name}\x1f{option.option_type.value}\x1f"
+                f"{option.depends_on}\x1f{','.join(option.selects)}\x1f"
+                f"{option.default if option.default is not None else ''}\n"
             )
             p = pos_of.get(option.name)
             if p is None:
                 continue
             self.is_bool[p] = option.option_type is OptionType.BOOL
             self.is_tristate[p] = option.option_type is OptionType.TRISTATE
-            if not is_const_true(option.depends_on):
-                self.dep_fn[p] = compile_expr(option.depends_on)
             self.dep_reason[p] = str(option.depends_on)
+            no_deps = is_const_true(option.depends_on)
+            if no_deps and option.default is None and not option.selects:
+                # No dependency, select or default (every filler option):
+                # nothing to compile and no reverse edge to record.
+                continue
+            if not no_deps:
+                self.dep_fn[p] = compile_expr(option.depends_on)
             dep_symbols = expr_symbols(option.depends_on)
             for symbol in dep_symbols:
                 q = pos_of.get(symbol)
                 if q is not None:
-                    rev_dep[q].append(p)
+                    rev_dep.setdefault(q, []).append(p)
             if option.default is not None:
                 self.def_fn[p] = compile_expr(option.default)
                 # The defaults phase re-reads both the option's visibility
@@ -99,20 +104,21 @@ class ResolutionIndex:
                 for symbol in dep_symbols | expr_symbols(option.default):
                     q = pos_of.get(symbol)
                     if q is not None:
-                        rev_def[q].append(p)
+                        rev_def.setdefault(q, []).append(p)
             targets = []
             for target_name in option.selects:
                 t = pos_of.get(target_name)
                 target = tree.get(target_name)
                 if t is not None and target is not None:
                     targets.append(t)
-                    rev_sel[t].append(p)
+                    rev_sel.setdefault(t, []).append(p)
                     select_edges.append((p, t))
             self.selects_of[p] = tuple(targets)
+        digest.update("".join(lines).encode("utf-8"))
 
-        self.rev_dep: List[Tuple[int, ...]] = [tuple(r) for r in rev_dep]
-        self.rev_def: List[Tuple[int, ...]] = [tuple(r) for r in rev_def]
-        self.rev_sel: List[Tuple[int, ...]] = [tuple(r) for r in rev_sel]
+        self.rev_dep: List[Tuple[int, ...]] = _by_position(rev_dep, count)
+        self.rev_def: List[Tuple[int, ...]] = _by_position(rev_def, count)
+        self.rev_sel: List[Tuple[int, ...]] = _by_position(rev_sel, count)
         #: ``(source, target)`` positions in tree-iteration order, for the
         #: post-fixpoint select-violation pass (O(edges), not O(tree)).
         self.select_edges: Tuple[Tuple[int, int], ...] = tuple(select_edges)
@@ -122,7 +128,7 @@ class ResolutionIndex:
         )
 
         self.choices: Tuple[ChoiceGroup, ...] = tuple(tree.choices())
-        choice_readers: List[List[int]] = [[] for _ in range(count)]
+        choice_readers: Dict[int, List[int]] = {}
         #: Per choice: member positions (member order), default position,
         #: compiled default-member dependency.
         self.choice_members: List[Tuple[int, ...]] = []
@@ -140,7 +146,7 @@ class ResolutionIndex:
                 m = pos_of.get(member)
                 if m is not None:
                     members.append(m)
-                    choice_readers[m].append(c)
+                    choice_readers.setdefault(m, []).append(c)
             self.choice_members.append(tuple(members))
             default = choice.default_member
             d = pos_of.get(default) if default is not None else None
@@ -153,14 +159,23 @@ class ResolutionIndex:
                 )
                 for symbol in expr_symbols(option.depends_on):
                     q = pos_of.get(symbol)
-                    if q is not None and c not in choice_readers[q]:
-                        choice_readers[q].append(c)
+                    if q is not None and c not in choice_readers.get(q, ()):
+                        choice_readers.setdefault(q, []).append(c)
             else:
                 self.choice_default_dep.append(None)
-        self.choice_readers: List[Tuple[int, ...]] = [
-            tuple(r) for r in choice_readers
-        ]
+        self.choice_readers: List[Tuple[int, ...]] = _by_position(
+            choice_readers, count
+        )
 
         #: Content fingerprint of the tree (options + semantics + choices);
         #: the resolution cache's tree key component.
         self.fingerprint: str = digest.hexdigest()[:16]
+
+
+def _by_position(edges: Dict[int, List[int]],
+                 count: int) -> List[Tuple[int, ...]]:
+    """*edges* as a dense per-position list of tuples (``()`` for none)."""
+    dense: List[Tuple[int, ...]] = [()] * count
+    for position, targets in edges.items():
+        dense[position] = tuple(targets)
+    return dense

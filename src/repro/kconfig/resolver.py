@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_, is_not
 from typing import (
     Callable,
     Dict,
@@ -116,31 +118,33 @@ class ResolvedConfig:
     #: replay would otherwise miss; empty on hand-built configs.
     churned: FrozenSet[str] = frozenset()
 
-    def _names_where(self, key: str,
-                     keep: Callable[[Tristate], bool]) -> FrozenSet[str]:
-        """The option names whose value passes *keep*, memoized as *key*."""
+    def _names(self, key: str, test: Callable[[object, object], bool],
+               value: Tristate) -> FrozenSet[str]:
+        """The option names whose value passes ``test(v, value)``
+        (``operator.is_`` / ``is_not``), memoized as *key*.
+
+        ``map`` and ``compress`` select in C: no Python call per value.
+        """
         names = self.__dict__.get(key)
         if names is None:
-            names = frozenset(
-                name for name, value in self.values.items() if keep(value)
-            )
+            values = self.values
+            names = frozenset(compress(
+                values, map(test, values.values(), repeat(value))
+            ))
             object.__setattr__(self, key, names)
         return names
 
     @property
     def enabled(self) -> FrozenSet[str]:
-        return self._names_where("_enabled",
-                                 lambda value: value is not Tristate.NO)
+        return self._names("_enabled", is_not, Tristate.NO)
 
     @property
     def builtin(self) -> FrozenSet[str]:
-        return self._names_where("_builtin",
-                                 lambda value: value is Tristate.YES)
+        return self._names("_builtin", is_, Tristate.YES)
 
     @property
     def modules(self) -> FrozenSet[str]:
-        return self._names_where("_modules",
-                                 lambda value: value is Tristate.MODULE)
+        return self._names("_modules", is_, Tristate.MODULE)
 
     def __contains__(self, name: str) -> bool:
         return self.values.get(name, Tristate.NO) is not Tristate.NO

@@ -5,6 +5,11 @@ allocated only on first touch, against a shared physical-page budget.  The
 footprint model boots guests against decreasing budgets; an
 :class:`OutOfMemoryError` during boot is the simulated analogue of the
 guest failing to come up.
+
+Frames are numbered in allocation order, so a static reservation
+(:meth:`PhysicalMemory.reserve_kb`: kernel image, static data, boot
+slack) takes its pages in one bounds check; only demand-paged memory
+is allocated frame by frame.
 """
 
 from __future__ import annotations
@@ -57,10 +62,20 @@ class PhysicalMemory:
         return frame
 
     def reserve_kb(self, kb: float) -> None:
-        """Carve out a static (non-pageable) reservation, e.g. kernel data."""
+        """Carve out a static (non-pageable) reservation, e.g. kernel data.
+
+        The frames are taken in one step, with the state and error that
+        allocating them one by one would leave: a reservation that does
+        not fit exhausts the budget, then raises.
+        """
         pages = int(kb * 1024 + PAGE_SIZE - 1) // PAGE_SIZE
-        for _ in range(pages):
-            self.allocate_frame()
+        if pages <= 0:
+            return
+        total = self.total_pages
+        if self._next_frame + pages > total:
+            self._next_frame = max(self._next_frame, total)
+            raise OutOfMemoryError(f"out of memory: {total} pages exhausted")
+        self._next_frame += pages
 
 
 @dataclass

@@ -126,7 +126,6 @@ class _Runner:
     clock: VirtualClock
     program: GuestProgram
     done: bool = False
-    parked: bool = False
     #: Bumped by every kick; heap entries carry the generation they were
     #: pushed under, so superseded entries are skipped on pop.
     gen: int = 0
@@ -236,11 +235,6 @@ class EventCore:
 
     # -- wake-up surface ---------------------------------------------------
 
-    def is_parked(self, name: str) -> bool:
-        """Whether guest *name* yielded :data:`PARK` and awaits a wake-up."""
-        runner = self._runners.get(name)
-        return runner is not None and runner.parked and not runner.done
-
     def kick(self, name: str, at_ns: float) -> None:
         """Re-arm guest *name* to dispatch at ``at_ns`` (clamped to its now).
 
@@ -326,7 +320,6 @@ class EventCore:
         if runner is None or runner.done:
             raise EventCoreError(f"guest {name!r} is not registered/alive")
         runner.gen += 1
-        runner.parked = False
         self.stats.kicks += 1
         return runner
 
@@ -379,14 +372,12 @@ class EventCore:
                 # injected fault still propagates -- a real bug should
                 # crash the run, loudly.
                 runner.done = True
-                runner.parked = False
                 self.stats.guest_failures += 1
                 self.failures.append((runner.name, error))
                 if self.on_failure is not None:
                     self.on_failure(runner.name, error)
                 continue
             if idle_until is PARK:
-                runner.parked = True
                 self.stats.parks += 1
                 continue
             next_key = (runner.clock.now_ns if idle_until is None

@@ -112,16 +112,6 @@ class GuestWorker:
     retire_ns: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One served request's outcome."""
-
-    index: int
-    app: str
-    latency_ns: float
-    cold: bool
-
-
 class Router:
     """Dispatches arrivals across warm pools, cold boots, and queues."""
 
@@ -143,7 +133,11 @@ class Router:
         self.total_live = 0
         self.peak_live = 0
         self.workers: List[GuestWorker] = []
-        self.samples: List[LatencySample] = []
+        #: Every served request's latency, in serving order.
+        self.latencies_ns: List[float] = []
+        #: Served requests and cold-served requests per app.
+        self.served_by_app: Dict[str, int] = {a: 0 for a in self.apps}
+        self.cold_by_app: Dict[str, int] = {a: 0 for a in self.apps}
         self.breakers: Dict[str, CircuitBreaker] = {
             a: CircuitBreaker(resilience) for a in self.apps
         }
@@ -568,15 +562,12 @@ class Router:
         worker.cold_pending = False
         guest.serve(self._profiles[worker.app], 1)
         worker.served += 1
+        arrival = request.arrival
+        self.served_by_app[arrival.app] += 1
         if cold:
             self.cold_starts += 1
-        arrival = request.arrival
-        self.samples.append(LatencySample(
-            index=arrival.index,
-            app=arrival.app,
-            latency_ns=guest.clock.now_ns - arrival.arrival_ns,
-            cold=cold,
-        ))
+            self.cold_by_app[arrival.app] += 1
+        self.latencies_ns.append(guest.clock.now_ns - arrival.arrival_ns)
         self._complete(request, guest.clock.now_ns)
 
     def _enter_pool(self, worker: GuestWorker) -> None:
@@ -597,7 +588,7 @@ class Router:
 
     @property
     def completed(self) -> int:
-        return len(self.samples)
+        return len(self.latencies_ns)
 
     @property
     def spawned(self) -> int:

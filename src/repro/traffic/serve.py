@@ -381,7 +381,7 @@ def run_serving(spec: ServeSpec) -> ServingReport:
 
 def _report(spec: ServeSpec, source: ArrivalSource, router: Router,
             supervisor: Supervisor, stats) -> ServingReport:
-    samples = sorted(s.latency_ns for s in router.samples)
+    samples = sorted(router.latencies_ns)
     latency_ms = {
         "p50": percentile_ns(samples, 0.50) / 1e6,
         "p99": percentile_ns(samples, 0.99) / 1e6,
@@ -389,14 +389,11 @@ def _report(spec: ServeSpec, source: ArrivalSource, router: Router,
         "max": (samples[-1] / 1e6) if samples else 0.0,
         "mean": (sum(samples) / len(samples) / 1e6) if samples else 0.0,
     }
-    per_app: Dict[str, Dict[str, int]] = {}
-    for sample in router.samples:
-        entry = per_app.setdefault(
-            sample.app, {"requests": 0, "cold_starts": 0, "spawned": 0}
-        )
-        entry["requests"] += 1
-        if sample.cold:
-            entry["cold_starts"] += 1
+    per_app: Dict[str, Dict[str, int]] = {
+        app: {"requests": served, "cold_starts": router.cold_by_app[app],
+              "spawned": 0}
+        for app, served in router.served_by_app.items() if served
+    }
     for worker in router.workers:
         per_app.setdefault(
             worker.app, {"requests": 0, "cold_starts": 0, "spawned": 0}
@@ -404,11 +401,11 @@ def _report(spec: ServeSpec, source: ArrivalSource, router: Router,
     # Goodput: completed requests over the span traffic actually covered
     # (the arrivals clock's final instant -- deterministic, virtual).
     horizon_s = source.clock.now_ns / 1e9
-    goodput = (len(router.samples) / horizon_s) if horizon_s > 0 else 0.0
+    goodput = (router.completed / horizon_s) if horizon_s > 0 else 0.0
     report = ServingReport(
         spec=spec,
         arrivals=router.arrivals,
-        served=len(router.samples),
+        served=router.completed,
         failed=router.failed,
         shed=router.shed,
         dropped=router.dropped,

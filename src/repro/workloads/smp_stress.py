@@ -5,11 +5,20 @@ UP kernel: ``sem_posix`` and ``futex`` spawn up to 512 workers (4 processes
 sharing a futex/semaphore each) rapidly exercising wait/post, and ``make -j``
 models a parallel kernel build.  The paper measures at most 3%, 8% and 3%
 overhead respectively -- SMP support is nearly free even when unused.
+
+The futex and semaphore stresses take a sorted sweep of worker counts and
+run one simulation, to the largest count, reading each count's elapsed
+time from the scheduler clock as its last worker finishes.  That reading
+is exactly what a separate run of that many workers ends on: workers are
+spawned and run one after another on one scheduler, nothing runs after
+the last one, so a *k*-worker run is the first *k* workers of any longer
+run, float for float.  A single count is a one-element sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.sched.futex import FutexTable, PosixSemaphore
 from repro.sched.scheduler import Scheduler
@@ -19,7 +28,7 @@ from repro.syscall.cpu import CpuCostModel, EntryMechanism
 
 @dataclass
 class StressResult:
-    """One stress run: simulated seconds of wall-clock."""
+    """Simulated seconds of wall-clock a stress run takes with *workers*."""
 
     workload: str
     workers: int
@@ -34,13 +43,42 @@ def _scheduler(smp_enabled: bool) -> Scheduler:
     )
 
 
+def _workers(workload: str, worker_counts: Sequence[int], smp_enabled: bool,
+             scheduler: Scheduler,
+             results: List[StressResult]) -> Iterator[int]:
+    """Worker indices 0, 1, ... up to the largest of *worker_counts*.
+
+    Once the caller has run a count's last worker, that count's
+    :class:`StressResult` is appended to *results*, read from
+    *scheduler*'s clock.
+    """
+    if list(worker_counts) != sorted(worker_counts):
+        raise ValueError(f"worker counts must be sorted: {worker_counts}")
+    done = 0
+    for count in worker_counts:
+        while done < count:
+            yield done
+            done += 1
+        results.append(StressResult(
+            workload=workload,
+            workers=count,
+            smp_enabled=smp_enabled,
+            elapsed_s=scheduler.clock_ns / 1e9,
+        ))
+
+
 def run_futex_stress(
-    workers: int, smp_enabled: bool, ops_per_worker: int = 40
-) -> StressResult:
-    """Workers of 4 processes sharing a futex, ping-ponging wait/wake."""
+    worker_counts: Sequence[int], smp_enabled: bool, ops_per_worker: int = 40
+) -> List[StressResult]:
+    """Workers of 4 processes sharing a futex, ping-ponging wait/wake.
+
+    One result per count of the sorted *worker_counts*, from one run.
+    """
     scheduler = _scheduler(smp_enabled)
     futexes = FutexTable(scheduler)
-    for worker in range(workers):
+    results: List[StressResult] = []
+    for worker in _workers("futex", worker_counts, smp_enabled, scheduler,
+                           results):
         address = 0x1000 + worker * 16
         tasks = [
             scheduler.spawn(f"futex{worker}.{i}", working_set_kb=8)
@@ -53,21 +91,21 @@ def run_futex_stress(
             scheduler.clock.advance(600.0)  # userspace work holding the lock
             futexes.wake(address, 1)
             scheduler.schedule()
-    return StressResult(
-        workload="futex",
-        workers=workers,
-        smp_enabled=smp_enabled,
-        elapsed_s=scheduler.clock_ns / 1e9,
-    )
+    return results
 
 
 def run_sem_posix_stress(
-    workers: int, smp_enabled: bool, ops_per_worker: int = 40
-) -> StressResult:
-    """Workers of 4 processes sharing a POSIX semaphore (mostly fast path)."""
+    worker_counts: Sequence[int], smp_enabled: bool, ops_per_worker: int = 40
+) -> List[StressResult]:
+    """Workers of 4 processes sharing a POSIX semaphore (mostly fast path).
+
+    One result per count of the sorted *worker_counts*, from one run.
+    """
     scheduler = _scheduler(smp_enabled)
     futexes = FutexTable(scheduler)
-    for worker in range(workers):
+    results: List[StressResult] = []
+    for worker in _workers("sem_posix", worker_counts, smp_enabled,
+                           scheduler, results):
         tasks = [
             scheduler.spawn(f"sem{worker}.{i}", working_set_kb=8)
             for i in range(4)
@@ -82,12 +120,7 @@ def run_sem_posix_stress(
             semaphore.post()
             if not acquired:
                 scheduler.schedule()  # only contended ops context switch
-    return StressResult(
-        workload="sem_posix",
-        workers=workers,
-        smp_enabled=smp_enabled,
-        elapsed_s=scheduler.clock_ns / 1e9,
-    )
+    return results
 
 
 #: Kernel compilation model: translation units and per-unit cost.
@@ -112,14 +145,26 @@ def run_make_j(jobs: int, smp_enabled: bool, cpus: int = 1) -> StressResult:
     )
 
 
-def smp_overhead(workload: str, workers: int) -> float:
-    """Fractional SMP-on-1-CPU overhead for one workload/worker count."""
+def _run_make_j_sweep(jobs_counts: Sequence[int],
+                      smp_enabled: bool) -> List[StressResult]:
+    return [run_make_j(jobs, smp_enabled) for jobs in jobs_counts]
+
+
+def smp_overhead(workload: str,
+                 worker_counts: Sequence[int]) -> List[Tuple[int, float]]:
+    """``(workers, fractional SMP-on-1-CPU overhead)`` per worker count.
+
+    One run with SMP and one without cover the whole sorted sweep.
+    """
     runners = {
         "futex": run_futex_stress,
         "sem_posix": run_sem_posix_stress,
-        "make-j": run_make_j,
+        "make-j": _run_make_j_sweep,
     }
     run = runners[workload]
-    with_smp = run(workers, True)
-    without_smp = run(workers, False)
-    return with_smp.elapsed_s / without_smp.elapsed_s - 1.0
+    with_smp = run(worker_counts, True)
+    without_smp = run(worker_counts, False)
+    return [
+        (on.workers, on.elapsed_s / off.elapsed_s - 1.0)
+        for on, off in zip(with_smp, without_smp)
+    ]

@@ -1,5 +1,7 @@
 """Tests for the Linux 4.0 option database model (paper-exact counts)."""
 
+import hashlib
+
 import pytest
 
 from repro.kconfig.database import (
@@ -13,6 +15,21 @@ from repro.kconfig.database import (
     removed_options_by_category,
     removed_options_by_subcategory,
 )
+from repro.kml.patch import KmlPatch
+
+
+def _option_fields_digest(tree):
+    """SHA-256 over every option's model and cost fields, in tree order
+    (the tree fingerprint covers only the resolution semantics)."""
+    digest = hashlib.sha256()
+    for option in tree:
+        digest.update(
+            f"{option.name}\x1f{option.option_type.value}\x1f"
+            f"{option.directory}\x1f{option.category}\x1f"
+            f"{option.size_kb!r}\x1f{option.boot_cost_us!r}\x1f"
+            f"{option.mem_cost_kb!r}\x1f{option.synthetic}\n".encode("utf-8")
+        )
+    return digest.hexdigest()
 
 
 class TestPaperCounts:
@@ -119,6 +136,49 @@ class TestPatches:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):
             build_linux_tree(version="5.0")
+
+    def test_every_spelling_returns_one_tree(self):
+        pristine = build_linux_tree()
+        assert build_linux_tree("4.0") is pristine
+        assert build_linux_tree(version="4.0", patches=()) is pristine
+        assert build_linux_tree(patches=[]) is pristine
+        kml = build_linux_tree(patches=("kml",))
+        assert kml is not pristine
+        assert build_linux_tree("4.0", ("kml",)) is kml
+        assert build_linux_tree(version="4.0", patches=["kml", "kml"]) is kml
+        assert KmlPatch().apply() is build_linux_tree(patches=("kml",))
+
+
+class TestSharedOptionModel:
+    """Both trees hold one set of option objects, built once per process."""
+
+    def test_fingerprints_pinned(self, tree, kml_tree):
+        assert tree.fingerprint() == "9636e0a958587917"
+        assert kml_tree.fingerprint() == "c68e42671c65ae03"
+
+    @pytest.mark.parametrize(("patches", "expected"), [
+        ((), "893e8e3db8dfadb1d8441c15705fb74d"
+             "21869e69cbf9db5edd9cde5f7331a8d1"),
+        (("kml",), "b5258a203be4ca15f238d68eac278592"
+                   "a587b78510ad4aeddddf44914aa37a63"),
+    ])
+    def test_option_fields_pinned(self, patches, expected):
+        assert _option_fields_digest(build_linux_tree(patches=patches)) == (
+            expected)
+
+    def test_patched_tree_shares_the_pristine_options(self, tree, kml_tree):
+        assert tree["NET_VENDOR_0000"] is kml_tree["NET_VENDOR_0000"]
+        assert tree["INET"] is kml_tree["INET"]
+        # KML displaces the last kernel filler option; every other
+        # option is the pristine tree's own object, in the same order.
+        last_filler = [option.name for option in tree.options_in("kernel")
+                       if option.synthetic][-1]
+        assert last_filler not in kml_tree
+        pristine = [option for option in tree if option.name != last_filler]
+        patched = [option for option in kml_tree
+                   if option.name != "KERNEL_MODE_LINUX"]
+        assert len(pristine) == len(patched) == 15952
+        assert all(a is b for a, b in zip(pristine, patched))
 
 
 class TestCuratedTotals:

@@ -230,6 +230,35 @@ class TestResolvedConfig:
             assert first[attr] == expected[attr]
             assert getattr(config, attr) is first[attr]
 
+    def test_sets_select_by_identity(self, tree, microvm, lupine_base,
+                                     lupine_build, nokml_build,
+                                     general_build):
+        """``enabled``/``builtin``/``modules`` select exactly the names a
+        per-value ``is not NO`` / ``is YES`` / ``is MODULE`` test does."""
+        from repro.apps.registry import TOP20_APPS
+        from repro.core.specialization import app_config
+        from repro.kconfig.configs import defconfig, tinyconfig
+        from repro.kconfig.resolver import ResolvedConfig
+
+        hand_built = ResolvedConfig(
+            tree=_tree(*(_opt(name, option_type=OptionType.TRISTATE)
+                         for name in "ABCDE")),
+            # An int equal to NO is not NO: identity, not equality.
+            values={"A": Y, "B": N, "C": M, "D": 0, "E": Y},
+            requested={}, demoted={}, select_violations=(),
+        )
+        configs = [microvm, lupine_base, tinyconfig(tree), defconfig(tree),
+                   lupine_build.config, nokml_build.config,
+                   general_build.config, hand_built]
+        configs += [app_config(app, tree) for app in TOP20_APPS]
+        for config in configs:
+            items = config.values.items()
+            assert config.enabled == {n for n, v in items if v is not N}
+            assert config.builtin == {n for n, v in items if v is Y}
+            assert config.modules == {n for n, v in items if v is M}
+        assert (hand_built.enabled, hand_built.builtin, hand_built.modules) == (
+            {"A", "C", "D", "E"}, {"A", "E"}, {"C"})
+
     def test_bool_request_module_clamps_to_yes(self):
         tree = _tree(_opt("A"))
         config = Resolver(tree).resolve({"A": M})

@@ -81,6 +81,23 @@ def test_every_def_is_counted(package):
                      "unused", "used"]
 
 
+def test_functions_entered_in_forked_workers_count(package):
+    """A pool worker leaves through ``os._exit``; what it entered still
+    counts, and each worker's record is merged."""
+    missed = call_recorder.never_entered(
+        package,
+        ["import multiprocessing\n"
+         "from concurrent.futures import ProcessPoolExecutor\n"
+         "import pkg.mod\n"
+         "context = multiprocessing.get_context('fork')\n"
+         "with ProcessPoolExecutor(2, mp_context=context) as pool:\n"
+         "    assert pool.submit(pkg.mod.helper).result() == 1\n"
+         "    assert pool.submit(pkg.mod.cached).result() == 2"],
+        [package.parent],
+    )
+    assert _names(missed) == ["method", "nested", "other", "unused", "used"]
+
+
 def test_failing_run_raises(package):
     with pytest.raises(subprocess.CalledProcessError):
         call_recorder.never_entered(package, ["raise SystemExit(1)"],

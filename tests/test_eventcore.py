@@ -149,13 +149,17 @@ class TestParkAndKick:
             log.append("after")
 
         core.spawn("g", program())
-        core.run()
+        stats = core.run()
         assert log == ["before"]  # quiescent with the runner parked
-        assert core.is_parked("g")
+        # Parked: off the heap, and the park is counted.
+        assert core.next_key() is None
+        assert stats.parks == 1
         core.kick("g", 40.0)
-        core.run()
+        assert core.next_key() == 40.0  # the kick put it back
+        stats = core.run()
         assert log == ["before", "after"]
-        assert not core.is_parked("g")
+        assert core.next_key() is None
+        assert (stats.parks, stats.kicks) == (1, 1)
         assert core.clock_for("g").now_ns == 40.0
 
     def test_kick_requires_a_live_runner(self):
@@ -281,8 +285,9 @@ class TestFoldSurface:
             woken.append(core.clock_for("w").now_ns)
 
         core.spawn("w", worker())
-        core.run()
-        assert core.is_parked("w")
+        stats = core.run()
+        assert core.next_key() is None  # parked: off the heap
+        assert stats.parks == 1
 
     @pytest.mark.parametrize("deferred", (True, False))
     def test_deferred_kick_sorts_after_the_runner_own_tied_entry(
@@ -559,8 +564,7 @@ class TestFoldAtEndOfTrace:
         assert worker.retire_ns == done_ns + SCALE_TO_ZERO.idle_timeout_ns
         assert worker.retire_ns == stepped.workers[0].retire_ns
         assert folded.guest_seconds == stepped.guest_seconds
-        assert ([s.latency_ns for s in folded.samples]
-                == [s.latency_ns for s in stepped.samples])
+        assert folded.latencies_ns == stepped.latencies_ns
 
 
 class TestFleetEdgeCases:

@@ -37,6 +37,37 @@ class TestPhysicalMemory:
         physical.reserve_kb(5.0)  # 5 KiB -> 2 pages
         assert physical.allocated_pages == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(total_pages=st.integers(0, 64),
+           reservations=st.lists(st.floats(-8.0, 160.0), max_size=6))
+    def test_reserve_kb_equals_page_by_page(self, total_pages, reservations):
+        """The one-step reservation leaves the state and raises the error
+        that allocating its frames one at a time does."""
+        def page_by_page(physical, kb):
+            for _ in range(int(kb * 1024 + PAGE_SIZE - 1) // PAGE_SIZE):
+                physical.allocate_frame()
+
+        def outcomes(reserve):
+            physical = PhysicalMemory(total_bytes=total_pages * PAGE_SIZE)
+            seen = []
+            for kb in reservations:
+                try:
+                    reserve(physical, kb)
+                    seen.append(("ok", physical.allocated_pages))
+                except OutOfMemoryError as error:
+                    seen.append((str(error), physical.allocated_pages))
+            return seen
+
+        assert (outcomes(PhysicalMemory.reserve_kb)
+                == outcomes(page_by_page))
+
+    def test_reserve_kb_that_does_not_fit_exhausts_then_raises(self):
+        physical = PhysicalMemory(total_bytes=4 * PAGE_SIZE)
+        physical.reserve_kb(4.0)
+        with pytest.raises(OutOfMemoryError, match="4 pages exhausted"):
+            physical.reserve_kb(16.0)
+        assert (physical.allocated_pages, physical.free_pages) == (4, 0)
+
 
 class TestDemandPaging:
     def test_lazy_mapping_allocates_nothing(self):

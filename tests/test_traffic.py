@@ -380,19 +380,37 @@ class TestRouterQueueing:
                         policy=policy, apps=["redis"])
         source = ArrivalSource(trace, 5, core.clock_for("arrivals"),
                                ["redis"])
+        arrived_ns = []
+        dispatch = router.dispatch
+
+        def record_arrival(arrival):
+            arrived_ns.append(arrival.arrival_ns)
+            dispatch(arrival)
+
+        router.dispatch = record_arrival
         core.spawn("arrivals", _arrivals_program(source, router))
         core.run()
         router.finalize()
         core.run()
-        assert len(router.samples) == 30
+        assert len(router.latencies_ns) == 30
+        assert router.served_by_app == {"redis": 30}
+        # Only the first request waited for the cold boot.
+        assert router.cold_by_app == {"redis": 1}
         assert router.spawned == 1
         assert router.queued > 0
         assert router.queue_high_water >= 1
-        # Served in arrival order: the backlog is FIFO.
-        assert [s.index for s in router.samples] == list(range(30))
+        # Served in arrival order: the backlog is FIFO, so pairing the
+        # latencies (in serving order) with the arrivals (in arrival
+        # order) gives the one worker's completion instants, which rise
+        # by at least one request's service time each.
+        done_ns = [at + latency
+                   for at, latency in zip(arrived_ns, router.latencies_ns)]
+        service_ns = done_ns[-1] - done_ns[-2]
+        assert service_ns > 0
+        assert all(later - earlier >= service_ns * 0.5
+                   for earlier, later in zip(done_ns, done_ns[1:]))
         # Queued requests' latency includes their wait.
-        assert router.samples[0].cold
-        assert router.samples[1].latency_ns < router.samples[0].latency_ns
+        assert router.latencies_ns[1] < router.latencies_ns[0]
 
 
 class TestArrivalFaultSite:

@@ -134,24 +134,80 @@ class TestPerfMessaging:
         assert run_messaging(engine, 1, False).kml
 
 
+def _independent_stress_s(run, workers, smp_enabled, ops_per_worker):
+    """The stress loops as one run per worker count, the reference the
+    sweep must equal float for float."""
+    from repro.sched.futex import FutexTable, PosixSemaphore
+    from repro.sched.scheduler import Scheduler
+    from repro.syscall.cpu import CpuCostModel
+
+    scheduler = Scheduler(
+        cost_model=CpuCostModel.for_options((), entry=EntryMechanism.SYSCALL),
+        smp=SmpModel(smp_enabled=smp_enabled, cpus=1),
+    )
+    futexes = FutexTable(scheduler)
+    for worker in range(workers):
+        if run is run_futex_stress:
+            address = 0x1000 + worker * 16
+            tasks = [scheduler.spawn(f"futex{worker}.{i}", working_set_kb=8)
+                     for i in range(4)]
+            futexes.store(address, 0)
+            for _ in range(ops_per_worker):
+                futexes.wait(tasks[0], address, 0)
+                scheduler.clock.advance(600.0)
+                futexes.wake(address, 1)
+                scheduler.schedule()
+        else:
+            tasks = [scheduler.spawn(f"sem{worker}.{i}", working_set_kb=8)
+                     for i in range(4)]
+            semaphore = PosixSemaphore(futexes, address=0x9000 + worker * 16,
+                                       initial=1)
+            for op in range(ops_per_worker):
+                acquired = semaphore.wait(tasks[op % 4])
+                scheduler.clock.advance(1800.0)
+                semaphore.post()
+                if not acquired:
+                    scheduler.schedule()
+    return scheduler.clock_ns / 1e9
+
+
 class TestSmpStress:
     def test_futex_overhead_within_paper_bound(self):
-        assert 0 < smp_overhead("futex", 64) <= 0.08
+        ((workers, overhead),) = smp_overhead("futex", (64,))
+        assert workers == 64 and 0 < overhead <= 0.08
 
     def test_sem_overhead_within_paper_bound(self):
-        assert 0 < smp_overhead("sem_posix", 64) <= 0.03
+        ((workers, overhead),) = smp_overhead("sem_posix", (64,))
+        assert workers == 64 and 0 < overhead <= 0.03
 
     def test_make_overhead_within_paper_bound(self):
-        assert 0 < smp_overhead("make-j", 16) <= 0.03
+        ((workers, overhead),) = smp_overhead("make-j", (16,))
+        assert workers == 16 and 0 < overhead <= 0.03
 
     def test_stress_results_structured(self):
-        result = run_futex_stress(4, smp_enabled=True)
-        assert result.workload == "futex"
+        (result,) = run_futex_stress((4,), smp_enabled=True)
+        assert (result.workload, result.workers) == ("futex", 4)
         assert result.elapsed_s > 0
 
     def test_sem_mostly_uncontended(self):
-        result = run_sem_posix_stress(4, smp_enabled=False)
+        (result,) = run_sem_posix_stress((4,), smp_enabled=False)
         assert result.elapsed_s > 0
+
+    @pytest.mark.parametrize("run", (run_futex_stress, run_sem_posix_stress))
+    @pytest.mark.parametrize("smp_enabled", (True, False))
+    def test_sweep_equals_independent_runs(self, run, smp_enabled):
+        """Each count of a sweep reads exactly what its own run ends on."""
+        counts = (0, 1, 2, 3, 5)
+        swept = run(counts, smp_enabled, ops_per_worker=3)
+        assert [result.workers for result in swept] == list(counts)
+        assert [result.elapsed_s for result in swept] == [
+            _independent_stress_s(run, count, smp_enabled, ops_per_worker=3)
+            for count in counts
+        ]
+
+    def test_sweep_rejects_unsorted_counts(self):
+        with pytest.raises(ValueError):
+            run_futex_stress((4, 1), smp_enabled=True)
 
     def test_make_j_scales_with_cpus(self):
         one = run_make_j(8, smp_enabled=True, cpus=1)

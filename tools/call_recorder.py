@@ -70,8 +70,13 @@ CLI_RUNS: Tuple[Tuple[str, ...], ...] = (
 
 #: The traced child: records (file, first line) of every code object
 #: entered under *prefix*, runs *body*, and writes the set to *record*.
+#: A forked worker process inherits the trace hook but leaves through
+#: ``os._exit``, past the ``finally``: each one writes what it entered to
+#: ``<record>.<pid>`` from a finalizer, which ``Process._bootstrap`` runs
+#: before it exits.  The finalizer is registered after the fork, as
+#: ``_bootstrap`` drops the ones the parent registered.
 _CHILD = """\
-import json, sys
+import json, multiprocessing.util, os, sys
 sys.path[:0] = {path!r}
 entered = set()
 
@@ -80,13 +85,21 @@ def _on_call(frame, event, arg):
     if code.co_filename.startswith({prefix!r}):
         entered.add((code.co_filename, code.co_firstlineno))
 
+def _write(record):
+    sys.settrace(None)
+    with open(record, "w", encoding="utf-8") as handle:
+        json.dump(sorted(entered), handle)
+
+def _record_worker(write):
+    multiprocessing.util.Finalize(
+        None, write, (f"{{{record!r}}}.{{os.getpid()}}",), exitpriority=0)
+
+multiprocessing.util.register_after_fork(_write, _record_worker)
 sys.settrace(_on_call)
 try:
 {body}
 finally:
-    sys.settrace(None)
-    with open({record!r}, "w", encoding="utf-8") as handle:
-        json.dump(sorted(entered), handle)
+    _write({record!r})
 """
 
 #: The EXPERIMENTS.md generator as ``tools/check.sh`` runs it: as a
@@ -146,8 +159,11 @@ def record(bodies: Iterable[str], package: Path,
             )
             subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,
                            stdout=subprocess.DEVNULL, check=True)
-            with open(target, encoding="utf-8") as handle:
-                entered.update(tuple(pair) for pair in json.load(handle))
+            # The child's record, plus one per worker process it forked.
+            for part in sorted(Path(scratch).iterdir()):
+                with open(part, encoding="utf-8") as handle:
+                    entered.update(tuple(pair) for pair in json.load(handle))
+                part.unlink()
     return entered
 
 
