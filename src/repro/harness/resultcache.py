@@ -4,7 +4,8 @@ One JSON file per experiment, keyed on the experiment's inputs
 fingerprint: a warm run with unchanged inputs loads the stored result and
 rendered artifact instead of re-executing, and a fingerprint mismatch
 (changed source anywhere in the experiment's dependency closure) is a
-miss.  Files are canonical JSON (sorted keys, fixed indentation) so warm
+miss.  Files are canonical JSON (sorted keys, compact separators, no
+indentation, which would drop CPython to its pure-Python encoder) so warm
 runs are byte-stable.
 
 Invariants:
@@ -98,9 +99,9 @@ class ResultCache:
             payload["artifact_dat"] = entry.artifact_dat
         path = self._path(entry.name)
         with fault_site("resultcache.store"):
-            atomic_write_text(
-                path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+            atomic_write_text(path, json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            ) + "\n")
         return path
 
     def clear(self) -> int:

@@ -6,16 +6,17 @@ footprint model boots guests against decreasing budgets; an
 :class:`OutOfMemoryError` during boot is the simulated analogue of the
 guest failing to come up.
 
-Frames are numbered in allocation order, so a static reservation
+Frames are numbered in allocation order, so a run of frames is taken in
+one bounds check (:meth:`PhysicalMemory.allocate_frames`) with the state
+and error that taking them one by one would leave: a static reservation
 (:meth:`PhysicalMemory.reserve_kb`: kernel image, static data, boot
-slack) takes its pages in one bounds check; only demand-paged memory
-is allocated frame by frame.
+slack) and the missing pages of a touched range each take one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 PAGE_SIZE = 4096
 
@@ -54,28 +55,36 @@ class PhysicalMemory:
 
     def allocate_frame(self) -> int:
         if self._next_frame >= self.total_pages:
-            raise OutOfMemoryError(
-                f"out of memory: {self.total_pages} pages exhausted"
-            )
+            raise self.exhausted()
         frame = self._next_frame
         self._next_frame += 1
         return frame
 
+    def allocate_frames(self, count: int) -> range:
+        """The next *count* frames, or as many as the budget still holds.
+
+        The frames ``allocate_frame`` would hand out one by one until it
+        raised; a caller that got fewer than it asked for raises
+        :class:`OutOfMemoryError` after recording them.
+        """
+        first = self._next_frame
+        self._next_frame = max(first, min(first + count, self.total_pages))
+        return range(first, self._next_frame)
+
     def reserve_kb(self, kb: float) -> None:
         """Carve out a static (non-pageable) reservation, e.g. kernel data.
 
-        The frames are taken in one step, with the state and error that
-        allocating them one by one would leave: a reservation that does
-        not fit exhausts the budget, then raises.
+        A reservation that does not fit exhausts the budget, then raises.
         """
         pages = int(kb * 1024 + PAGE_SIZE - 1) // PAGE_SIZE
-        if pages <= 0:
-            return
-        total = self.total_pages
-        if self._next_frame + pages > total:
-            self._next_frame = max(self._next_frame, total)
-            raise OutOfMemoryError(f"out of memory: {total} pages exhausted")
-        self._next_frame += pages
+        if len(self.allocate_frames(pages)) < pages:
+            raise self.exhausted()
+
+    def exhausted(self) -> OutOfMemoryError:
+        """The error an allocation past the budget raises."""
+        return OutOfMemoryError(
+            f"out of memory: {self.total_pages} pages exhausted"
+        )
 
 
 @dataclass
@@ -99,7 +108,10 @@ class AddressSpace:
     asid: int
     physical: PhysicalMemory
     _mappings: List[Mapping] = field(default_factory=list)
-    _pages: Dict[int, Page] = field(default_factory=dict)
+    #: Virtual page -> frame of every resident page.
+    _frames: Dict[int, int] = field(default_factory=dict)
+    #: The :class:`Page` :meth:`touch` returned for each page it touched.
+    _touched: Dict[int, Page] = field(default_factory=dict)
     _next_free_page: int = 0x1000
 
     def mmap(
@@ -119,8 +131,7 @@ class AddressSpace:
         self._next_free_page += page_count + 16  # guard gap
         self._mappings.append(mapping)
         if eager:
-            for page in range(mapping.start_page, mapping.end_page):
-                self._fault(page)
+            self._fault(range(mapping.start_page, mapping.end_page))
         return mapping
 
     def touch(self, mapping: Mapping, offset_kb: float = 0.0) -> Page:
@@ -128,38 +139,45 @@ class AddressSpace:
         page = mapping.start_page + int(offset_kb * 1024) // PAGE_SIZE
         if page >= mapping.end_page:
             raise ValueError("access beyond end of mapping")
-        return self._fault(page)
+        self._fault((page,))
+        touched = self._touched.get(page)
+        if touched is None:
+            touched = self._touched[page] = Page(
+                frame_number=self._frames[page],
+                address_space_id=self.asid,
+                virtual_page=page,
+            )
+        return touched
 
     def touch_range(self, mapping: Mapping, kb: float) -> int:
         """Touch the first *kb* of *mapping*; returns pages faulted."""
         pages = min(
             mapping.page_count, int(kb * 1024 + PAGE_SIZE - 1) // PAGE_SIZE
         )
-        faulted = 0
-        for index in range(pages):
-            page = mapping.start_page + index
-            if page not in self._pages:
-                self._fault(page)
-                faulted += 1
-        return faulted
+        start = mapping.start_page
+        return self._fault(range(start, start + pages))
 
-    def _fault(self, virtual_page: int) -> Page:
-        existing = self._pages.get(virtual_page)
-        if existing is not None:
-            return existing
-        page = Page(
-            frame_number=self.physical.allocate_frame(),
-            address_space_id=self.asid,
-            virtual_page=virtual_page,
-        )
-        self._pages[virtual_page] = page
-        return page
+    def _fault(self, pages: Iterable[int]) -> int:
+        """Fault in the pages of *pages* not yet resident, in order, with
+        one bounds check; returns how many.
+
+        If the budget runs out, the pages that got a frame stay resident
+        and :class:`OutOfMemoryError` is raised, as faulting them one at a
+        time would leave it.
+        """
+        frames = self._frames
+        missing = [page for page in pages if page not in frames]
+        allocated = self.physical.allocate_frames(len(missing))
+        frames.update(zip(missing, allocated))
+        if len(allocated) < len(missing):
+            raise self.physical.exhausted()
+        return len(missing)
 
     # -- accounting -----------------------------------------------------------
 
     @property
     def resident_pages(self) -> int:
-        return len(self._pages)
+        return len(self._frames)
 
     @property
     def resident_kb(self) -> float:

@@ -18,6 +18,7 @@ from repro.harness import (
     run_experiments,
 )
 from repro.harness.codec import decode, encode
+from repro.harness.resultcache import CachedResult, ResultCache
 
 #: Cheap structural experiments for cache/determinism tests.
 FAST_IDS = ["fig4", "fig5", "table3"]
@@ -305,6 +306,21 @@ class TestResultCache:
         # whether the result came from the cache.
         assert repr(warm_result) == repr(cold_result)
 
+    def test_store_is_byte_stable_and_loads_back(self, tmp_path):
+        def entry(result):
+            return CachedResult(
+                name="fig-x", fingerprint="fp", result=result,
+                artifact_text="line 1\nline 2\n", artifact_dat="1 2\n",
+            )
+
+        cache = ResultCache(tmp_path / "cache")
+        values = {"z": [1, 2.5, None, 0.1 + 0.2], "a": {"\u00e9": 1e-300}}
+        first = cache.store(entry(values)).read_bytes()
+        # An equal entry built in another key order stores the same bytes.
+        second = cache.store(entry(dict(reversed(values.items()))))
+        assert second.read_bytes() == first
+        assert cache.load("fig-x", "fp") == entry(values)
+
     def test_fingerprint_change_invalidates(self, tmp_path):
         calls = []
         fingerprint = {"value": "aaaa"}
@@ -420,6 +436,9 @@ class TestPaperRunWork:
             output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
         )
         assert run.ok
-        # Each of the sweep's 49,600 messages is one sendto/recvfrom pair
-        # and one schedule() round; rendering the figure adds none.
-        assert counts == {"invoke": 99_200, "schedule": 49_600}
+        # Each kernel's engine sends the 16-group run's 6,400 messages
+        # once (a sendto/recvfrom pair each), read at every group count:
+        # 2 x 6,400 x 2 invokes.  Both kernels share each (groups, mode)
+        # scheduler run, 12,400 rounds per mode over the five group
+        # counts: 2 x 12,400 schedule() calls.  Rendering adds none.
+        assert counts == {"invoke": 25_600, "schedule": 24_800}

@@ -68,6 +68,69 @@ class TestPhysicalMemory:
             physical.reserve_kb(16.0)
         assert (physical.allocated_pages, physical.free_pages) == (4, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(total_pages=st.integers(0, 48),
+           touches=st.lists(st.tuples(st.booleans(), st.integers(0, 2),
+                                      st.floats(-8.0, 160.0)),
+                            max_size=8))
+    def test_touch_range_equals_page_by_page(self, total_pages, touches):
+        """``touch_range`` and ``touch`` give each missing page the frame,
+        and leave the state and error, that faulting the pages one at a
+        time does.  A touch is ``(whole_range, mapping, kb)``."""
+        def run(page_by_page):
+            physical = PhysicalMemory(total_bytes=total_pages * PAGE_SIZE)
+            space = AddressSpace(asid=1, physical=physical)
+            mappings = [space.mmap(kb) for kb in (16.0, 100.0, 40.0)]
+            frames = {}  # (mapping, page) -> frame, one page at a time
+            seen = []
+            for whole_range, index, kb in touches:
+                mapping = mappings[index]
+                offset_kb = min(max(kb, 0.0), 4.0 * (mapping.page_count - 1))
+                if whole_range:
+                    pages = range(min(mapping.page_count,
+                                      int(kb * 1024 + PAGE_SIZE - 1)
+                                      // PAGE_SIZE))
+                else:
+                    pages = [int(offset_kb * 1024) // PAGE_SIZE]
+                try:
+                    if page_by_page:
+                        missing = [(index, page) for page in pages
+                                   if (index, page) not in frames]
+                        for key in missing:
+                            frames[key] = physical.allocate_frame()
+                        outcome = (len(missing) if whole_range
+                                   else frames[index, pages[0]])
+                    elif whole_range:
+                        outcome = space.touch_range(mapping, kb)
+                    else:
+                        outcome = space.touch(mapping, offset_kb).frame_number
+                except OutOfMemoryError as error:
+                    outcome = str(error)
+                seen.append((outcome, physical.allocated_pages))
+            return seen, space, mappings, frames
+
+        expected, _, _, frames = run(page_by_page=True)
+        seen, space, mappings, _ = run(page_by_page=False)
+        assert seen == expected
+        assert space.resident_pages == len(frames)
+        # Same resident set, same frames: touching a page that is not
+        # resident would take a new frame (or raise).
+        assert {(index, page): space.touch(mappings[index], 4.0 * page)
+                .frame_number for index, page in frames} == frames
+
+    def test_touch_range_that_does_not_fit_keeps_what_fits_then_raises(self):
+        physical = PhysicalMemory(total_bytes=8 * PAGE_SIZE)
+        physical.reserve_kb(8.0)
+        space = AddressSpace(asid=1, physical=physical)
+        mapping = space.mmap(64)
+        space.touch(mapping, offset_kb=4.0)  # page 1: frame 2
+        with pytest.raises(OutOfMemoryError, match="8 pages exhausted"):
+            space.touch_range(mapping, 64)
+        assert (physical.allocated_pages, space.resident_pages) == (8, 6)
+        # Pages 0, 2, 3, 4, 5 took frames 3..7 in page order.
+        assert [space.touch(mapping, 4.0 * page).frame_number
+                for page in range(6)] == [3, 2, 4, 5, 6, 7]
+
 
 class TestDemandPaging:
     def test_lazy_mapping_allocates_nothing(self):

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core.variants import Variant
+from repro.experiments import fig12_ctxsw
 from repro.sched.smp import SmpModel
+from repro.simcore import variant_guest
 from repro.syscall.cpu import EntryMechanism
 from repro.syscall.dispatch import SyscallEngine
 from repro.workloads.control_procs import run_with_control_processes, sweep
 from repro.workloads.nginx import ApacheBench, NGINX_CONN, NGINX_SESS
-from repro.workloads.perf_messaging import run_messaging
+from repro.workloads.perf_messaging import engine_ns, run_messaging
 from repro.workloads.redis import REDIS_GET, REDIS_SET, RedisBenchmark
 from repro.workloads.server import LinuxServerStack, RequestProfile
 from repro.workloads.smp_stress import (
@@ -16,6 +19,7 @@ from repro.workloads.smp_stress import (
     run_sem_posix_stress,
     smp_overhead,
 )
+from tests.oracles.messaging import run_messaging_interleaved
 
 
 def _stack(build):
@@ -132,6 +136,47 @@ class TestPerfMessaging:
     def test_kml_flag_detected(self):
         engine = SyscallEngine.for_config((), entry=EntryMechanism.KML_CALL)
         assert run_messaging(engine, 1, False).kml
+
+
+class TestMessagingSplit:
+    """The split parts and Figure 12's shared sweep against the
+    interleaved loop they replaced (``tests/oracles/messaging.py``)."""
+
+    def test_sweep_equals_interleaved_runs(self):
+        fresh = {
+            "KML": lambda: variant_guest(Variant.LUPINE).engine,
+            "NOKML": lambda: variant_guest(Variant.LUPINE_NOKML).engine,
+            "KPTI": lambda: SyscallEngine.for_config(
+                {"PAGE_TABLE_ISOLATION"}, kpti=True
+            ),
+        }
+        switches = {
+            label: tuple(make().cost_model.context_switch_ns(same)
+                         for same in (True, False))
+            for label, make in fresh.items()
+        }
+        # The two kernels share scheduler runs; the KPTI kernel's process
+        # switch costs more, so its runs must not be shared.
+        assert switches["KML"] == switches["NOKML"] != switches["KPTI"]
+
+        groups_swept, loops = (1, 2, 4), 2
+        cells = fig12_ctxsw.sweep(
+            {label: make() for label, make in fresh.items()}, groups_swept,
+            loops=loops,
+        )
+        assert len(cells) == (len(fresh) * len(groups_swept)
+                              * len(fig12_ctxsw.MODES))
+        for (label, groups, use_processes), cell in cells.items():
+            expected = run_messaging_interleaved(
+                fresh[label](), groups, use_processes, loops=loops
+            )
+            assert cell == expected
+            assert run_messaging(fresh[label](), groups, use_processes,
+                                 loops=loops) == expected
+
+    def test_engine_counts_must_be_sorted(self):
+        with pytest.raises(ValueError):
+            engine_ns(SyscallEngine.for_config(()), (200, 100))
 
 
 def _independent_stress_s(run, workers, smp_enabled, ops_per_worker):
