@@ -4,8 +4,20 @@ Each series is one sweep per SMP setting: the futex and semaphore
 stresses run once, to the largest worker count, and read every smaller
 count from that run's prefix.  This is exact, not an approximation: a
 *k*-worker run is the first *k* workers of any longer run, since workers
-are spawned and run in order and nothing runs after the last one (see
-:mod:`repro.workloads.smp_stress`).
+run in order and nothing runs after the last one.
+
+Neither stress steps its tasks.  Each round is the fixed sequence of
+clock charges stepping it would make, in the same order (see
+:mod:`repro.workloads.smp_stress`):
+
+- futex: wait, 600 ns of work, wake, the waiter's wake-up, then a
+  process switch with every spawned task runnable, on every round but
+  the run's first.  The woken waiter queues ahead of the task that ran,
+  so the waiter never runs and every switch is between two 8 KiB
+  processes.
+- sem_posix: wait, 1,800 ns of work, post.  Each semaphore starts at 1
+  and its worker's rounds run one at a time, so every wait takes the fast
+  path and nothing switches.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ Invariants:
   for ``import repro...`` / ``from repro... import`` (including imports
   local to functions), not by executing modules, so lazily imported
   dependencies still invalidate the cache.
-- **Memoization is per-process.** ``_source_cache`` / ``_closure_cache``
-  assume sources do not change within one process lifetime.
+- **Memoization is per-process.** ``_source_cache``, ``_imports_cache``
+  and ``_closure_cache`` assume sources do not change within one process
+  lifetime.  Each module's source is read and scanned for imports once,
+  however many experiment closures contain it.
 - **Source errors are counted, not swallowed.** A module whose source
   cannot be read (unimportable, unreadable file) contributes the empty
   string to the digest, but the failure is recorded: the
@@ -53,6 +55,8 @@ _IMPORT_RE = re.compile(
 )
 
 _source_cache: Dict[str, str] = {}
+#: module name -> the repro modules its source imports.
+_imports_cache: Dict[str, List[str]] = {}
 _closure_cache: Dict[str, List[str]] = {}
 #: module name -> "ErrorType: message" for every source-read failure seen
 #: this process (memoized alongside _source_cache).
@@ -60,8 +64,10 @@ _source_errors: Dict[str, str] = {}
 
 
 def reset_fingerprint_caches() -> None:
-    """Drop the per-process source/closure/error memos (test isolation)."""
+    """Drop the per-process source/import/closure/error memos (test
+    isolation)."""
     _source_cache.clear()
+    _imports_cache.clear()
     _closure_cache.clear()
     _source_errors.clear()
 
@@ -112,6 +118,15 @@ def _direct_repro_imports(source: str) -> List[str]:
     return found
 
 
+def _module_imports(module_name: str) -> List[str]:
+    """The repro modules *module_name*'s source imports, scanned once."""
+    if module_name not in _imports_cache:
+        _imports_cache[module_name] = _direct_repro_imports(
+            _module_source(module_name)
+        )
+    return _imports_cache[module_name]
+
+
 def _dependency_closure(module_name: str) -> List[str]:
     """*module_name* plus every repro module reachable from its imports."""
     if module_name in _closure_cache:
@@ -123,7 +138,7 @@ def _dependency_closure(module_name: str) -> List[str]:
         if current in seen:
             continue
         seen.add(current)
-        stack.extend(_direct_repro_imports(_module_source(current)))
+        stack.extend(_module_imports(current))
     closure = sorted(seen)
     _closure_cache[module_name] = closure
     return closure

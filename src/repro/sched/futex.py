@@ -1,9 +1,19 @@
 """Futexes and POSIX semaphores over the simulated scheduler.
 
-These implement real wait/wake semantics (values, wait queues, FIFO wakeup)
-so the Section 5 stress workloads (``futex`` and ``sem_posix``) exercise
-actual synchronization behaviour, with SMP lock overhead charged per
-operation through the kernel's :class:`~repro.sched.smp.SmpModel`.
+These implement real wait/wake semantics (values, wait queues, FIFO
+wakeup), with SMP lock overhead charged per operation through the
+kernel's :class:`~repro.sched.smp.SmpModel`.  Each operation's clock
+charge is one formula, :func:`futex_op_ns` or :func:`sem_op_ns`,
+computed once per table or semaphore.
+
+No shipped path steps this model.  The Section 5 stresses
+(:mod:`repro.workloads.smp_stress`) fold each round into the clock
+charges it makes, read from the same two formulas and the scheduler.
+:class:`FutexTable` and :class:`PosixSemaphore` stay in ``src/`` as
+the model that fold replays: the stepped stresses in
+``tests/oracles/smp_stress.py`` drive them, and perfbench's traced run
+wraps ``FutexTable`` by name (its ``sched.futex`` boundary), so the
+classes can move to ``tests/oracles/`` once that boundary is dropped.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict
 
 from repro.sched.scheduler import Scheduler
+from repro.sched.smp import SmpModel
 from repro.sched.task import Task
 
 #: Base in-kernel cost of one futex operation (hash lookup + queue op).
@@ -20,6 +31,16 @@ FUTEX_OP_NS = 28.0
 
 #: POSIX semaphores add a small layer over futex in the kernel/libc split.
 SEM_OP_NS = 38.0
+
+
+def futex_op_ns(smp: SmpModel) -> float:
+    """Clock charge of one futex wait or wake on a kernel with *smp*."""
+    return FUTEX_OP_NS + smp.futex_overhead_ns()
+
+
+def sem_op_ns(smp: SmpModel) -> float:
+    """Clock charge of one semaphore wait or post on a kernel with *smp*."""
+    return SEM_OP_NS + smp.futex_overhead_ns()
 
 
 @dataclass
@@ -31,6 +52,10 @@ class FutexTable:
     _waiters: Dict[int, Deque[Task]] = field(default_factory=dict)
     wait_count: int = 0
     wake_count: int = 0
+    _op_ns: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._op_ns = futex_op_ns(self.scheduler.smp)
 
     def value(self, address: int) -> int:
         return self._values.get(address, 0)
@@ -38,18 +63,13 @@ class FutexTable:
     def store(self, address: int, value: int) -> None:
         self._values[address] = value
 
-    def _charge(self, base_ns: float) -> None:
-        self.scheduler.clock.advance(
-            base_ns + self.scheduler.smp.futex_overhead_ns()
-        )
-
     def wait(self, task: Task, address: int, expected: int) -> bool:
         """FUTEX_WAIT: sleep *task* if the value still equals *expected*.
 
         Returns True if the task went to sleep, False on the EAGAIN path
         (value changed before we could sleep).
         """
-        self._charge(FUTEX_OP_NS)
+        self.scheduler.clock.advance(self._op_ns)
         self.wait_count += 1
         if self.value(address) != expected:
             return False
@@ -59,7 +79,7 @@ class FutexTable:
 
     def wake(self, address: int, count: int = 1) -> int:
         """FUTEX_WAKE: wake up to *count* waiters; returns how many woke."""
-        self._charge(FUTEX_OP_NS)
+        self.scheduler.clock.advance(self._op_ns)
         self.wake_count += 1
         queue = self._waiters.get(address)
         woken = 0
@@ -84,8 +104,10 @@ class PosixSemaphore:
     futexes: FutexTable
     address: int
     initial: int = 0
+    _op_ns: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._op_ns = sem_op_ns(self.futexes.scheduler.smp)
         self.futexes.store(self.address, self.initial)
 
     @property
@@ -93,18 +115,14 @@ class PosixSemaphore:
         return self.futexes.value(self.address)
 
     def post(self) -> None:
-        self.futexes.scheduler.clock.advance(
-            SEM_OP_NS + self.futexes.scheduler.smp.futex_overhead_ns()
-        )
+        self.futexes.scheduler.clock.advance(self._op_ns)
         self.futexes.store(self.address, self.value + 1)
         if self.futexes.waiters(self.address):
             self.futexes.wake(self.address, 1)
 
     def wait(self, task: Task) -> bool:
         """sem_wait: returns True if acquired immediately, False if slept."""
-        self.futexes.scheduler.clock.advance(
-            SEM_OP_NS + self.futexes.scheduler.smp.futex_overhead_ns()
-        )
+        self.futexes.scheduler.clock.advance(self._op_ns)
         if self.value > 0:
             self.futexes.store(self.address, self.value - 1)
             return True

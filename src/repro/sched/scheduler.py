@@ -13,13 +13,24 @@ once -- only sleeping, new or descheduled tasks are enqueued, and each
 leaves the queue before it runs, sleeps or exits -- so the keyed queue
 picks exactly the order a FIFO deque would.  A plain dict would not do:
 ``next(iter(d))`` rescans the deleted slots at its front.
+
+Each clock charge is computed once, by the model that owns it: the
+wake-up charge and the two base switch charges (thread and process) at
+construction -- :class:`~repro.syscall.cpu.CpuCostModel` and
+:class:`~repro.sched.smp.SmpModel` are frozen and neither field is
+reassigned -- and the full switch charge by :meth:`Scheduler._switch_ns`.
+The stepped methods charge through them, and so does the Section 5 fold
+(:mod:`repro.workloads.smp_stress`), which replays a stress's clock
+additions without running its tasks.  ``_switch_ns`` stays off the public
+method surface: perfbench times every public method as a boundary, and
+``schedule()`` calls it on every switch.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.sched.smp import SmpModel
 from repro.sched.task import Task, TaskKind, TaskState
@@ -48,6 +59,18 @@ class Scheduler:
     _next_pid: int = 1
     _next_asid: int = 1
     current: Optional[Task] = None
+    #: Clock charge of one wake-up: run-queue insert plus an SMP lock pair.
+    wake_ns: float = field(init=False, repr=False)
+    #: Switch charge before cache refill, indexed by "same address space".
+    _switch_base_ns: Tuple[float, float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.wake_ns = 350.0 + self.smp.lock_pair_ns()
+        overhead = self.smp.switch_overhead_ns()
+        self._switch_base_ns = (
+            self.cost_model.context_switch_ns(False) + overhead,
+            self.cost_model.context_switch_ns(True) + overhead,
+        )
 
     @property
     def clock_ns(self) -> float:
@@ -123,8 +146,10 @@ class Scheduler:
 
     def sleep(self, task: Task) -> None:
         """Move *task* to the sleeping state (e.g. a control process)."""
-        self._check_alive(task)
-        if task.state is TaskState.SLEEPING:
+        state = task.state
+        if state is TaskState.ZOMBIE:
+            raise SchedulerError(f"{task} is a zombie")
+        if state is TaskState.SLEEPING:
             return
         self._ready.pop(task.pid, None)
         if self.current is task:
@@ -132,12 +157,14 @@ class Scheduler:
         task.state = TaskState.SLEEPING
 
     def wake(self, task: Task) -> None:
-        self._check_alive(task)
-        if task.state is not TaskState.SLEEPING:
+        state = task.state
+        if state is TaskState.ZOMBIE:
+            raise SchedulerError(f"{task} is a zombie")
+        if state is not TaskState.SLEEPING:
             return
         task.state = TaskState.READY
         self._ready[task.pid] = None
-        self.clock.advance(350.0 + self.smp.lock_pair_ns())
+        self.clock.advance(self.wake_ns)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -150,21 +177,21 @@ class Scheduler:
         mechanism behind Figure 11's flat lines.
         """
         previous = self.current
+        ready = self._ready
         if previous is not None and previous.state is TaskState.RUNNING:
             previous.state = TaskState.READY
-            self._ready[previous.pid] = None
-        if not self._ready:
+            ready[previous.pid] = None
+        if not ready:
             self.current = None
             return None
-        next_task = self._tasks[self._ready.popitem(last=False)[0]]
+        next_task = self._tasks[ready.popitem(last=False)[0]]
         next_task.state = TaskState.RUNNING
         if previous is not None and previous is not next_task:
-            same_space = previous.address_space_id == next_task.address_space_id
-            cost = self.cost_model.context_switch_ns(same_space)
-            cost += self.smp.switch_overhead_ns()
-            cost += CACHE_REFILL_NS_PER_KB * min(
-                next_task.working_set_kb, 64
-            ) * self._cache_pressure()
+            # Runnable: the tasks still queued plus the outgoing one.
+            cost = self._switch_ns(
+                previous.address_space_id == next_task.address_space_id,
+                next_task.working_set_kb, len(ready) + 1,
+            )
             self.clock.advance(cost)
             self.switch_count += 1
             next_task.vruntime_ns += cost
@@ -199,9 +226,20 @@ class Scheduler:
 
     # -- internals ----------------------------------------------------------------
 
-    def _cache_pressure(self) -> float:
-        runnable = len(self._ready) + (1 if self.current else 0)
-        return min(1.0, runnable / 16.0)
+    def _switch_ns(self, same_space: bool, working_set_kb: int,
+                   runnable: int) -> float:
+        """Charge of one context switch to a task with *working_set_kb*
+        of working set, with *runnable* tasks competing for the cache.
+
+        The base switch charge (address-space cost if *same_space* is
+        false, SMP overhead) plus the cache refill of the incoming
+        working set, up to 64 KiB, scaled by cache pressure, which
+        saturates at 16 runnable tasks.
+        """
+        refill_ns = CACHE_REFILL_NS_PER_KB * min(working_set_kb, 64)
+        return self._switch_base_ns[same_space] + refill_ns * min(
+            1.0, runnable / 16.0
+        )
 
     def _alloc_pid(self) -> int:
         pid = self._next_pid

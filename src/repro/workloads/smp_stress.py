@@ -1,7 +1,7 @@
 """The Section 5 SMP worst-case experiments.
 
 Three workloads on one processor, comparing an SMP-enabled kernel against a
-UP kernel: ``sem_posix`` and ``futex`` spawn up to 512 workers (4 processes
+UP kernel: ``sem_posix`` and ``futex`` run up to 512 workers (4 processes
 sharing a futex/semaphore each) rapidly exercising wait/post, and ``make -j``
 models a parallel kernel build.  The paper measures at most 3%, 8% and 3%
 overhead respectively -- SMP support is nearly free even when unused.
@@ -9,10 +9,34 @@ overhead respectively -- SMP support is nearly free even when unused.
 The futex and semaphore stresses take a sorted sweep of worker counts and
 run one simulation, to the largest count, reading each count's elapsed
 time from the scheduler clock as its last worker finishes.  That reading
-is exactly what a separate run of that many workers ends on: workers are
-spawned and run one after another on one scheduler, nothing runs after
-the last one, so a *k*-worker run is the first *k* workers of any longer
-run, float for float.  A single count is a one-element sweep.
+is exactly what a separate run of that many workers ends on: workers run
+one after another on one scheduler, nothing runs after the last one, so a
+*k*-worker run is the first *k* workers of any longer run, float for
+float.  A single count is a one-element sweep.
+
+Neither stress runs its tasks.  Each round is the fixed sequence of clock
+charges the scheduler (:class:`~repro.sched.scheduler.Scheduler`) and the
+futex model (:mod:`repro.sched.futex`) would make stepping it, read from
+the formulas they charge through and added with ``advance`` in the same
+order, so every float is the stepped run's.  Stepped, worker *w* (from 0)
+spawns four 8 KiB processes, which join the earlier workers' ``4w``; all
+of them stay runnable.
+
+- **futex**, every round: a ``FUTEX_WAIT`` charge, 600 ns of work
+  holding the lock, a ``FUTEX_WAKE`` charge, the waiter's wake-up charge,
+  and then a process-to-process switch with ``4(w+1)`` tasks runnable.
+  The first round of the run has no switch: no task has run yet, so
+  ``schedule()`` switches from nothing.  The fold is exact because the
+  waiter never runs: it sleeps, is woken onto the back of the run queue,
+  and the task that ran is queued behind it, so ``schedule()`` always
+  switches between two distinct processes of 8 KiB with every spawned
+  task runnable.  Cache pressure saturates from ``w = 3``.
+- **sem_posix**, every round: a ``sem_wait`` charge, 1,800 ns of
+  critical-section work and a ``sem_post`` charge.  Each worker's
+  semaphore starts at 1 and its rounds run one at a time, so every wait
+  takes the fast path, no post finds a waiter, and nothing switches.
+
+The stepped stresses are the oracle in ``tests/oracles/smp_stress.py``.
 """
 
 from __future__ import annotations
@@ -20,10 +44,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.sched.futex import FutexTable, PosixSemaphore
+from repro.sched.futex import futex_op_ns, sem_op_ns
 from repro.sched.scheduler import Scheduler
 from repro.sched.smp import SmpModel
 from repro.syscall.cpu import CpuCostModel, EntryMechanism
+
+#: Processes sharing one worker's futex or semaphore.
+PROCESSES_PER_WORKER = 4
+#: Working set of each worker process, in KiB.
+WORKER_WORKING_SET_KB = 8
+#: Userspace work holding the futex in one round.
+FUTEX_HOLD_NS = 600.0
+#: Critical-section userspace work in one semaphore round.
+SEM_HOLD_NS = 1800.0
 
 
 @dataclass
@@ -75,51 +108,44 @@ def run_futex_stress(
     One result per count of the sorted *worker_counts*, from one run.
     """
     scheduler = _scheduler(smp_enabled)
-    futexes = FutexTable(scheduler)
+    advance = scheduler.clock.advance
+    op_ns = futex_op_ns(scheduler.smp)
+    wake_ns = scheduler.wake_ns
     results: List[StressResult] = []
+    ran = False  # whether schedule() has picked a task yet
     for worker in _workers("futex", worker_counts, smp_enabled, scheduler,
                            results):
-        address = 0x1000 + worker * 16
-        tasks = [
-            scheduler.spawn(f"futex{worker}.{i}", working_set_kb=8)
-            for i in range(4)
-        ]
-        futexes.store(address, 0)
+        switch_ns = scheduler._switch_ns(
+            False, WORKER_WORKING_SET_KB, PROCESSES_PER_WORKER * (worker + 1)
+        )
         for _ in range(ops_per_worker):
-            waiter, waker = tasks[0], tasks[1]
-            futexes.wait(waiter, address, 0)
-            scheduler.clock.advance(600.0)  # userspace work holding the lock
-            futexes.wake(address, 1)
-            scheduler.schedule()
+            advance(op_ns)  # FUTEX_WAIT: the waiter sleeps
+            advance(FUTEX_HOLD_NS)
+            advance(op_ns)  # FUTEX_WAKE
+            advance(wake_ns)  # the waiter joins the back of the run queue
+            if ran:
+                advance(switch_ns)  # schedule(): the queue's front runs
+            ran = True
     return results
 
 
 def run_sem_posix_stress(
     worker_counts: Sequence[int], smp_enabled: bool, ops_per_worker: int = 40
 ) -> List[StressResult]:
-    """Workers of 4 processes sharing a POSIX semaphore (mostly fast path).
+    """Workers of 4 processes sharing a POSIX semaphore (all fast path).
 
     One result per count of the sorted *worker_counts*, from one run.
     """
     scheduler = _scheduler(smp_enabled)
-    futexes = FutexTable(scheduler)
+    advance = scheduler.clock.advance
+    op_ns = sem_op_ns(scheduler.smp)
     results: List[StressResult] = []
-    for worker in _workers("sem_posix", worker_counts, smp_enabled,
-                           scheduler, results):
-        tasks = [
-            scheduler.spawn(f"sem{worker}.{i}", working_set_kb=8)
-            for i in range(4)
-        ]
-        semaphore = PosixSemaphore(
-            futexes, address=0x9000 + worker * 16, initial=1
-        )
-        for op in range(ops_per_worker):
-            task = tasks[op % 4]
-            acquired = semaphore.wait(task)
-            scheduler.clock.advance(1800.0)  # critical-section userspace work
-            semaphore.post()
-            if not acquired:
-                scheduler.schedule()  # only contended ops context switch
+    for _ in _workers("sem_posix", worker_counts, smp_enabled, scheduler,
+                      results):
+        for _ in range(ops_per_worker):
+            advance(op_ns)  # sem_wait takes the count
+            advance(SEM_HOLD_NS)
+            advance(op_ns)  # sem_post: no waiter to wake
     return results
 
 

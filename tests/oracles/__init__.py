@@ -9,4 +9,7 @@
 - :mod:`tests.oracles.messaging` -- perf sched messaging as one loop that
   interleaves the engine's syscalls with the scheduler's rounds; the split
   parts and Figure 12's shared sweep must equal it float for float.
+- :mod:`tests.oracles.smp_stress` -- the Section 5 futex and semaphore
+  stresses stepped through the real scheduler, futex table and semaphore;
+  the per-round clock-charge fold must equal it float for float.
 """

@@ -159,6 +159,34 @@ class TestRegistry:
         # Different experiments import different models.
         assert len(set(fingerprints.values())) > len(fingerprints) // 2
 
+    def test_each_module_scanned_once(self, monkeypatch):
+        """Fingerprinting every experiment scans each module's source for
+        imports once, and every closure is the one that experiment gets
+        fingerprinted alone."""
+        from repro.harness import registry as memo
+
+        registry = all_experiments()
+        counts = {"scan": 0}
+        monkeypatch.setattr(
+            memo, "_direct_repro_imports",
+            _counting(memo._direct_repro_imports, counts, "scan"),
+        )
+        memo.reset_fingerprint_caches()
+        try:
+            for experiment in registry.values():
+                experiment.fingerprint()
+            closures = {
+                name: memo._dependency_closure(experiment.module.__name__)
+                for name, experiment in registry.items()
+            }
+            assert counts["scan"] == len(set().union(*closures.values()))
+            for name, experiment in registry.items():
+                memo.reset_fingerprint_caches()
+                assert memo._dependency_closure(
+                    experiment.module.__name__) == closures[name]
+        finally:
+            memo.reset_fingerprint_caches()
+
     def test_artifact_renders_table_or_figure(self):
         table3, fig5 = get_experiment("table3"), get_experiment("fig5")
         assert "Table 3" in table3.artifact(table3.run()).text
@@ -442,3 +470,29 @@ class TestPaperRunWork:
         # scheduler run, 12,400 rounds per mode over the five group
         # counts: 2 x 12,400 schedule() calls.  Rendering adds none.
         assert counts == {"invoke": 25_600, "schedule": 24_800}
+
+    def test_cold_sec5_clock_charges_are_pinned(self, tmp_path, monkeypatch):
+        from repro.sched.scheduler import Scheduler
+        from repro.simcore.clock import VirtualClock
+
+        counts = {"advance": 0, "spawn": 0, "schedule": 0}
+        monkeypatch.setattr(VirtualClock, "advance",
+                            _counting(VirtualClock.advance, counts, "advance"))
+        for method in ("spawn", "schedule"):
+            monkeypatch.setattr(Scheduler, method, _counting(
+                getattr(Scheduler, method), counts, method))
+        run = run_experiments(
+            names=["sec5"],
+            output_dir=tmp_path / "out", cache_dir=tmp_path / "cache",
+        )
+        assert run.ok
+        # One run per (stress, SMP setting) to 512 workers of 40 rounds,
+        # each round folded into its clock charges with no task run:
+        # futex makes 4 per round plus a switch on all but the first
+        # round, sem_posix 3 per round.  Twice, for SMP on and off.
+        rounds = 512 * 40
+        assert counts == {
+            "advance": 2 * (4 * rounds + rounds - 1 + 3 * rounds),
+            "spawn": 0,
+            "schedule": 0,
+        }

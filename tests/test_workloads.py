@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.variants import Variant
-from repro.experiments import fig12_ctxsw
-from repro.sched.smp import SmpModel
+from repro.experiments import fig12_ctxsw, sec5_smp
 from repro.simcore import variant_guest
 from repro.syscall.cpu import EntryMechanism
 from repro.syscall.dispatch import SyscallEngine
@@ -20,6 +19,10 @@ from repro.workloads.smp_stress import (
     smp_overhead,
 )
 from tests.oracles.messaging import run_messaging_interleaved
+from tests.oracles.smp_stress import run_stress_stepped
+
+#: The oracle's name for each folded stress.
+STRESS_NAMES = {run_futex_stress: "futex", run_sem_posix_stress: "sem_posix"}
 
 
 def _stack(build):
@@ -179,43 +182,6 @@ class TestMessagingSplit:
             engine_ns(SyscallEngine.for_config(()), (200, 100))
 
 
-def _independent_stress_s(run, workers, smp_enabled, ops_per_worker):
-    """The stress loops as one run per worker count, the reference the
-    sweep must equal float for float."""
-    from repro.sched.futex import FutexTable, PosixSemaphore
-    from repro.sched.scheduler import Scheduler
-    from repro.syscall.cpu import CpuCostModel
-
-    scheduler = Scheduler(
-        cost_model=CpuCostModel.for_options((), entry=EntryMechanism.SYSCALL),
-        smp=SmpModel(smp_enabled=smp_enabled, cpus=1),
-    )
-    futexes = FutexTable(scheduler)
-    for worker in range(workers):
-        if run is run_futex_stress:
-            address = 0x1000 + worker * 16
-            tasks = [scheduler.spawn(f"futex{worker}.{i}", working_set_kb=8)
-                     for i in range(4)]
-            futexes.store(address, 0)
-            for _ in range(ops_per_worker):
-                futexes.wait(tasks[0], address, 0)
-                scheduler.clock.advance(600.0)
-                futexes.wake(address, 1)
-                scheduler.schedule()
-        else:
-            tasks = [scheduler.spawn(f"sem{worker}.{i}", working_set_kb=8)
-                     for i in range(4)]
-            semaphore = PosixSemaphore(futexes, address=0x9000 + worker * 16,
-                                       initial=1)
-            for op in range(ops_per_worker):
-                acquired = semaphore.wait(tasks[op % 4])
-                scheduler.clock.advance(1800.0)
-                semaphore.post()
-                if not acquired:
-                    scheduler.schedule()
-    return scheduler.clock_ns / 1e9
-
-
 class TestSmpStress:
     def test_futex_overhead_within_paper_bound(self):
         ((workers, overhead),) = smp_overhead("futex", (64,))
@@ -246,9 +212,35 @@ class TestSmpStress:
         swept = run(counts, smp_enabled, ops_per_worker=3)
         assert [result.workers for result in swept] == list(counts)
         assert [result.elapsed_s for result in swept] == [
-            _independent_stress_s(run, count, smp_enabled, ops_per_worker=3)
+            run_stress_stepped(STRESS_NAMES[run], count, smp_enabled,
+                               ops_per_worker=3)
             for count in counts
         ]
+
+    @pytest.mark.parametrize("run", (run_futex_stress, run_sem_posix_stress))
+    @pytest.mark.parametrize("smp_enabled", (True, False))
+    def test_paper_sweep_equals_stepped_runs(self, run, smp_enabled):
+        """The fold at Section 5's worker counts, 40 rounds per worker."""
+        counts = sec5_smp.WORKER_COUNTS
+        swept = run(counts, smp_enabled, ops_per_worker=40)
+        assert [result.elapsed_s for result in swept] == [
+            run_stress_stepped(STRESS_NAMES[run], count, smp_enabled,
+                               ops_per_worker=40)
+            for count in counts
+        ]
+
+    @pytest.mark.parametrize("run", (run_futex_stress, run_sem_posix_stress))
+    @pytest.mark.parametrize("smp_enabled", (True, False))
+    @pytest.mark.parametrize("rounds", (0, 1, 2, 3))
+    def test_fold_equals_stepped_run(self, run, smp_enabled, rounds):
+        """One count at a time, so no prefix is read: covers the first
+        round (nothing to switch from) and the cache-pressure knee at 4
+        workers."""
+        for count in (0, 1, 2, 3, 4, 5):
+            (result,) = run((count,), smp_enabled, ops_per_worker=rounds)
+            assert result.elapsed_s == run_stress_stepped(
+                STRESS_NAMES[run], count, smp_enabled, ops_per_worker=rounds
+            )
 
     def test_sweep_rejects_unsorted_counts(self):
         with pytest.raises(ValueError):
