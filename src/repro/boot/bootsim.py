@@ -128,5 +128,5 @@ class BootSimulator:
         total_us *= INITCALL_ASYNC_FACTOR
         total_us += INITCALL_DISPATCH_US * len(config.enabled)
         # -Os slows initcall code just like any other kernel code.
-        total_us *= image.toolchain.speed_factor
+        total_us *= image.opt_level.speed_factor
         return total_us / 1000.0

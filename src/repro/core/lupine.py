@@ -19,7 +19,7 @@ from repro.apps.app import Application
 from repro.core.manifest import ApplicationManifest, generate_manifest
 from repro.core.variants import Variant, VariantBuild, build_variant
 from repro.kml.libc import MuslLibc
-from repro.mm.footprint import FootprintModel, measure_min_memory_mb
+from repro.mm.footprint import linux_min_memory_mb
 from repro.rootfs.container import FileEntry, container_for_app
 from repro.rootfs.ext2 import Ext2Image, build_ext2
 from repro.rootfs.init import INIT_SCRIPT_PATH, generate_init_script
@@ -63,12 +63,7 @@ class LupineUnikernel:
 
     def min_memory_mb(self) -> int:
         """Figure 8's metric for this unikernel."""
-        model = FootprintModel(
-            image=self.build.image,
-            app_resident_kb=float(self.app.resident_kb),
-            app_mapped_kb=float(self.app.binary_size_kb),
-        )
-        return measure_min_memory_mb(model.try_boot)
+        return linux_min_memory_mb(self.build.image, self.app)
 
 
 @dataclass

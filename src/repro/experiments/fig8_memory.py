@@ -13,19 +13,10 @@ from repro.apps.registry import get_app
 from repro.core.lupine import LupineBuilder
 from repro.core.variants import Variant, build_microvm
 from repro.metrics.reporting import Figure
-from repro.mm.footprint import FootprintModel, measure_min_memory_mb
+from repro.mm.footprint import linux_min_memory_mb
 from repro.unikernels import AppNotSupported, HermiTux, OSv, Rumprun
 
 APPS = ("hello-world", "nginx", "redis")
-
-
-def _linux_footprint(image, app) -> int:
-    model = FootprintModel(
-        image=image,
-        app_resident_kb=float(app.resident_kb),
-        app_mapped_kb=float(app.binary_size_kb),
-    )
-    return measure_min_memory_mb(model.try_boot)
 
 
 def run() -> Dict[str, Dict[str, Optional[int]]]:
@@ -33,7 +24,8 @@ def run() -> Dict[str, Dict[str, Optional[int]]]:
     results: Dict[str, Dict[str, Optional[int]]] = {}
     microvm = build_microvm()
     results["microvm"] = {
-        name: _linux_footprint(microvm.image, get_app(name)) for name in APPS
+        name: linux_min_memory_mb(microvm.image, get_app(name))
+        for name in APPS
     }
     for label, variant in (("lupine", Variant.LUPINE),
                            ("lupine-general", Variant.LUPINE_GENERAL)):

@@ -2,13 +2,12 @@
 
 Checks the same preconditions a real build would (an x86-64 target, a
 console, a way to mount a root filesystem), sums per-option object
-contributions under the chosen toolchain, and compresses with the
-configured compressor.
+contributions at the optimization level the configuration selects, and
+compresses with the configured compressor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.kbuild.image import (
@@ -18,7 +17,7 @@ from repro.kbuild.image import (
     KernelImage,
 )
 from repro.faults import fault_site
-from repro.kbuild.optimizer import OptLevel, Toolchain
+from repro.kbuild.optimizer import OptLevel
 from repro.kconfig.resolver import ResolvedConfig
 from repro.observe import METRICS, span
 from repro.observe.metrics import DEFAULT_KB_BUCKETS
@@ -40,11 +39,8 @@ _REQUIRED_OPTIONS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass
 class KernelBuilder:
     """Builds :class:`KernelImage` artifacts from resolved configurations."""
-
-    toolchain: Toolchain = Toolchain()
 
     def build(
         self,
@@ -96,9 +92,8 @@ class KernelBuilder:
                 # the config was assembled by hand incorrectly.
                 raise BuildError("CONFIG_PARAVIRT conflicts with KML")
 
-        toolchain = self.toolchain
-        if "CC_OPTIMIZE_FOR_SIZE" in config:
-            toolchain = Toolchain(opt_level=OptLevel.OS, lto=toolchain.lto)
+        opt_level = (OptLevel.OS if "CC_OPTIMIZE_FOR_SIZE" in config
+                     else OptLevel.O2)
 
         if config.modules and "MODULES" not in config:
             raise BuildError(
@@ -117,16 +112,16 @@ class KernelBuilder:
             config.tree[option_name].size_kb
             for option_name in sorted(config.modules)
         )
-        uncompressed = (CORE_TEXT_KB + option_kb) * toolchain.size_factor
+        uncompressed = (CORE_TEXT_KB + option_kb) * opt_level.size_factor
         compressed = uncompressed * self._compression_ratio(config)
 
         return KernelImage(
             name=name or config.name or "kernel",
             config=config,
-            toolchain=toolchain,
+            opt_level=opt_level,
             uncompressed_kb=uncompressed,
             compressed_kb=compressed,
-            modules_kb=module_kb * toolchain.size_factor,
+            modules_kb=module_kb * opt_level.size_factor,
             kml_enabled=kml,
             patches=tuple(patches),
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Tuple, TypeVar
 
-from repro.kbuild.optimizer import Toolchain
+from repro.kbuild.optimizer import OptLevel
 from repro.kconfig.resolver import ResolvedConfig
 
 #: Unconditional kernel text+data not attributable to any option (KiB).
@@ -43,7 +43,7 @@ class KernelImage:
 
     name: str
     config: ResolvedConfig
-    toolchain: Toolchain
+    opt_level: OptLevel
     uncompressed_kb: float
     compressed_kb: float
     modules_kb: float = 0.0
@@ -72,11 +72,11 @@ class KernelImage:
         """``compute(self)``, evaluated on first use and kept on the image.
 
         For values downstream simulators derive from the image alone (the
-        boot simulator's initcall phase, say): config and toolchain never
-        change after the build, so the value holds for every later boot of
-        this kernel.  *key* names the value; the memos live outside the
-        dataclass fields, so equality, ``repr`` and the harness codec see
-        only the fields.
+        boot simulator's initcall phase, say): config and optimization
+        level never change after the build, so the value holds for every
+        later boot of this kernel.  *key* names the value; the memos live
+        outside the dataclass fields, so equality, ``repr`` and the harness
+        codec see only the fields.
         """
         memo = self.__dict__.setdefault("_derived", {})
         if key not in memo:

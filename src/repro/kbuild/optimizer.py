@@ -1,4 +1,4 @@
-"""Compiler optimization model: -O2 vs -Os and link-time optimization.
+"""Compiler optimization model: -O2 vs -Os.
 
 The paper's ``-tiny`` variants are "compiled to optimize for space with -Os
 rather than for performance with -O2" (Section 4); the size/speed factors
@@ -9,7 +9,6 @@ observed in Table 4.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class OptLevel(enum.Enum):
@@ -27,25 +26,3 @@ class OptLevel(enum.Enum):
     def speed_factor(self) -> float:
         """Multiplier on in-kernel execution time relative to -O2."""
         return 1.0 if self is OptLevel.O2 else 1.10
-
-
-@dataclass(frozen=True)
-class Toolchain:
-    """Build toolchain settings."""
-
-    opt_level: OptLevel = OptLevel.O2
-    lto: bool = False
-
-    @property
-    def size_factor(self) -> float:
-        factor = self.opt_level.size_factor
-        if self.lto:
-            factor *= 0.96  # LTO strips unreferenced kernel-internal symbols
-        return factor
-
-    @property
-    def speed_factor(self) -> float:
-        factor = self.opt_level.speed_factor
-        if self.lto:
-            factor *= 0.99
-        return factor

@@ -16,7 +16,7 @@ set for select/default-implied options.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Set
+from typing import FrozenSet, Set
 
 from repro.kconfig.resolver import ResolvedConfig, Resolver
 
@@ -66,8 +66,3 @@ def minimize_config(config: ResolvedConfig) -> FrozenSet[str]:
         if resolved.enabled == target:
             request = trial
     return frozenset(request)
-
-
-def defconfig_lines(config: ResolvedConfig) -> List[str]:
-    """Render the minimized request as defconfig-style lines."""
-    return [f"CONFIG_{name}=y" for name in sorted(minimize_config(config))]

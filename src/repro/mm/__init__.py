@@ -1,7 +1,8 @@
-"""Memory substrate: demand-paged address spaces and footprint measurement.
+"""Memory model: a guest's page-granular boot requirement and footprint search.
 
-Implements the mechanisms behind Figure 8: Linux loads binaries lazily, so
+Implements the mechanism behind Figure 8: Linux loads binaries lazily, so
 the minimum memory needed by a guest tracks the kernel's resident code and
-static allocations, not application binary size -- which is why microVM and
-Lupine show no variation across hello/nginx/redis while unikernels do.
+static allocations plus the application's resident set, not application
+binary size -- which is why microVM and Lupine show no variation across
+hello/nginx/redis while unikernels do.
 """

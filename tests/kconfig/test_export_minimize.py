@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kconfig.configs import lupine_base_config, microvm_config
 from repro.kconfig.expr import parse_expr
-from repro.kconfig.minimize import defconfig_lines, minimize_config
+from repro.kconfig.minimize import minimize_config
 from repro.kconfig.model import ConfigOption, KconfigTree
 from repro.kconfig.resolver import Resolver
 
@@ -45,13 +45,6 @@ class TestMinimize:
         minimal = minimize_config(config)
         resolved = Resolver(tree).resolve_names(sorted(minimal))
         assert resolved.enabled == config.enabled
-
-    def test_defconfig_lines_format(self, tree):
-        config = lupine_base_config(tree)
-        lines = defconfig_lines(config)
-        assert all(line.startswith("CONFIG_") and line.endswith("=y")
-                   for line in lines)
-        assert lines == sorted(lines)
 
 
 @st.composite

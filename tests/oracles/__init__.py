@@ -6,6 +6,9 @@
   *executes* requests on that loop; ``tests/test_eventserver.py`` checks
   :class:`~repro.workloads.server.LinuxServerStack`'s analytic costs
   against it.
+- :mod:`tests.oracles.footprint` -- Figure 8's boot attempt replayed one
+  page at a time against the memory budget; ``FootprintModel.try_boot``'s
+  page sum must decide every boot the same way.
 - :mod:`tests.oracles.messaging` -- perf sched messaging as one loop that
   interleaves the engine's syscalls with the scheduler's rounds; the split
   parts and Figure 12's shared sweep must equal it float for float.

@@ -117,7 +117,7 @@ def _expected_phases(image, rootfs=RootfsKind.EXT2, monitor_setup_ms=8.0):
     )
     initcalls_us *= INITCALL_ASYNC_FACTOR
     initcalls_us += INITCALL_DISPATCH_US * len(config.enabled)
-    initcalls_us *= image.toolchain.speed_factor
+    initcalls_us *= image.opt_level.speed_factor
     return {
         BootPhase.MONITOR_SETUP: monitor_setup_ms,
         BootPhase.KERNEL_LOAD: image.compressed_kb / LOAD_KB_PER_MS,

@@ -117,6 +117,22 @@ class TestExtendedCli:
             "INET, POSIX_MQUEUE, PROC_FS, SYSVIPC, TMPFS, UNIX\n"
         )
 
+    def test_derive_defconfig_renders_the_minimized_request(self, capsys):
+        """One ``CONFIG_<x>=y`` line per entry of the report's minimized
+        request, in its order: sorted by option name."""
+        from repro.apps.registry import get_app
+        from repro.core.tracing import usage_trace_for_app
+        from repro.kconfig.derive import derivation_report
+
+        assert main(["derive", "--app", "redis", "--defconfig"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("CONFIG_")]
+        request = derivation_report(
+            usage_trace_for_app(get_app("redis"))
+        ).request
+        assert request and list(request) == sorted(request)
+        assert lines == [f"CONFIG_{option}=y" for option in request]
+
     def test_footprint(self, capsys):
         assert main(["footprint", "redis"]) == 0
         output = capsys.readouterr().out

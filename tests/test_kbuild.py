@@ -8,7 +8,7 @@ from repro.kbuild.image import (
     CORE_TEXT_KB,
     DEFAULT_COMPRESSION,
 )
-from repro.kbuild.optimizer import OptLevel, Toolchain
+from repro.kbuild.optimizer import OptLevel
 from repro.kconfig.database import base_option_names, build_linux_tree
 from repro.kconfig.resolver import Resolver
 
@@ -22,11 +22,6 @@ class TestToolchain:
     def test_os_is_smaller_but_slower(self):
         assert OptLevel.OS.size_factor < OptLevel.O2.size_factor
         assert OptLevel.OS.speed_factor > OptLevel.O2.speed_factor
-
-    def test_lto_shrinks_further(self):
-        plain = Toolchain(opt_level=OptLevel.O2)
-        lto = Toolchain(opt_level=OptLevel.O2, lto=True)
-        assert lto.size_factor < plain.size_factor
 
 
 class TestBuilder:
@@ -66,7 +61,9 @@ class TestBuilder:
                  if n != "CC_OPTIMIZE_FOR_PERFORMANCE"]
         config = _resolve(names + ["CC_OPTIMIZE_FOR_SIZE"], tree)
         image = KernelBuilder().build(config)
-        assert image.toolchain.opt_level is OptLevel.OS
+        assert image.opt_level is OptLevel.OS
+        default = KernelBuilder().build(_resolve(base_option_names(), tree))
+        assert default.opt_level is OptLevel.O2
 
     @pytest.mark.parametrize("missing,reason", [
         ("PRINTK", "boot progress"),

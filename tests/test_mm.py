@@ -1,200 +1,45 @@
-"""Tests for the memory substrate: paging, OOM, footprint search."""
+"""Tests for the memory model: the boot requirement and footprint search."""
+
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mm.address_space import (
-    AddressSpace,
+from repro.core.variants import Variant, build_microvm, build_variant
+from repro.mm.footprint import (
+    BOOT_SLACK_KB,
+    FootprintModel,
     OutOfMemoryError,
     PAGE_SIZE,
-    PhysicalMemory,
+    USERSPACE_BASE_KB,
+    measure_min_memory_mb,
 )
-from repro.mm.footprint import measure_min_memory_mb
+from tests.oracles.footprint import replay_boot
+
+#: Figure 8's Linux kernels, and the -tiny one whose -Os image is smaller.
+_BUILDS = {
+    "microvm": build_microvm,
+    "lupine": lambda: build_variant(Variant.LUPINE),
+    "lupine-general": lambda: build_variant(Variant.LUPINE_GENERAL),
+    "lupine-tiny": lambda: build_variant(Variant.LUPINE_TINY),
+}
+
+#: App sizes in KiB: zero, sub-page, fractional and multi-MB.
+_APP_KB = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 8.0),
+    st.floats(0.0, 64 * 1024.0),
+    st.integers(0, 64 * 1024).map(float),
+)
 
 
-def _space(memory_mb=16):
-    physical = PhysicalMemory(total_bytes=memory_mb * 1024 * 1024)
-    return AddressSpace(asid=1, physical=physical), physical
-
-
-class TestPhysicalMemory:
-    def test_page_accounting(self):
-        physical = PhysicalMemory(total_bytes=1024 * 1024)
-        assert physical.total_pages == 256
-        physical.allocate_frame()
-        assert physical.allocated_pages == 1
-        assert physical.free_pages == 255
-
-    def test_exhaustion(self):
-        physical = PhysicalMemory(total_bytes=2 * PAGE_SIZE)
-        physical.allocate_frame()
-        physical.allocate_frame()
-        with pytest.raises(OutOfMemoryError):
-            physical.allocate_frame()
-
-    def test_reserve_kb_rounds_up(self):
-        physical = PhysicalMemory(total_bytes=1024 * 1024)
-        physical.reserve_kb(5.0)  # 5 KiB -> 2 pages
-        assert physical.allocated_pages == 2
-
-    @settings(max_examples=200, deadline=None)
-    @given(total_pages=st.integers(0, 64),
-           reservations=st.lists(st.floats(-8.0, 160.0), max_size=6))
-    def test_reserve_kb_equals_page_by_page(self, total_pages, reservations):
-        """The one-step reservation leaves the state and raises the error
-        that allocating its frames one at a time does."""
-        def page_by_page(physical, kb):
-            for _ in range(int(kb * 1024 + PAGE_SIZE - 1) // PAGE_SIZE):
-                physical.allocate_frame()
-
-        def outcomes(reserve):
-            physical = PhysicalMemory(total_bytes=total_pages * PAGE_SIZE)
-            seen = []
-            for kb in reservations:
-                try:
-                    reserve(physical, kb)
-                    seen.append(("ok", physical.allocated_pages))
-                except OutOfMemoryError as error:
-                    seen.append((str(error), physical.allocated_pages))
-            return seen
-
-        assert (outcomes(PhysicalMemory.reserve_kb)
-                == outcomes(page_by_page))
-
-    def test_reserve_kb_that_does_not_fit_exhausts_then_raises(self):
-        physical = PhysicalMemory(total_bytes=4 * PAGE_SIZE)
-        physical.reserve_kb(4.0)
-        with pytest.raises(OutOfMemoryError, match="4 pages exhausted"):
-            physical.reserve_kb(16.0)
-        assert (physical.allocated_pages, physical.free_pages) == (4, 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(total_pages=st.integers(0, 48),
-           touches=st.lists(st.tuples(st.booleans(), st.integers(0, 2),
-                                      st.floats(-8.0, 160.0)),
-                            max_size=8))
-    def test_touch_range_equals_page_by_page(self, total_pages, touches):
-        """``touch_range`` and ``touch`` give each missing page the frame,
-        and leave the state and error, that faulting the pages one at a
-        time does.  A touch is ``(whole_range, mapping, kb)``."""
-        def run(page_by_page):
-            physical = PhysicalMemory(total_bytes=total_pages * PAGE_SIZE)
-            space = AddressSpace(asid=1, physical=physical)
-            mappings = [space.mmap(kb) for kb in (16.0, 100.0, 40.0)]
-            frames = {}  # (mapping, page) -> frame, one page at a time
-            seen = []
-            for whole_range, index, kb in touches:
-                mapping = mappings[index]
-                offset_kb = min(max(kb, 0.0), 4.0 * (mapping.page_count - 1))
-                if whole_range:
-                    pages = range(min(mapping.page_count,
-                                      int(kb * 1024 + PAGE_SIZE - 1)
-                                      // PAGE_SIZE))
-                else:
-                    pages = [int(offset_kb * 1024) // PAGE_SIZE]
-                try:
-                    if page_by_page:
-                        missing = [(index, page) for page in pages
-                                   if (index, page) not in frames]
-                        for key in missing:
-                            frames[key] = physical.allocate_frame()
-                        outcome = (len(missing) if whole_range
-                                   else frames[index, pages[0]])
-                    elif whole_range:
-                        outcome = space.touch_range(mapping, kb)
-                    else:
-                        outcome = space.touch(mapping, offset_kb).frame_number
-                except OutOfMemoryError as error:
-                    outcome = str(error)
-                seen.append((outcome, physical.allocated_pages))
-            return seen, space, mappings, frames
-
-        expected, _, _, frames = run(page_by_page=True)
-        seen, space, mappings, _ = run(page_by_page=False)
-        assert seen == expected
-        assert space.resident_pages == len(frames)
-        # Same resident set, same frames: touching a page that is not
-        # resident would take a new frame (or raise).
-        assert {(index, page): space.touch(mappings[index], 4.0 * page)
-                .frame_number for index, page in frames} == frames
-
-    def test_touch_range_that_does_not_fit_keeps_what_fits_then_raises(self):
-        physical = PhysicalMemory(total_bytes=8 * PAGE_SIZE)
-        physical.reserve_kb(8.0)
-        space = AddressSpace(asid=1, physical=physical)
-        mapping = space.mmap(64)
-        space.touch(mapping, offset_kb=4.0)  # page 1: frame 2
-        with pytest.raises(OutOfMemoryError, match="8 pages exhausted"):
-            space.touch_range(mapping, 64)
-        assert (physical.allocated_pages, space.resident_pages) == (8, 6)
-        # Pages 0, 2, 3, 4, 5 took frames 3..7 in page order.
-        assert [space.touch(mapping, 4.0 * page).frame_number
-                for page in range(6)] == [3, 2, 4, 5, 6, 7]
-
-
-class TestDemandPaging:
-    def test_lazy_mapping_allocates_nothing(self):
-        space, physical = _space()
-        space.mmap(1024, name="app")
-        assert physical.allocated_pages == 0
-        assert space.resident_pages == 0
-
-    def test_eager_mapping_allocates_now(self):
-        space, physical = _space()
-        space.mmap(64, name="stack", eager=True)
-        assert physical.allocated_pages == 16
-
-    def test_touch_faults_one_page(self):
-        space, physical = _space()
-        mapping = space.mmap(1024)
-        space.touch(mapping, offset_kb=8)
-        assert space.resident_pages == 1
-
-    def test_touch_same_page_idempotent(self):
-        space, physical = _space()
-        mapping = space.mmap(64)
-        first = space.touch(mapping, 0)
-        second = space.touch(mapping, 1)  # same 4 KiB page
-        assert first is second
-        assert physical.allocated_pages == 1
-
-    def test_touch_beyond_mapping_rejected(self):
-        space, _ = _space()
-        mapping = space.mmap(4)
-        with pytest.raises(ValueError):
-            space.touch(mapping, offset_kb=64)
-
-    def test_touch_range(self):
-        space, _ = _space()
-        mapping = space.mmap(1024)
-        assert space.touch_range(mapping, 100) == 25
-        assert space.touch_range(mapping, 100) == 0  # already resident
-        assert space.resident_kb == 100
-
-    def test_touch_range_clamped_to_mapping(self):
-        space, _ = _space()
-        mapping = space.mmap(16)
-        assert space.touch_range(mapping, 1024) == 4
-
-    def test_oom_when_budget_exhausted(self):
-        space, _ = _space(memory_mb=1)
-        mapping = space.mmap(4096)
-        with pytest.raises(OutOfMemoryError):
-            space.touch_range(mapping, 4096)
-
-    def test_binary_size_irrelevant_when_lazy(self):
-        """The Figure 8 mechanism: huge binaries, tiny resident sets."""
-        space, physical = _space()
-        huge = space.mmap(300 * 1024, name="elasticsearch")  # 300 MB mapped
-        space.touch_range(huge, 512)  # 512 KiB actually used
-        assert physical.allocated_pages == 128
-
-    def test_mapping_lookup(self):
-        space, _ = _space()
-        space.mmap(64, name="libc")
-        assert space.find_mapping("libc") is not None
-        assert space.find_mapping("ghost") is None
-        assert space.mapped_kb >= 64
+def _stub_image(resident_kernel_kb):
+    """An image with *resident_kernel_kb* of code and no option enabled."""
+    return SimpleNamespace(
+        resident_kernel_kb=resident_kernel_kb,
+        config=SimpleNamespace(tree={}, enabled=frozenset()),
+    )
 
 
 class TestFootprintSearch:
@@ -243,3 +88,82 @@ class TestFootprintModel:
         model = FootprintModel(image=lupine_build.image)
         assert not model.try_boot(4)
         assert model.try_boot(256)
+
+    def test_binary_size_irrelevant_when_lazy(self, lupine_build):
+        """The Figure 8 mechanism: huge binaries, tiny resident sets."""
+        small = FootprintModel(lupine_build.image, app_resident_kb=512.0,
+                               app_mapped_kb=4096.0)
+        huge = replace(small, app_mapped_kb=300 * 1024.0)  # 300 MB mapped
+        assert huge.required_pages() == small.required_pages()
+        idle = replace(small, app_resident_kb=0.0)
+        assert small.required_pages() - idle.required_pages() == 128
+
+    def test_app_term_clamped_to_its_mapping(self, lupine_build):
+        def app_pages(resident_kb, mapped_kb):
+            model = FootprintModel(lupine_build.image, resident_kb, mapped_kb)
+            idle = replace(model, app_resident_kb=0.0)
+            return model.required_pages() - idle.required_pages()
+
+        assert app_pages(1024.0, 4096.0) == 256
+        assert app_pages(1024.0, 16.0) == 4
+        assert app_pages(1024.0, 0.0) == 1  # a mapping spans a page
+
+    def test_each_component_rounds_up_on_its_own(self):
+        """No page holds parts of two components: half a KiB of kernel and
+        half a KiB of app take a page each, and 5 KiB take two."""
+        assert BOOT_SLACK_KB * 1024 % PAGE_SIZE == 0
+        assert USERSPACE_BASE_KB * 1024 % PAGE_SIZE == 0
+        fixed = int(BOOT_SLACK_KB + USERSPACE_BASE_KB) * 1024 // PAGE_SIZE
+
+        def required(kernel_kb, app_kb):
+            model = FootprintModel(_stub_image(kernel_kb),
+                                   app_resident_kb=app_kb,
+                                   app_mapped_kb=app_kb)
+            return model.required_pages()
+
+        assert required(0.0, 0.0) == fixed
+        assert required(0.5, 0.5) == fixed + 2
+        assert required(5.0, 0.0) == fixed + 2
+        assert required(0.0, 5.0) == fixed + 2
+
+
+class TestBootAttemptMatchesReplay:
+    """``try_boot`` is the page-at-a-time boot attempt, summed: pages are
+    taken from one budget in order, never freed, each range fresh, so
+    every step fits exactly when the total does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(image=st.sampled_from(sorted(_BUILDS)), resident_kb=_APP_KB,
+           mapped_kb=_APP_KB, data=st.data())
+    def test_try_boot_equals_page_by_page_replay(self, image, resident_kb,
+                                                 mapped_kb, data):
+        model = FootprintModel(_BUILDS[image]().image,
+                               app_resident_kb=resident_kb,
+                               app_mapped_kb=mapped_kb)
+        required = model.required_pages()
+        # Whole-MB budgets from one MB below the requirement to one above.
+        memory_mb = data.draw(st.integers(-(-(required - 256) // 256),
+                                          (required + 256) // 256))
+        assert model.try_boot(memory_mb) == replay_boot(model, memory_mb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(image=st.sampled_from(sorted(_BUILDS)),
+           slack_pages=st.integers(-2, 2),
+           sub_page_kb=st.sampled_from([0.0, 0.5, 3.0]),
+           clamped=st.booleans(), data=st.data())
+    def test_try_boot_equals_replay_pages_from_the_threshold(
+            self, image, slack_pages, sub_page_kb, clamped, data):
+        """Apps sized so the requirement lands within two pages of a whole
+        MB, where one page more or less changes the outcome."""
+        image = _BUILDS[image]().image
+        fixed = FootprintModel(image, 0.0, 0.0).required_pages()
+        app_kb = 4.0 * ((-fixed) % 256 + 256 + slack_pages) - sub_page_kb
+        if clamped:  # the mapping, not the resident set, bounds the app
+            model = FootprintModel(image, app_resident_kb=app_kb + 1024.0,
+                                   app_mapped_kb=app_kb)
+        else:
+            model = FootprintModel(image, app_resident_kb=app_kb,
+                                   app_mapped_kb=app_kb + 1024.0)
+        memory_mb = (-(-model.required_pages() // 256)
+                     + data.draw(st.integers(-1, 1)))
+        assert model.try_boot(memory_mb) == replay_boot(model, memory_mb)

@@ -107,6 +107,7 @@ class TestConsistency:
         from repro.mm.footprint import FootprintModel
 
         model = FootprintModel(image=KernelBuilder().build(_resolve(extra)))
-        required_mb = model.required_kb() / 1024.0
-        assert model.try_boot(int(required_mb) + 3)
-        assert not model.try_boot(max(1, int(required_mb * 0.5)))
+        # The guest boots in the first whole MB that holds every page.
+        threshold_mb = -(-model.required_pages() // 256)
+        assert model.try_boot(threshold_mb)
+        assert not model.try_boot(threshold_mb - 1)

@@ -146,7 +146,9 @@ def main(argv=None) -> int:
       "result-cache key |\n")
     w("| `cache_hit` | whether this run reused the cached result |\n")
     w("| `wall_ms` | wall time this experiment took (≈0 on a cache "
-      "hit) |\n")
+      "hit), including any one-time process cost it is the first to "
+      "need: in a fresh `run-all` process `fig3` pays for the first "
+      "`build_linux_tree()` (0.1–0.2 s on a 2-core Xeon) |\n")
     w("| `status` | `ok` \\| `cache_hit` \\| `failed` \\| `timed_out` — "
       "the experiment's definite final state (see docs/RESILIENCE.md) |\n")
     w("| `attempts` | execution attempts (>1 when transient faults were "
